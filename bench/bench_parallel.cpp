@@ -15,10 +15,16 @@
 //  - determinism (hard assertion, any thread count): counters, verified
 //    implicit edges, and the final pruned slice are bit-identical to the
 //    Threads=1 serial reference engine;
-//  - speedup (asserted only when the host actually has >= 4 cores --
-//    reported as skipped otherwise): >= 2x at 4 threads.
+//  - speedup: >= 2x at 4 threads, asserted only when a spin probe
+//    measures >= 3.5 effective cores for 4 threads (reported as skipped
+//    otherwise). hardware_concurrency counts vCPUs the host may not
+//    grant, and a wall-clock gate on a shared host is a coin flip.
 //
-// Emits machine-readable results to BENCH_parallel.json.
+//   bench_parallel [--determinism-only] [common options]
+//
+// --determinism-only skips the speedup assertion (the test-suite smoke
+// run). Emits machine-readable results, the probe included, to
+// BENCH_parallel.json.
 //
 //===----------------------------------------------------------------------===//
 
@@ -114,11 +120,18 @@ int main(int Argc, char **Argv) {
   // -- checkpointing, caches, chain depth, step budget -- comes from the
   // shared parser so ad-hoc reruns use the same flags as eoec.
   eoe::Options BaseOpt;
+  bool DeterminismOnly = false;
   for (int I = 1; I < Argc; ++I) {
+    if (std::string(Argv[I]) == "--determinism-only") {
+      DeterminismOnly = true;
+      continue;
+    }
     if (support::parseCommonOption(Argc, Argv, I, BaseOpt) ==
         support::ParseResult::Ok)
       continue;
-    std::fprintf(stderr, "usage: bench_parallel [common options]\n%s",
+    std::fprintf(stderr,
+                 "usage: bench_parallel [--determinism-only] [common "
+                 "options]\n%s",
                  support::commonOptionsHelp());
     return 2;
   }
@@ -148,6 +161,7 @@ int main(int Argc, char **Argv) {
   }
 
   const unsigned Hardware = std::thread::hardware_concurrency();
+  const double Effective = bench::effectiveParallelism(4);
   std::vector<RunResult> Runs;
   size_t TraceLen = 0;
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
@@ -196,24 +210,29 @@ int main(int Argc, char **Argv) {
   }
   std::printf("%s", T.str().c_str());
   std::printf("\nsubject: %d candidate predicates per batch, trace length "
-              "%zu, hardware_concurrency %u\n",
-              GuardCount, TraceLen, Hardware);
+              "%zu, hardware_concurrency %u, effective parallelism of 4 "
+              "threads %s\n",
+              GuardCount, TraceLen, Hardware,
+              formatDouble(Effective, 2).c_str());
 
-  // Speedup: only meaningful with real cores to run on.
+  // Speedup: only meaningful when the host delivers the cores.
   double Speedup4 = 0;
   for (const RunResult &R : Runs)
     if (R.Threads == 4 && R.LocateMs > 0)
       Speedup4 = Serial.LocateMs / R.LocateMs;
-  const bool SpeedupApplies = Hardware >= 4;
+  const char *SkipReason =
+      DeterminismOnly    ? "skipped: --determinism-only"
+      : Effective < 3.5 ? "skipped: effective parallelism < 3.5"
+                        : nullptr;
   const bool SpeedupOk = Speedup4 >= 2.0;
-  if (SpeedupApplies)
+  if (!SkipReason)
     std::printf("speedup at 4 threads: %sx (required >= 2x): %s\n",
                 formatDouble(Speedup4, 2).c_str(),
                 SpeedupOk ? "PASS" : "FAIL");
   else
-    std::printf("speedup at 4 threads: %sx -- assertion SKIPPED "
-                "(hardware_concurrency %u < 4; determinism still asserted)\n",
-                formatDouble(Speedup4, 2).c_str(), Hardware);
+    std::printf("speedup at 4 threads: %sx -- assertion %s (determinism "
+                "still asserted)\n",
+                formatDouble(Speedup4, 2).c_str(), SkipReason);
   std::printf("determinism across thread counts: %s\n",
               Identical ? "BIT-IDENTICAL" : "MISMATCH (bug!)");
 
@@ -223,6 +242,7 @@ int main(int Argc, char **Argv) {
     std::fprintf(F, "{\n");
     std::fprintf(F, "  \"bench\": \"bench_parallel\",\n");
     std::fprintf(F, "  \"hardware_concurrency\": %u,\n", Hardware);
+    std::fprintf(F, "  \"effective_parallelism_4t\": %.3f,\n", Effective);
     std::fprintf(F,
                  "  \"subject\": {\"candidate_predicates\": %d, "
                  "\"loop_iters\": %d, \"trace_len\": %zu},\n",
@@ -246,9 +266,7 @@ int main(int Argc, char **Argv) {
     std::fprintf(F, "  ],\n");
     std::fprintf(F, "  \"speedup_4t\": %.3f,\n", Speedup4);
     std::fprintf(F, "  \"speedup_check\": \"%s\",\n",
-                 !SpeedupApplies ? "skipped: hardware_concurrency < 4"
-                 : SpeedupOk     ? "pass"
-                                 : "fail");
+                 SkipReason ? SkipReason : SpeedupOk ? "pass" : "fail");
     std::fprintf(F, "  \"deterministic\": %s\n", Identical ? "true" : "false");
     std::fprintf(F, "}\n");
     std::fclose(F);
@@ -259,7 +277,7 @@ int main(int Argc, char **Argv) {
 
   if (!Identical)
     return 1;
-  if (SpeedupApplies && !SpeedupOk)
+  if (!SkipReason && !SpeedupOk)
     return 1;
   return 0;
 }

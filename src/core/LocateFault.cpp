@@ -58,6 +58,10 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
   support::EventTracer *Tracer = Verifier.tracer();
   support::EventTracer::Span LocateSpan(Tracer, "locate", "core");
   support::ScopedTimer LocateTimed(&Reg.timer("locate.total_time"));
+  // The registry may be shared across sessions: report this call's work.
+  const size_t VerificationsBefore = Verifier.verificationCount();
+  const size_t ReexecutionsBefore = Verifier.reexecutionCount();
+  support::StatTimer &PruneTime = Reg.timer("slicing.prune_time");
 
   // Multi-switch perturbation chains (docs/chains.md): when every
   // single-switch verdict for a use comes back NOT_ID, the search below
@@ -68,13 +72,13 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
     Chains = std::make_unique<ChainSearch>(
         Verifier, T, Config.Opt.Reuse.ChainDepth, Config.Opt.Reuse.ChainBudget);
 
+  support::EventTracer::Span FirstPruneSpan(Tracer, "prune", "slicing");
+  support::ScopedTimer FirstPruneTimed(&PruneTime);
   ConfidenceAnalysis CA(Prog, G, Values, V);
   PruneState Prune;
-  std::vector<TraceIdx> Ranked;
-  {
-    support::EventTracer::Span PruneSpan(Tracer, "prune", "slicing");
-    Ranked = pruneSlicing(CA, O, Prune, &Reg);
-  }
+  std::vector<TraceIdx> Ranked = pruneSlicing(CA, O, Prune, &Reg);
+  FirstPruneTimed.stop();
+  FirstPruneSpan.end();
 
   // Verified-but-uncommitted expansions, keyed by (instance, load).
   struct VerifiedUse {
@@ -247,6 +251,7 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
     // Re-prune with the expanded graph (Algorithm 2 line 19).
     {
       support::EventTracer::Span PruneSpan(Tracer, "prune", "slicing");
+      support::ScopedTimer PruneTimed(&PruneTime);
       Ranked = pruneSlicing(CA, O, Prune, &Reg);
     }
   }
@@ -256,8 +261,8 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
   Reg.counter("locate.strong_edges").add(Report.StrongEdges);
   Reg.histogram("locate.final_slice_size").record(Ranked.size());
   Report.UserPrunings = Prune.UserPrunings;
-  Report.Verifications = Verifier.verificationCount();
-  Report.Reexecutions = Verifier.reexecutionCount();
+  Report.Verifications = Verifier.verificationCount() - VerificationsBefore;
+  Report.Reexecutions = Verifier.reexecutionCount() - ReexecutionsBefore;
   Report.FinalPrunedSlice = Ranked;
   std::vector<bool> Member(T.size(), false);
   for (TraceIdx I : Ranked)

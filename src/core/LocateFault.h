@@ -113,6 +113,8 @@ struct LocateConfig {
 struct LocateReport {
   bool RootCauseFound = false;
   size_t UserPrunings = 0;
+  /// Verifier work done by this call, also when the verifier's registry
+  /// is shared with other sessions.
   size_t Verifications = 0;
   size_t Reexecutions = 0;
   size_t Iterations = 0;

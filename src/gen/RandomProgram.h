@@ -92,7 +92,12 @@ public:
   /// their input-stream consumption) identical outside the skeleton, so
   /// the failure is always a clean wrong *value* at the trailing print --
   /// the paper's problem shape -- rather than an input-position artifact.
-  OmissionVariant generateOmission() {
+  ///
+  /// When \p Entangled, the failing print also adds up every scalar of
+  /// the surroundings, so the failure's dynamic slice reaches deep into
+  /// them: many fault candidates, most of them benign -- the subject for
+  /// pruning fuzzing. The seed's random draws are the same either way.
+  OmissionVariant generateOmission(bool Entangled = false) {
     OmissionVariant Out;
 
     std::string Body = generate();
@@ -106,7 +111,11 @@ public:
                            "}\n";
     std::string Globals = "var omsum = 3;\n";
     size_t LastBrace = Body.rfind('}');
-    std::string Trailer = "print(omsum);\n";
+    std::string Trailer = "print(omsum";
+    if (Entangled)
+      for (const std::string &Scalar : Scalars)
+        Trailer += " + " + Scalar;
+    Trailer += ");\n";
 
     auto Assemble = [&](const std::string &Guard) {
       std::string S = Globals + Body.substr(0, Pos) + Guard + Skeleton;

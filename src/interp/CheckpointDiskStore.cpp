@@ -601,8 +601,8 @@ decodeImpl(std::string_view Bytes, const lang::Program &Prog,
   ByteReader R(Bytes);
   std::string_view MagicBytes;
   (void)R.slice(MagicBytes, sizeof(Magic));
-  uint32_t Version, RecordCount, HeaderCrc;
-  uint64_t Hash, MaxSteps;
+  uint32_t Version = 0, RecordCount = 0, HeaderCrc = 0;
+  uint64_t Hash = 0, MaxSteps = 0;
   (void)R.u32(Version);
   (void)R.u64(Hash);
   (void)R.u64(MaxSteps);

@@ -17,54 +17,122 @@ using namespace eoe;
 using namespace eoe::interp;
 using namespace eoe::slicing;
 
+namespace {
+
+/// True for the instances the print rule of ConfidenceAnalysis::verdict
+/// judges by the definitions they read.
+bool isPrintVerdict(const lang::Program &Prog, const StepRecord &Step) {
+  return Step.Defs.empty() && !Step.Uses.empty() &&
+         Prog.statement(Step.Stmt)->kind() == lang::Stmt::Kind::Print;
+}
+
+} // namespace
+
 ConfidenceAnalysis::ConfidenceAnalysis(const lang::Program &Prog,
                                        const ddg::DepGraph &G,
                                        const ValueProfile *Values,
                                        const OutputVerdicts &V, Options Opts)
     : Prog(Prog), G(G), Values(Values), V(V), Opts(Opts) {
+  const ExecutionTrace &T = G.trace();
+  DefBegin.reserve(T.size() + 1);
+  DefBegin.push_back(0);
+  for (TraceIdx I = 0; I < T.size(); ++I)
+    DefBegin.push_back(DefBegin.back() +
+                       static_cast<uint32_t>(T.step(I).Defs.size()));
+  for (TraceIdx I = 0; I < T.size(); ++I) {
+    if (!isPrintVerdict(Prog, T.step(I)))
+      continue;
+    for (const UseRecord &Use : T.step(I).Uses) {
+      uint32_t Slot = defSlot(Use.Def, Use.Loc.Raw);
+      if (Slot != NoSlot)
+        PrintReaders.Pairs.push_back({Slot, I});
+    }
+  }
+  PrintReaders.sort();
   recompute({});
 }
 
 void ConfidenceAnalysis::recompute(const std::vector<TraceIdx> &BenignMarks,
                                    const std::set<TraceIdx> &Corrupted) {
   const ExecutionTrace &T = G.trace();
-  ddg::DepGraph::ClosureOptions All;
+  // The closures and the edge indexes depend on the edges alone, and
+  // edges are only ever added: rebuild them when one was.
+  if (G.implicitEdges().size() != EdgesSeen) {
+    EdgesSeen = G.implicitEdges().size();
+    ddg::DepGraph::ClosureOptions All;
+    WrongSlice =
+        G.backwardClosure({T.Outputs.at(V.WrongOutput).Step}, All, &Depth);
 
-  WrongSlice =
-      G.backwardClosure({T.Outputs.at(V.WrongOutput).Step}, All, &Depth);
+    std::vector<TraceIdx> CorrectSeeds;
+    for (size_t O : V.CorrectOutputs)
+      CorrectSeeds.push_back(T.Outputs.at(O).Step);
+    ReachesCorrect = G.backwardClosure(CorrectSeeds, All);
 
-  std::vector<TraceIdx> CorrectSeeds;
-  for (size_t O : V.CorrectOutputs)
-    CorrectSeeds.push_back(T.Outputs.at(O).Step);
-  ReachesCorrect = G.backwardClosure(CorrectSeeds, All);
+    ImplicitDependents.Pairs.clear();
+    ImplicitPreds.Pairs.clear();
+    for (const ddg::DepGraph::ImplicitEdge &E : G.implicitEdges()) {
+      ImplicitDependents.Pairs.push_back({E.Pred, E.Use});
+      ImplicitPreds.Pairs.push_back({E.Use, E.Pred});
+    }
+    ImplicitDependents.sort();
+    ImplicitPreds.sort();
+  }
 
   UserBenign.assign(T.size(), false);
   for (TraceIdx B : BenignMarks)
     UserBenign[B] = true;
+  // Instances pinned as corrupted: the user's verdict (or the wrong
+  // output itself) overrides any inference from the values they read.
+  Pinned.assign(T.size(), false);
+  Pinned[T.Outputs.at(V.WrongOutput).Step] = true;
+  for (TraceIdx C : Corrupted)
+    Pinned[C] = true;
 
-  inferCorrectValues(BenignMarks, Corrupted);
+  inferCorrectValues();
+  rank();
+}
+
+void ConfidenceAnalysis::markBenign(TraceIdx I) {
+  UserBenign[I] = true;
+  // The new mark and the definitions it verifies only add facts, so the
+  // verdicts that can flip are those of the instances that read a newly
+  // verified fact -- and they can only flip to correct.
+  std::vector<TraceIdx> Affected{I};
+  PropagationWork Work;
+  seedBenign(I, Work, &Affected);
+  propagate(Work, &Affected);
+
+  std::vector<TraceIdx> NewlyCorrect;
+  for (TraceIdx A : Affected) {
+    if (!Correct[A] && verdict(A)) {
+      Correct[A] = true;
+      NewlyCorrect.push_back(A);
+    }
+  }
+  if (NewlyCorrect.empty())
+    return;
+  sanitizePredicates(NewlyCorrect);
+  std::erase_if(Ranked, [this](TraceIdx R) { return Correct[R]; });
+}
+
+void ConfidenceAnalysis::markCorrupted(TraceIdx I) {
+  Pinned[I] = true;
+  if (!Correct[I])
+    return;
+  // Withdrawing a conclusion is not monotone: start over.
+  inferCorrectValues();
   rank();
 }
 
 namespace {
 
-/// The expression whose evaluation produced the definition of \p Loc at
-/// \p Step: the statement's value root for its own definition, or the
+/// The expression whose evaluation produced \p Step's definition number
+/// \p DefIdx: the statement's value root for its own definition, or the
 /// corresponding argument expression for a callee-parameter store. Null
 /// when the def cannot be attributed (e.g. short-circuiting skipped a
 /// call, making the def layout ambiguous).
 const lang::Expr *rootExprForDef(const lang::Program &Prog,
-                                 const StepRecord &Step, uint64_t LocRaw) {
-  size_t DefIdx = Step.Defs.size();
-  for (size_t I = 0; I < Step.Defs.size(); ++I) {
-    if (Step.Defs[I].Loc.Raw == LocRaw) {
-      DefIdx = I;
-      break;
-    }
-  }
-  if (DefIdx == Step.Defs.size())
-    return nullptr;
-
+                                 const StepRecord &Step, size_t DefIdx) {
   const lang::Stmt *S = Prog.statement(Step.Stmt);
   std::vector<const lang::CallExpr *> Calls;
   for (const lang::Expr *Root : evaluatedRoots(S))
@@ -96,31 +164,110 @@ const lang::Expr *rootExprForDef(const lang::Program &Prog,
 
 } // namespace
 
-void ConfidenceAnalysis::markDefCorrect(TraceIdx Def, MemLoc Loc,
-                                        PropagationWork &Work) {
+uint32_t ConfidenceAnalysis::defSlot(TraceIdx Def, uint64_t LocRaw) const {
   if (Def == InvalidId)
+    return NoSlot;
+  // A location an instance writes twice is one fact: the first slot.
+  const std::vector<DefRecord> &Defs = G.trace().step(Def).Defs;
+  for (size_t K = 0; K < Defs.size(); ++K)
+    if (Defs[K].Loc.Raw == LocRaw)
+      return DefBegin[Def] + static_cast<uint32_t>(K);
+  // A use naming a definer that did not write the location read carries
+  // no verifiable value.
+  return NoSlot;
+}
+
+void ConfidenceAnalysis::markDefCorrect(TraceIdx Def, uint64_t LocRaw,
+                                        PropagationWork &Work,
+                                        std::vector<TraceIdx> *Affected) {
+  uint32_t Slot = defSlot(Def, LocRaw);
+  if (Slot == NoSlot || DefCorrect[Slot])
     return;
-  if (!CorrectDefs.insert({Def, Loc.Raw}).second)
-    return;
+  DefCorrect[Slot] = true;
+  if (Affected) {
+    Affected->push_back(Def);
+    for (auto [S, Print] : PrintReaders.keyed(Slot))
+      Affected->push_back(Print);
+  }
   // Propagate backward through the expression that produced this
   // definition (the value root, or the argument expression of a
   // parameter store -- the interprocedural case).
   const lang::Expr *Root =
-      rootExprForDef(Prog, G.trace().step(Def), Loc.Raw);
+      rootExprForDef(Prog, G.trace().step(Def), Slot - DefBegin[Def]);
   if (Root)
     Work.push_back({Def, Root});
 }
 
-void ConfidenceAnalysis::inferCorrectValues(
-    const std::vector<TraceIdx> &BenignMarks,
-    const std::set<TraceIdx> &Corrupted) {
+void ConfidenceAnalysis::seedBenign(TraceIdx B, PropagationWork &Work,
+                                    std::vector<TraceIdx> *Affected) {
+  // A user-declared benign instance's definitions carry correct values.
+  for (const DefRecord &D : G.trace().step(B).Defs)
+    markDefCorrect(B, D.Loc.Raw, Work, Affected);
+}
+
+void ConfidenceAnalysis::propagate(PropagationWork &Work,
+                                   std::vector<TraceIdx> *Affected) {
+  // Backward propagation through invertible value expressions, across
+  // call boundaries via parameter-store roots.
   const ExecutionTrace &T = G.trace();
-  // Instances pinned as corrupted: the user's verdict (or the wrong
-  // output itself) overrides any inference from the values they read.
-  auto IsPinned = [&](TraceIdx I) {
-    return I == T.Outputs.at(V.WrongOutput).Step || Corrupted.count(I) != 0;
-  };
-  CorrectDefs.clear();
+  while (!Work.empty()) {
+    auto [I, Root] = Work.back();
+    Work.pop_back();
+    for (const UseRecord &Use : T.step(I).Uses)
+      if (exprContains(Root, Use.LoadExpr) &&
+          invertiblePath(Root, Use.LoadExpr))
+        markDefCorrect(Use.Def, Use.Loc.Raw, Work, Affected);
+  }
+}
+
+bool ConfidenceAnalysis::verdict(TraceIdx I) const {
+  if (Pinned[I])
+    return false;
+  if (UserBenign[I])
+    return true;
+  const StepRecord &Step = G.trace().step(I);
+  if (!Step.Defs.empty())
+    return defCorrect(I, Step.Defs.back().Loc.Raw);
+  // Print instances: the emitted values ARE the used values, so a print
+  // whose observed values are all verified is correct. The same
+  // inference is deliberately NOT applied to predicates: a predicate can
+  // be the fault itself (a mutated condition computes a wrong branch
+  // from perfectly correct inputs -- e.g. the seeded boundary-condition
+  // faults), so correct inputs must not sanitize it. Predicates are only
+  // pruned via user marks or the Figure 5 implicit-dependent rule.
+  if (!isPrintVerdict(Prog, Step))
+    return false;
+  for (const UseRecord &Use : Step.Uses)
+    if (!defCorrect(Use.Def, Use.Loc.Raw))
+      return false;
+  return true;
+}
+
+void ConfidenceAnalysis::sanitizePredicates(std::vector<TraceIdx> &Work) {
+  // Figure 5: verified implicit dependents that are all correct sanitize
+  // their predicate. A predicate's last dependent to become correct is
+  // on the worklist when that happens, so the worklist reaches the least
+  // fixpoint.
+  if (!Opts.PropagateAcrossImplicit)
+    return;
+  while (!Work.empty()) {
+    TraceIdx Dependent = Work.back();
+    Work.pop_back();
+    for (auto [D, P] : ImplicitPreds.keyed(Dependent)) {
+      if (Correct[P] || Pinned[P])
+        continue;
+      auto IsCorrect = [this](auto Edge) { return Correct[Edge.second]; };
+      if (std::ranges::all_of(ImplicitDependents.keyed(P), IsCorrect)) {
+        Correct[P] = true;
+        Work.push_back(P);
+      }
+    }
+  }
+}
+
+void ConfidenceAnalysis::inferCorrectValues() {
+  const ExecutionTrace &T = G.trace();
+  DefCorrect.assign(DefBegin.back(), false);
   PropagationWork Work;
 
   // Seeds from correct outputs: an output value known correct verifies
@@ -132,87 +279,21 @@ void ConfidenceAnalysis::inferCorrectValues(
     for (const UseRecord &Use : T.step(E.Step).Uses)
       if (exprContains(Root, Use.LoadExpr) &&
           invertiblePath(Root, Use.LoadExpr))
-        markDefCorrect(Use.Def, Use.Loc, Work);
+        markDefCorrect(Use.Def, Use.Loc.Raw, Work, nullptr);
   }
+  for (TraceIdx B = 0; B < T.size(); ++B)
+    if (UserBenign[B])
+      seedBenign(B, Work, nullptr);
+  propagate(Work, nullptr);
 
-  // Seeds from user-declared benign instances: their definitions carry
-  // correct values.
-  for (TraceIdx B : BenignMarks)
-    for (const DefRecord &D : T.step(B).Defs)
-      markDefCorrect(B, D.Loc, Work);
-
-  // Backward propagation through invertible value expressions, across
-  // call boundaries via parameter-store roots.
-  while (!Work.empty()) {
-    auto [I, Root] = Work.back();
-    Work.pop_back();
-    for (const UseRecord &Use : T.step(I).Uses)
-      if (exprContains(Root, Use.LoadExpr) &&
-          invertiblePath(Root, Use.LoadExpr))
-        markDefCorrect(Use.Def, Use.Loc, Work);
-  }
-
-  // Instance-level verdicts.
   Correct.assign(T.size(), false);
-  for (TraceIdx I = 0; I < T.size(); ++I) {
-    if (IsPinned(I))
-      continue;
-    if (UserBenign[I]) {
-      Correct[I] = true;
-      continue;
-    }
-    const StepRecord &Step = T.step(I);
-    if (!Step.Defs.empty()) {
-      Correct[I] =
-          CorrectDefs.count({I, Step.Defs.back().Loc.Raw}) != 0;
-      continue;
-    }
-    // Print instances: the emitted values ARE the used values, so a
-    // print whose observed values are all verified is correct. The same
-    // inference is deliberately NOT applied to predicates: a predicate
-    // can be the fault itself (a mutated condition computes a wrong
-    // branch from perfectly correct inputs -- e.g. the seeded
-    // boundary-condition faults), so correct inputs must not sanitize
-    // it. Predicates are only pruned via user marks or the Figure 5
-    // implicit-dependent rule below.
-    if (Prog.statement(Step.Stmt)->kind() == lang::Stmt::Kind::Print &&
-        !Step.Uses.empty()) {
-      bool AllUsesCorrect = true;
-      for (const UseRecord &Use : Step.Uses) {
-        if (Use.Def == InvalidId ||
-            !CorrectDefs.count({Use.Def, Use.Loc.Raw})) {
-          AllUsesCorrect = false;
-          break;
-        }
-      }
-      Correct[I] = AllUsesCorrect;
-    }
-  }
-
-  // Figure 5: verified implicit dependents that are all correct sanitize
-  // their predicate. One round suffices for the chains the procedure
-  // builds, but iterate to a fixpoint for robustness.
-  if (Opts.PropagateAcrossImplicit && !G.implicitEdges().empty()) {
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (TraceIdx I = 0; I < T.size(); ++I) {
-        if (Correct[I] || IsPinned(I))
-          continue;
-        bool Any = false, All = true;
-        for (const auto &E : G.implicitEdges()) {
-          if (E.Pred != I)
-            continue;
-          Any = true;
-          All = All && Correct[E.Use];
-        }
-        if (Any && All) {
-          Correct[I] = true;
-          Changed = true;
-        }
-      }
-    }
-  }
+  for (TraceIdx I = 0; I < T.size(); ++I)
+    Correct[I] = verdict(I);
+  std::vector<TraceIdx> CorrectDependents;
+  for (auto [Dependent, P] : ImplicitPreds.Pairs)
+    if (Correct[Dependent])
+      CorrectDependents.push_back(Dependent);
+  sanitizePredicates(CorrectDependents);
 }
 
 double ConfidenceAnalysis::confidence(TraceIdx I) const {
@@ -234,18 +315,28 @@ double ConfidenceAnalysis::confidence(TraceIdx I) const {
 }
 
 void ConfidenceAnalysis::rank() {
-  const ExecutionTrace &T = G.trace();
-  Ranked.clear();
-  for (TraceIdx I = 0; I < T.size(); ++I)
+  // Most suspicious first: low confidence, then short distance to the
+  // failure, then later instances. The index makes the order total, and
+  // no key depends on another instance's verdict -- what lets markBenign
+  // filter the ranking instead of re-sorting it.
+  struct Key {
+    double Confidence;
+    uint32_t Depth;
+    TraceIdx I;
+  };
+  std::vector<Key> Keys;
+  Keys.reserve(WrongSlice.size());
+  for (TraceIdx I = 0; I < WrongSlice.size(); ++I)
     if (WrongSlice[I] && !Correct[I])
-      Ranked.push_back(I);
-  std::stable_sort(Ranked.begin(), Ranked.end(),
-                   [this](TraceIdx A, TraceIdx B) {
-                     double CA = confidence(A), CB = confidence(B);
-                     if (CA != CB)
-                       return CA < CB;
-                     if (Depth[A] != Depth[B])
-                       return Depth[A] < Depth[B];
-                     return A > B;
-                   });
+      Keys.push_back({confidence(I), Depth[I], I});
+  std::sort(Keys.begin(), Keys.end(), [](const Key &A, const Key &B) {
+    if (A.Confidence != B.Confidence)
+      return A.Confidence < B.Confidence;
+    if (A.Depth != B.Depth)
+      return A.Depth < B.Depth;
+    return A.I > B.I;
+  });
+  Ranked.clear();
+  for (const Key &K : Keys)
+    Ranked.push_back(K.I);
 }

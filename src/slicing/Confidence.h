@@ -42,13 +42,25 @@
 #include "lang/AST.h"
 #include "slicing/OutputVerdicts.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace eoe {
 namespace slicing {
 
 /// Confidence values and the pruned, ranked fault candidate set.
+///
+/// recompute() derives everything from scratch. Between recomputes the
+/// analysis also absorbs single oracle answers incrementally
+/// (markBenign, markCorrupted), each leaving exactly the state a
+/// recompute with the extended marks and pins would produce: a benign
+/// mark only adds correctness facts and a pin on an instance not
+/// inferred correct changes nothing, so no answer forces rework of what
+/// is already known. Implicit edges added to the graph take effect at
+/// the next recompute().
 class ConfidenceAnalysis {
 public:
   struct Options {
@@ -75,7 +87,8 @@ public:
   /// matters precisely for execution omission errors, where a stale
   /// definition carries a locally-correct value to a point that should
   /// have received a different definition altogether. The wrong output
-  /// instance is always pinned.
+  /// instance is always pinned. The closures, a function of the edges
+  /// alone, are rebuilt only when an edge was added since the last call.
   void recompute(const std::vector<TraceIdx> &BenignMarks,
                  const std::set<TraceIdx> &Corrupted);
 
@@ -84,6 +97,19 @@ public:
   void recompute(const std::vector<TraceIdx> &BenignMarks) {
     recompute(BenignMarks, {});
   }
+
+  /// Adds the benign mark \p I to the current state. Propagates only
+  /// from \p I's definitions, re-evaluates only the instances whose
+  /// verdict the new facts can change, and drops the newly-correct
+  /// instances from the ranking, whose order is otherwise kept: a
+  /// candidate's sort key never depends on other instances' verdicts.
+  void markBenign(TraceIdx I);
+
+  /// Pins \p I as corrupted in the current state. Free when \p I is not
+  /// inferred correct -- every candidate of prunedSlice() -- because the
+  /// inference is a least fixpoint that never needed \p I to be correct.
+  /// Pinning a correct instance falls back to a from-scratch inference.
+  void markCorrupted(TraceIdx I);
 
   /// The trace the analysis ranges over.
   const interp::ExecutionTrace &trace() const { return G.trace(); }
@@ -108,10 +134,31 @@ private:
   using PropagationWork =
       std::vector<std::pair<TraceIdx, const lang::Expr *>>;
 
-  void inferCorrectValues(const std::vector<TraceIdx> &BenignMarks,
-                          const std::set<TraceIdx> &Corrupted);
-  void markDefCorrect(TraceIdx Def, interp::MemLoc Loc,
-                      PropagationWork &Work);
+  static constexpr uint32_t NoSlot = UINT32_MAX;
+
+  /// The slot of the definition of \p LocRaw by instance \p Def, or
+  /// NoSlot when \p Def does not define it.
+  uint32_t defSlot(TraceIdx Def, uint64_t LocRaw) const;
+  bool defCorrect(TraceIdx Def, uint64_t LocRaw) const {
+    uint32_t Slot = defSlot(Def, LocRaw);
+    return Slot != NoSlot && DefCorrect[Slot];
+  }
+
+  /// Verifies one definition and queues its producing expression for
+  /// backward propagation. When \p Affected is given, it receives the
+  /// instances whose verdict the new fact can change.
+  void markDefCorrect(TraceIdx Def, uint64_t LocRaw, PropagationWork &Work,
+                      std::vector<TraceIdx> *Affected);
+  void seedBenign(TraceIdx B, PropagationWork &Work,
+                  std::vector<TraceIdx> *Affected);
+  void propagate(PropagationWork &Work, std::vector<TraceIdx> *Affected);
+  /// The instance-level verdict from the verified definitions, marks and
+  /// pins, before the Figure 5 rule.
+  bool verdict(TraceIdx I) const;
+  /// Figure 5 to a fixpoint, starting from the newly-correct instances
+  /// in \p Work.
+  void sanitizePredicates(std::vector<TraceIdx> &Work);
+  void inferCorrectValues();
   void rank();
 
   const lang::Program &Prog;
@@ -120,12 +167,36 @@ private:
   const OutputVerdicts &V;
   Options Opts;
 
+  /// (key, instance) pairs sorted by key; keyed(K) is K's instances.
+  struct Adjacency {
+    std::vector<std::pair<uint32_t, TraceIdx>> Pairs;
+    void sort() { std::sort(Pairs.begin(), Pairs.end()); }
+    auto keyed(uint32_t Key) const {
+      return std::ranges::equal_range(Pairs, Key, {},
+                                      &std::pair<uint32_t, TraceIdx>::first);
+    }
+  };
+
+  // Per trace, built once: instance I's definitions occupy the slots
+  // DefBegin[I] .. DefBegin[I+1]-1, and PrintReaders maps a slot to the
+  // print instances whose verdict reads that definition.
+  std::vector<uint32_t> DefBegin;
+  Adjacency PrintReaders;
+
+  // Per edge set: the closures and the verified implicit edges indexed
+  // both ways (a predicate's dependents, a dependent's predicates).
+  size_t EdgesSeen = SIZE_MAX;
   std::vector<bool> WrongSlice;
   std::vector<uint32_t> Depth;
   std::vector<bool> ReachesCorrect;
-  std::vector<bool> Correct;   // inferred correct per instance
+  Adjacency ImplicitDependents;
+  Adjacency ImplicitPreds;
+
+  // Updated by every answer.
   std::vector<bool> UserBenign;
-  std::set<std::pair<TraceIdx, uint64_t>> CorrectDefs;
+  std::vector<bool> Pinned;     // user-declared corrupted, and the wrong output
+  std::vector<bool> DefCorrect; // per definition slot
+  std::vector<bool> Correct;    // inferred correct per instance
   std::vector<TraceIdx> Ranked;
 };
 

@@ -15,42 +15,67 @@ std::vector<TraceIdx> eoe::slicing::pruneSlicing(ConfidenceAnalysis &CA,
                                                  support::StatsRegistry *Stats) {
   using support::StatsRegistry;
   const interp::ExecutionTrace &T = CA.trace();
-  auto Finish = [&](const std::vector<TraceIdx> &Ranked) {
+
+  // One from-scratch recompute per session: edges only change between
+  // sessions (Algorithm 2 line 19), and each answer below updates the
+  // analysis incrementally.
+  StatsRegistry::add(Stats, "slicing.prune_rounds");
+  {
+    support::ScopedTimer Timed(
+        Stats ? &Stats->timer("slicing.recompute_time") : nullptr);
+    CA.recompute(State.BenignMarks, State.KnownCorrupted);
+  }
+  const std::vector<TraceIdx> &Ranked = CA.prunedSlice();
+
+  // Answers are tallied here and flushed once (a registry lookup takes
+  // a lock); a counter is only created once it has something to count.
+  size_t Benign = 0, Corrupted = 0;
+  auto Finish = [&] {
+    if (Benign + Corrupted)
+      StatsRegistry::add(Stats, "slicing.oracle_queries", Benign + Corrupted);
+    if (Benign)
+      StatsRegistry::add(Stats, "slicing.benign_marks", Benign);
+    if (Corrupted)
+      StatsRegistry::add(Stats, "slicing.corrupted_marks", Corrupted);
     StatsRegistry::sample(Stats, "slicing.pruned_slice_size", Ranked.size());
     return Ranked;
   };
+
+  // The session ends as soon as the programmer recognizes the root
+  // cause among the presented candidates. Answers only ever remove
+  // candidates, so one look suffices.
+  for (TraceIdx I : Ranked)
+    if (O.isRootCause(T.step(I).Stmt))
+      return Finish();
+
+  // Known-corrupted candidates are never inferred correct, so once the
+  // cursor passes them they stay in front of it: the next question is
+  // always the first candidate at or after the cursor not known
+  // corrupted (benign answers leave the ranking).
+  std::vector<bool> Known(T.size(), false);
+  for (TraceIdx I : State.KnownCorrupted)
+    Known[I] = true;
+  size_t Cursor = 0;
   while (true) {
-    StatsRegistry::add(Stats, "slicing.prune_rounds");
-    CA.recompute(State.BenignMarks, State.KnownCorrupted);
-    const std::vector<TraceIdx> &Ranked = CA.prunedSlice();
+    while (Cursor < Ranked.size() && Known[Ranked[Cursor]])
+      ++Cursor;
+    if (Cursor == Ranked.size()) // Everything left is known corrupted:
+      return Finish();           // minimal slice.
 
-    // The session ends as soon as the programmer recognizes the root
-    // cause among the presented candidates.
-    for (TraceIdx I : Ranked)
-      if (O.isRootCause(T.step(I).Stmt))
-        return Finish(Ranked);
-
-    TraceIdx Next = InvalidId;
-    for (TraceIdx I : Ranked) {
-      if (State.KnownCorrupted.count(I))
-        continue;
-      Next = I;
-      break;
-    }
-    if (Next == InvalidId) // Everything left is known corrupted: minimal
-      return Finish(Ranked); // slice.
-
-    StatsRegistry::add(Stats, "slicing.oracle_queries");
+    TraceIdx Next = Ranked[Cursor];
     if (O.isBenign(Next)) {
-      StatsRegistry::add(Stats, "slicing.benign_marks");
+      ++Benign;
       State.BenignMarks.push_back(Next);
       // One user interaction covers a statement; later instances of the
       // same statement are vouched for by the same act of understanding.
       if (State.BenignStmts.insert(T.step(Next).Stmt).second)
         ++State.UserPrunings;
-      continue; // Benign feedback enables more automatic pruning.
+      CA.markBenign(Next); // Benign feedback enables more automatic pruning.
+      continue;
     }
-    StatsRegistry::add(Stats, "slicing.corrupted_marks");
+    ++Corrupted;
     State.KnownCorrupted.insert(Next);
+    Known[Next] = true;
+    CA.markCorrupted(Next);
   }
 }

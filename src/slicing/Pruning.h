@@ -56,13 +56,16 @@ struct PruneState {
   size_t UserPrunings = 0;
 };
 
-/// Runs one interactive pruning session: recomputes confidences, asks the
-/// oracle about unresolved candidates in rank order, and stops when every
-/// remaining candidate is known corrupted. Returns the minimal pruned
-/// slice, most suspicious first. When \p Stats is given, records the
-/// session's cost (slicing.prune_rounds, slicing.oracle_queries,
-/// slicing.benign_marks, slicing.corrupted_marks) and the returned slice
-/// size (slicing.pruned_slice_size histogram).
+/// Runs one interactive pruning session: recomputes confidences once
+/// from scratch, asks the oracle about unresolved candidates in rank
+/// order -- folding each answer into \p CA incrementally -- and stops when
+/// the root cause is among the candidates or every remaining candidate
+/// is known corrupted. Returns the pruned slice, most suspicious first.
+/// When \p Stats is given, records the session's cost
+/// (slicing.prune_rounds -- one full recompute each --,
+/// slicing.recompute_time, slicing.oracle_queries, slicing.benign_marks,
+/// slicing.corrupted_marks) and the returned slice size
+/// (slicing.pruned_slice_size histogram).
 std::vector<TraceIdx> pruneSlicing(ConfidenceAnalysis &CA, Oracle &O,
                                    PruneState &State,
                                    support::StatsRegistry *Stats = nullptr);

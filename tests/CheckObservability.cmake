@@ -48,6 +48,7 @@ foreach(Key
     "\"ckpt.switched_reconverge_probes\""
     "\"ckpt.switched_interpreted_steps\""
     "\"chain.runs\"" "\"chain.prefix_hits\"" "\"chain.extended_steps\""
+    "\"prune_time\"" "\"recompute_time\"" "\"prune_rounds\""
     "\"counters\"" "\"timers\""
     "\"histograms\"")
   if(NOT LastLine MATCHES "${Key}")

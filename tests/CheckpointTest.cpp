@@ -125,8 +125,9 @@ TEST_P(CheckpointEquivalence, ResumedSwitchedRunsAreBitIdentical) {
     expectSameTrace(Full, FromCkpt, GetParam(), P);
     ++Resumed;
   }
-  if (Plan.Collected > 0)
+  if (Plan.Collected > 0) {
     EXPECT_GT(Resumed, 0u) << "snapshots exist but none was exercised";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointEquivalence,
@@ -473,8 +474,9 @@ TEST(CheckpointTest, DeltaEncodedSnapshotsRoundTripBitIdentical) {
     ASSERT_EQ(Plain.count(), Delta.count()) << "seed " << Seed;
     EXPECT_EQ(Delta.rawBytes(), Plain.bytes()) << "seed " << Seed;
     EXPECT_LE(Delta.encodedBytes(), Delta.rawBytes()) << "seed " << Seed;
-    if (Delta.deltaCount() > 0)
+    if (Delta.deltaCount() > 0) {
       EXPECT_LT(Delta.encodedBytes(), Delta.rawBytes()) << "seed " << Seed;
+    }
     DeltasSeen += Delta.deltaCount();
 
     for (TraceIdx P : Preds) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 using namespace eoe;
 using namespace eoe::interp;
@@ -220,6 +221,101 @@ TEST(ConfidenceTest, Figure5ImplicitDependentsSanitizeTheirPredicate) {
   G2.addImplicitEdge(PrintT, If, false);
   ConfidenceAnalysis CA2(*S.Prog, G2, nullptr, V, ConfidenceAnalysis::Options());
   EXPECT_TRUE(CA2.inferredCorrect(If));
+}
+
+/// Expects \p Live to equal an analysis recomputed from scratch over the
+/// same graph with the same marks and pins.
+void expectSameAsRecompute(const ConfidenceAnalysis &Live, const Session &S,
+                           const ddg::DepGraph &G, const OutputVerdicts &V,
+                           const std::vector<TraceIdx> &Marks,
+                           const std::set<TraceIdx> &Pins) {
+  ConfidenceAnalysis Fresh(*S.Prog, G, nullptr, V);
+  Fresh.recompute(Marks, Pins);
+  EXPECT_EQ(Live.prunedSlice(), Fresh.prunedSlice());
+  for (TraceIdx I = 0; I < G.trace().size(); ++I) {
+    EXPECT_EQ(Live.inferredCorrect(I), Fresh.inferredCorrect(I))
+        << "instance " << I;
+    EXPECT_EQ(Live.confidence(I), Fresh.confidence(I)) << "instance " << I;
+  }
+}
+
+TEST(ConfidenceTest, IncrementalAnswersMatchRecomputeFromScratch) {
+  const char *Src = "fn main() {\n"
+                    "var p = input();\n"   // 2
+                    "var t = 1;\n"         // 3
+                    "var u = 2;\n"         // 4
+                    "var w = 0;\n"         // 5
+                    "if (p) {\n"           // 6
+                    "t = 5;\n"
+                    "u = 6;\n"
+                    "}\n"
+                    "var a = t + 1;\n"     // 10
+                    "var b = u % 3;\n"     // 11
+                    "print(a + b + w);\n"  // 12 wrong
+                    "}";
+  Session S(Src);
+  ASSERT_TRUE(S.valid());
+  ExecutionTrace T = S.run({0});
+  ddg::DepGraph G(T);
+  OutputVerdicts V;
+  V.WrongOutput = 0;
+  V.ExpectedValue = 6;
+  TraceIdx DefT = S.instanceAtLine(T, 3), DefU = S.instanceAtLine(T, 4);
+  TraceIdx DefW = S.instanceAtLine(T, 5), If = S.instanceAtLine(T, 6);
+  TraceIdx DefA = S.instanceAtLine(T, 10), DefB = S.instanceAtLine(T, 11);
+  // The omitted branch would have changed both a and b.
+  G.addImplicitEdge(DefA, If, false);
+  G.addImplicitEdge(DefB, If, false);
+
+  ConfidenceAnalysis CA(*S.Prog, G, nullptr, V);
+  std::vector<TraceIdx> Marks;
+  std::set<TraceIdx> Pins;
+  ASSERT_NE(std::find(CA.prunedSlice().begin(), CA.prunedSlice().end(), If),
+            CA.prunedSlice().end());
+
+  // A pin on a candidate changes nothing.
+  std::vector<TraceIdx> Before = CA.prunedSlice();
+  CA.markCorrupted(DefW);
+  Pins.insert(DefW);
+  EXPECT_EQ(CA.prunedSlice(), Before);
+  expectSameAsRecompute(CA, S, G, V, Marks, Pins);
+
+  // Vouching for a verifies t through the invertible + 1; the ranking
+  // loses exactly those two and keeps its order. One implicit dependent
+  // is not enough to sanitize the predicate.
+  CA.markBenign(DefA);
+  Marks.push_back(DefA);
+  EXPECT_TRUE(CA.inferredCorrect(DefA));
+  EXPECT_TRUE(CA.inferredCorrect(DefT));
+  EXPECT_FALSE(CA.inferredCorrect(If));
+  std::erase_if(Before, [&](TraceIdx I) { return I == DefA || I == DefT; });
+  EXPECT_EQ(CA.prunedSlice(), Before);
+  expectSameAsRecompute(CA, S, G, V, Marks, Pins);
+
+  // Vouching for b too (u stays unverified: % is many-to-one) leaves
+  // every implicit dependent of the predicate correct: Figure 5
+  // sanitizes it.
+  CA.markBenign(DefB);
+  Marks.push_back(DefB);
+  EXPECT_FALSE(CA.inferredCorrect(DefU));
+  EXPECT_TRUE(CA.inferredCorrect(If));
+  EXPECT_EQ(std::count(CA.prunedSlice().begin(), CA.prunedSlice().end(), If),
+            0);
+  expectSameAsRecompute(CA, S, G, V, Marks, Pins);
+
+  // Pinning the still-unverified u is free; pinning the inferred-correct
+  // t withdraws that inference and puts t back among the candidates.
+  CA.markCorrupted(DefU);
+  Pins.insert(DefU);
+  expectSameAsRecompute(CA, S, G, V, Marks, Pins);
+  CA.markCorrupted(DefT);
+  Pins.insert(DefT);
+  EXPECT_FALSE(CA.inferredCorrect(DefT));
+  EXPECT_TRUE(CA.inferredCorrect(If));
+  EXPECT_EQ(std::count(CA.prunedSlice().begin(), CA.prunedSlice().end(),
+                       DefT),
+            1);
+  expectSameAsRecompute(CA, S, G, V, Marks, Pins);
 }
 
 TEST(PruningTest, OracleLoopReachesMinimalSlice) {

@@ -7,6 +7,7 @@
 
 #include "core/DebugSession.h"
 
+#include "support/Stats.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -165,6 +166,37 @@ TEST(LocateFaultTest, OracleChainProtocolCountsPrunings) {
   // Everything in the final IPS lies on the chain or was added by the
   // expansion; prunings stay small.
   EXPECT_LE(R.UserPrunings, 10u);
+}
+
+TEST(LocateFaultTest, ReportCountsOnlyItsOwnCallWhenRegistryIsShared) {
+  // Sessions sharing one registry (FaultRunner's phases, a bench over
+  // many faults) share the verifier's counters: each report must still
+  // describe its own call, exactly as if it had run alone.
+  Session S(Figure1Src);
+  ASSERT_TRUE(S.valid());
+  StmtId Root = S.stmtAtLine(7);
+  auto Locate = [&](support::StatsRegistry *Stats) {
+    DebugSession::Config C;
+    C.Opt.Exec.Stats = Stats;
+    DebugSession D(*S.Prog, {1}, {8, 32}, {{1}, {2}}, C);
+    TestOracle O(Root);
+    return D.locate(O);
+  };
+  LocateReport Alone = Locate(nullptr);
+  ASSERT_GT(Alone.Verifications, 0u);
+  ASSERT_GT(Alone.Reexecutions, 0u);
+
+  support::StatsRegistry Shared;
+  Locate(&Shared);
+  LocateReport Second = Locate(&Shared);
+  EXPECT_EQ(Second.Verifications, Alone.Verifications);
+  EXPECT_EQ(Second.Reexecutions, Alone.Reexecutions);
+  EXPECT_EQ(Second.Iterations, Alone.Iterations);
+  EXPECT_EQ(Second.ExpandedEdges, Alone.ExpandedEdges);
+  EXPECT_EQ(Second.FinalPrunedSlice, Alone.FinalPrunedSlice);
+  EXPECT_EQ(Shared.counter("verify.verifications").get(),
+            2 * Alone.Verifications)
+      << "the registry itself keeps the running total";
 }
 
 TEST(LocateFaultTest, NoFalseRootWhenProgramHasNoOmissionPath) {

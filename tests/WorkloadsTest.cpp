@@ -20,6 +20,15 @@
 using namespace eoe;
 using namespace eoe::workloads;
 
+namespace eoe {
+namespace workloads {
+// gtest prints a pointer parameter as its address, which ASLR moves on
+// every run, and gtest_discover_tests puts the printed value into the
+// ctest name: without this the test names would change with each build.
+static void PrintTo(const FaultInfo *F, std::ostream *OS) { *OS << F->Id; }
+} // namespace workloads
+} // namespace eoe
+
 namespace {
 
 class WorkloadFaultTest : public ::testing::TestWithParam<const FaultInfo *> {

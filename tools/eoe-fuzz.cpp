@@ -10,8 +10,8 @@
 // it, and the demand-driven locator finds it. Any deviation is printed
 // with the offending seed and program for triage.
 //
-//   eoe-fuzz [--fuzz=pipeline|diskstore|switched|chain] [--seeds N]
-//            [--start S] [--verbose]
+//   eoe-fuzz [--fuzz=pipeline|diskstore|switched|chain|prune]
+//            [--seeds N] [--start S] [--verbose]
 //
 // --fuzz=diskstore targets the persistent checkpoint cache instead:
 // each seed serializes a random program's snapshots, round-trips them,
@@ -34,12 +34,22 @@
 // too -- and that the chain-on outcome and chain counters are
 // bit-identical across thread counts.
 //
+// --fuzz=prune is the differential oracle of the incremental confidence
+// analysis: each reproducing seed runs the two-phase protocol -- a
+// root-only locate to find the implicit edges and the failure chain,
+// then pruning sessions with the chain oracle while those edges arrive
+// in stages -- and at every oracle question compares the live analysis
+// with one recomputed from scratch on the same marks and pins: the
+// ranking, every instance's verdict and confidence, and that the
+// question is the one the from-scratch ranking poses.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/DebugSession.h"
 #include "gen/RandomProgram.h"
 #include "interp/CheckpointDiskStore.h"
 #include "lang/Parser.h"
+#include "slicing/Pruning.h"
 #include "support/Diagnostic.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
@@ -50,6 +60,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <random>
+#include <set>
+#include <stdexcept>
 #include <string>
 
 using namespace eoe;
@@ -511,6 +523,209 @@ bool runChainSeed(uint64_t Seed, bool Verbose, ChainTally &T) {
   return Ok;
 }
 
+//===----------------------------------------------------------------------===//
+// Prune fuzzing: the incremental confidence analysis must be
+// indistinguishable from recomputing it from scratch after every answer.
+//===----------------------------------------------------------------------===//
+
+struct PruneTally {
+  size_t Generated = 0;
+  size_t Masked = 0;
+  size_t Questions = 0;
+  size_t Benign = 0;
+  size_t Edges = 0;
+  size_t Sanitized = 0;
+  size_t Failures = 0;
+};
+
+/// The first difference between two analyses of the same graph, or "".
+std::string firstDifference(const slicing::ConfidenceAnalysis &Live,
+                            const slicing::ConfidenceAnalysis &Fresh) {
+  if (Live.prunedSlice() != Fresh.prunedSlice())
+    return "ranking differs";
+  if (Live.wrongOutputSlice() != Fresh.wrongOutputSlice())
+    return "wrong-output slice differs";
+  for (TraceIdx I = 0; I < Live.trace().size(); ++I) {
+    if (Live.inferredCorrect(I) != Fresh.inferredCorrect(I))
+      return "verdict of instance " + std::to_string(I) + " differs";
+    if (Live.confidence(I) != Fresh.confidence(I))
+      return "confidence of instance " + std::to_string(I) + " differs";
+  }
+  return "";
+}
+
+/// The paper's chain oracle (instances off the failure chain are
+/// benign) that, before answering, checks the live analysis against a
+/// from-scratch one and the question against the one the per-answer
+/// recompute loop would pose. A mismatch ends the session by throwing:
+/// a diverged analysis may never run out of questions.
+class CheckingOracle : public slicing::Oracle {
+public:
+  CheckingOracle(const core::DebugSession &S, const ddg::DepGraph &G,
+                 const slicing::ConfidenceAnalysis &Live,
+                 const slicing::PruneState &State, StmtId Root,
+                 const std::vector<bool> &Chain)
+      : S(S), G(G), Live(Live), State(State), Root(Root), Chain(Chain) {}
+
+  bool isBenign(TraceIdx I) override {
+    ++Questions;
+    check(I);
+    if (!Mismatch.empty())
+      throw std::runtime_error(Mismatch);
+    Benign += !Chain[I];
+    return !Chain[I];
+  }
+  bool isRootCause(StmtId Stmt) override { return Stmt == Root; }
+
+  /// Compares the live analysis with a fresh one; \p Asked is the
+  /// instance being asked about, or InvalidId between sessions.
+  void check(TraceIdx Asked) {
+    if (!Mismatch.empty())
+      return;
+    slicing::ConfidenceAnalysis Fresh(S.program(), G, &S.profile().Values,
+                                      S.verdicts());
+    Fresh.recompute(State.BenignMarks, State.KnownCorrupted);
+    Mismatch = firstDifference(Live, Fresh);
+    if (!Mismatch.empty() || Asked == InvalidId)
+      return;
+    TraceIdx Expected = InvalidId;
+    for (TraceIdx I : Fresh.prunedSlice()) {
+      if (S.trace().step(I).Stmt == Root) {
+        Mismatch = "asked while the root cause is a candidate";
+        return;
+      }
+      if (Expected == InvalidId && !State.KnownCorrupted.count(I))
+        Expected = I;
+    }
+    if (Asked != Expected)
+      Mismatch = "asked " + std::to_string(Asked) + ", expected " +
+                 std::to_string(Expected);
+  }
+
+  size_t Questions = 0;
+  size_t Benign = 0;
+  std::string Mismatch;
+
+private:
+  const core::DebugSession &S;
+  const ddg::DepGraph &G;
+  const slicing::ConfidenceAnalysis &Live;
+  const slicing::PruneState &State;
+  StmtId Root;
+  const std::vector<bool> &Chain;
+};
+
+bool runPruneSeed(uint64_t Seed, bool Verbose, PruneTally &T) {
+  gen::RandomProgramGenerator Gen(Seed);
+  auto Variant = Gen.generateOmission(/*Entangled=*/true);
+  ++T.Generated;
+
+  DiagnosticEngine Diags;
+  auto Fixed = lang::parseAndCheck(Variant.FixedSource, Diags);
+  auto Faulty = lang::parseAndCheck(Variant.FaultySource, Diags);
+  if (!Fixed || !Faulty) {
+    std::printf("seed %llu: GENERATED PROGRAM DOES NOT PARSE\n%s\n",
+                static_cast<unsigned long long>(Seed), Diags.str().c_str());
+    ++T.Failures;
+    return false;
+  }
+  analysis::StaticAnalysis FixedSA(*Fixed);
+  interp::Interpreter FixedInterp(*Fixed, FixedSA);
+  std::vector<int64_t> Expected =
+      FixedInterp.run(Variant.Input).outputValues();
+
+  // Phase A: a root-only locate finds the implicit edges and, on the
+  // expanded graph, the failure chain the phase-B oracle answers by.
+  core::DebugSession A(*Faulty, Variant.Input, Expected, {Variant.Input});
+  if (!A.hasFailure()) {
+    ++T.Masked;
+    return true;
+  }
+  StmtId Root = Faulty->statementAtLine(Variant.RootCauseLine);
+  RootOnlyOracle RootOnly(Root);
+  A.locate(RootOnly);
+  std::vector<bool> Chain = A.failureChain(Root);
+  const std::vector<ddg::DepGraph::ImplicitEdge> &Edges =
+      A.graph().implicitEdges();
+
+  // Phase B on a graph of its own, with sessions carrying the answers
+  // across as locateFault does. The first session adds synthetic edges
+  // from random predicate instances to candidates the oracle will call
+  // benign, so Figure 5 also sanitizes predicates in mid-session; the
+  // next two add half of phase A's edges, then the rest. The predicates
+  // phase A linked, the silenced guard among them, get no synthetic
+  // edge: they would reveal the root cause before the first question.
+  ddg::DepGraph G(A.trace());
+  slicing::ConfidenceAnalysis Live(A.program(), G, &A.profile().Values,
+                                   A.verdicts());
+  std::vector<ddg::DepGraph::ImplicitEdge> Staged;
+  std::set<TraceIdx> Guards;
+  for (const ddg::DepGraph::ImplicitEdge &E : Edges)
+    Guards.insert(E.Pred);
+  std::vector<TraceIdx> Preds, Benign;
+  for (TraceIdx I = 0; I < A.trace().size(); ++I)
+    if (A.trace().step(I).isPredicateInstance() && !Guards.count(I))
+      Preds.push_back(I);
+  for (TraceIdx I : Live.prunedSlice())
+    if (!Chain[I])
+      Benign.push_back(I);
+  std::mt19937_64 Rng(Seed);
+  for (int N = 0; N < 4 && !Preds.empty() && !Benign.empty(); ++N) {
+    TraceIdx P = Preds[Rng() % Preds.size()];
+    for (size_t D = 1 + Rng() % 3; D > 0; --D)
+      if (TraceIdx U = Benign[Rng() % Benign.size()]; U != P)
+        Staged.push_back({U, P, false});
+  }
+  const size_t Synthetic = Staged.size();
+  Staged.insert(Staged.end(), Edges.begin(), Edges.end());
+
+  slicing::PruneState State;
+  CheckingOracle O(A, G, Live, State, Root, Chain);
+  size_t Added = 0;
+  for (size_t Stage : {Synthetic, Synthetic + Edges.size() / 2,
+                       Staged.size()}) {
+    for (; Added < Stage; ++Added)
+      G.addImplicitEdge(Staged[Added].Use, Staged[Added].Pred,
+                        Staged[Added].Strong);
+    std::vector<TraceIdx> Ranked;
+    try {
+      Ranked = slicing::pruneSlicing(Live, O, State);
+    } catch (const std::runtime_error &) {
+      break; // O.Mismatch says why.
+    }
+    O.check(InvalidId);
+    if (O.Mismatch.empty() && Ranked != Live.prunedSlice())
+      O.Mismatch = "returned slice differs from the analysis' ranking";
+  }
+
+  std::set<TraceIdx> Marked(State.BenignMarks.begin(),
+                            State.BenignMarks.end());
+  std::set<TraceIdx> SanitizedPreds;
+  for (const ddg::DepGraph::ImplicitEdge &E : G.implicitEdges())
+    if (Live.inferredCorrect(E.Pred) && !Marked.count(E.Pred))
+      SanitizedPreds.insert(E.Pred);
+  const size_t Sanitized = SanitizedPreds.size();
+  T.Questions += O.Questions;
+  T.Benign += O.Benign;
+  T.Edges += G.implicitEdges().size();
+  T.Sanitized += Sanitized;
+
+  if (!O.Mismatch.empty()) {
+    std::printf("seed %llu: INCREMENTAL PRUNING DIVERGED (%s after %zu "
+                "questions)\n%s\n",
+                static_cast<unsigned long long>(Seed), O.Mismatch.c_str(),
+                O.Questions, Variant.FaultySource.c_str());
+    ++T.Failures;
+    return false;
+  }
+  if (Verbose)
+    std::printf("seed %llu: ok (%zu questions, %zu benign, %zu edges, %zu "
+                "sanitized)\n",
+                static_cast<unsigned long long>(Seed), O.Questions, O.Benign,
+                G.implicitEdges().size(), Sanitized);
+  return true;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -529,7 +744,7 @@ int main(int Argc, char **Argv) {
       Mode = Argv[I] + 7;
     else {
       std::fprintf(stderr, "usage: eoe-fuzz [--fuzz=pipeline|diskstore|"
-                           "switched|chain] [--seeds N] [--start S] "
+                           "switched|chain|prune] [--seeds N] [--start S] "
                            "[--verbose]\n");
       return 2;
     }
@@ -564,6 +779,27 @@ int main(int Argc, char **Argv) {
                 T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
                 T.Masked, T.LocatedOff, T.LocatedOn, T.Gained, T.ChainRuns,
                 T.Commits, T.Failures);
+    return T.Failures == 0 ? 0 : 1;
+  }
+  if (Mode == "prune") {
+    PruneTally T;
+    for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
+      runPruneSeed(Seed, Verbose, T);
+    // Benign answers, corrupted answers and Figure 5 sanitizing are what
+    // the incremental paths exist for; a run without them tests nothing.
+    if (T.Generated > T.Masked &&
+        (T.Benign == 0 || T.Benign == T.Questions || T.Sanitized == 0)) {
+      std::printf("prune fuzzing lacked benign answers, corrupted answers "
+                  "or sanitized predicates -- the incremental paths are "
+                  "not exercised\n");
+      ++T.Failures;
+    }
+    std::printf("prune-fuzzed %zu programs in %s s: %zu masked, %zu "
+                "questions (%zu benign), %zu implicit edges, %zu sanitized "
+                "predicates, %zu violations\n",
+                T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
+                T.Masked, T.Questions, T.Benign, T.Edges, T.Sanitized,
+                T.Failures);
     return T.Failures == 0 ? 0 : 1;
   }
   if (Mode == "diskstore") {
