@@ -291,8 +291,6 @@ struct SwitchedRow {
   uint64_t Pass2Interpreted = 0;
   uint64_t Hits = 0;
   uint64_t Promotions = 0;
-  uint64_t Probes = 0;
-  uint64_t SplicedSuffix = 0;
   RunResult Pass1, Pass2; ///< Outcomes for the determinism check.
 
   uint64_t totalInterpreted() const {
@@ -485,7 +483,8 @@ int main(int Argc, char **Argv) {
         R.CkptStored = Counter("verify.ckpt.stored");
         R.SplicedSteps = Counter("interp.spliced_steps");
         R.AutoStride = Counter("verify.ckpt.auto_stride");
-        R.RestoreMs = TimerMs("verify.ckpt.restore_time");
+        // Prefix copy plus state restore inside the resumed runs.
+        R.RestoreMs = TimerMs("interp.splice_time");
         R.CollectMs = TimerMs("verify.ckpt.collect_time");
       }
       Runs.push_back(std::move(R));
@@ -826,16 +825,14 @@ int main(int Argc, char **Argv) {
         Timer GridTimer;
         RunResult Passes[2];
         uint64_t Interpreted[2] = {0, 0};
-        uint64_t Hits = 0, Promotions = 0, Probes = 0, Spliced = 0;
+        uint64_t Hits = 0, Promotions = 0;
         for (int Pass = 0; Pass < 2; ++Pass) {
           support::StatsRegistry Stats;
           DebugSession::Config C;
           C.Threads = Threads;
           C.Locate.Checkpoints = 1;
           C.Stats = &Stats;
-          // Explicitly zero in the off rows: the config default is on,
-          // and even a store-less session would otherwise still build
-          // the reconvergence plan and probe.
+          // Explicitly zero in the off rows: the config default is on.
           C.Locate.SwitchedCacheBytes = CacheBytes;
           if (CacheBytes > 0)
             C.SwitchedRuns = &SwStore;
@@ -857,10 +854,6 @@ int main(int Argc, char **Argv) {
               Stats.counter("verify.ckpt.switched_interpreted_steps").get();
           Hits += Stats.counter("verify.ckpt.switched_hits").get();
           Promotions += Stats.counter("verify.ckpt.switched_promotions").get();
-          Probes +=
-              Stats.counter("verify.ckpt.switched_reconverge_probes").get();
-          Spliced +=
-              Stats.counter("verify.ckpt.switched_spliced_suffix_steps").get();
           if (Pass == 0 && CacheBytes > 0)
             SwStore.seal();
         }
@@ -874,8 +867,6 @@ int main(int Argc, char **Argv) {
         Row.Pass2Interpreted = Interpreted[1];
         Row.Hits = Hits;
         Row.Promotions = Promotions;
-        Row.Probes = Probes;
-        Row.SplicedSuffix = Spliced;
       }
       SwRows.push_back(std::move(Row));
     }
@@ -894,8 +885,7 @@ int main(int Argc, char **Argv) {
     for (const SwitchedRow &B : SwRows)
       if (A.CacheBytes == B.CacheBytes &&
           (A.Hits != B.Hits || A.Promotions != B.Promotions ||
-           A.totalInterpreted() != B.totalInterpreted() ||
-           A.SplicedSuffix != B.SplicedSuffix))
+           A.totalInterpreted() != B.totalInterpreted()))
         SwCountersStable = false;
 
   // The acceptance ratio: interpreted switched-run steps, cache on vs
@@ -921,8 +911,8 @@ int main(int Argc, char **Argv) {
   const bool ReductionOk = Reduction1 >= 1.5 && Reduction4 >= 1.5;
 
   Table SwT({"threads", "cache", "locate 2x (ms)", "interp steps p1",
-             "interp steps p2", "reduction", "hits", "promotions", "probes",
-             "spliced", "identical"});
+             "interp steps p2", "reduction", "hits", "promotions",
+             "identical"});
   for (const SwitchedRow &Row : SwRows) {
     const SwitchedRow *Off = nullptr;
     for (const SwitchedRow &O : SwRows)
@@ -937,7 +927,6 @@ int main(int Argc, char **Argv) {
                 std::to_string(Row.Pass1Interpreted),
                 std::to_string(Row.Pass2Interpreted), formatDouble(R, 2),
                 std::to_string(Row.Hits), std::to_string(Row.Promotions),
-                std::to_string(Row.Probes), std::to_string(Row.SplicedSuffix),
                 sameOutcome(SwBaseline.Pass1, Row.Pass2) ? "yes" : "NO"});
   }
   std::printf("%s", SwT.str().c_str());
@@ -972,16 +961,13 @@ int main(int Argc, char **Argv) {
           "\"locate_ms\": %.3f, "
           "\"interpreted_steps_pass1\": %llu, "
           "\"interpreted_steps_pass2\": %llu, \"hits\": %llu, "
-          "\"promotions\": %llu, \"reconverge_probes\": %llu, "
-          "\"spliced_suffix_steps\": %llu, \"identical_to_baseline\": %s}%s\n",
+          "\"promotions\": %llu, \"identical_to_baseline\": %s}%s\n",
           Row.Threads, swCacheName(Row.CacheBytes),
           static_cast<unsigned long long>(Row.CacheBytes >> 20), Row.LocateMs,
           static_cast<unsigned long long>(Row.Pass1Interpreted),
           static_cast<unsigned long long>(Row.Pass2Interpreted),
           static_cast<unsigned long long>(Row.Hits),
           static_cast<unsigned long long>(Row.Promotions),
-          static_cast<unsigned long long>(Row.Probes),
-          static_cast<unsigned long long>(Row.SplicedSuffix),
           sameOutcome(SwBaseline.Pass1, Row.Pass2) ? "true" : "false",
           I + 1 < SwRows.size() ? "," : "");
     }

@@ -59,7 +59,7 @@ DepVerdict runCase(const char *Src, std::vector<int64_t> Input,
     if (T.step(I).Stmt == Prog->statementAtLine(UseLine))
       U = I;
   }
-  for (const UseRecord &Use : T.step(U).Uses)
+  for (const UseRecord &Use : T.uses(U))
     if (isValidId(Use.Var) && Prog->variable(Use.Var).Name == VarName)
       return Verifier.verify(P, U, Use.LoadExpr);
   std::fprintf(stderr, "error: use of %s not found\n", VarName);
@@ -147,7 +147,7 @@ int main() {
         if (T.step(I).Stmt == Prog->statementAtLine(9))
           Use = I;
       }
-      for (const UseRecord &U : T.step(Use).Uses)
+      for (const UseRecord &U : T.uses(Use))
         Load = U.LoadExpr;
       ValuePerturbVerifier Verifier(Interp, T, {5}, V,
                                     ValuePerturbVerifier::Config());

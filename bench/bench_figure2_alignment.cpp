@@ -105,9 +105,9 @@ int runScenario(bool C2Faulty, const char *Title, bool ExpectMatch) {
     std::printf("match of 15(1) [y = x at index %u]: FOUND at switched "
                 "index %u (reads x = %lld)\n",
                 U, R.Matched,
-                static_cast<long long>(EP.step(R.Matched).Uses.empty()
+                static_cast<long long>(EP.uses(R.Matched).empty()
                                            ? -1
-                                           : EP.step(R.Matched).Uses[0].Value));
+                                           : EP.uses(R.Matched)[0].Value));
   else
     std::printf("match of 15(1): NOT FOUND (%s)\n",
                 R.Why == align::AlignFailure::BranchDiverged

@@ -65,7 +65,7 @@ int main() {
     // The naive scheme: every potential dependence becomes an edge.
     ddg::DepGraph Naive(Trace);
     for (TraceIdx I = 0; I < Trace.size(); ++I)
-      for (const UseRecord &Use : Trace.step(I).Uses)
+      for (const UseRecord &Use : Trace.uses(I))
         for (TraceIdx P :
              Session.potentialDeps().compute(I, Use, /*OnePerPred=*/true))
           Naive.addImplicitEdge(I, P, /*Strong=*/false);

@@ -88,7 +88,7 @@ int main() {
   for (TraceIdx I = 0; I < T.size(); ++I) {
     if (T.step(I).Stmt == FlagsGuard && GuardInst == InvalidId)
       GuardInst = I;
-    for (const interp::UseRecord &Use : T.step(I).Uses) {
+    for (const interp::UseRecord &Use : T.uses(I)) {
       if (isValidId(Use.Var) && Prog.variable(Use.Var).Name == "flags" &&
           I > GuardInst && GuardInst != InvalidId &&
           FlagsUseInst == InvalidId) {

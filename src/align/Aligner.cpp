@@ -118,8 +118,8 @@ AlignResult ExecutionAligner::matchInsideRegion(TraceIdx R, TraceIdx U,
     if (R != InvalidId && U == R)
       return {RPrime, AlignFailure::None};
 
-    const std::vector<TraceIdx> &Cs = TreeE->children(R);
-    const std::vector<TraceIdx> &CsP = TreeEP.children(RPrime);
+    std::span<const TraceIdx> Cs = TreeE->children(R);
+    std::span<const TraceIdx> CsP = TreeEP.children(RPrime);
 
     bool Descended = false;
     for (size_t I = 0; I < Cs.size(); ++I) {

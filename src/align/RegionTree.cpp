@@ -14,36 +14,45 @@ using namespace eoe::align;
 using namespace eoe::interp;
 
 RegionTree::RegionTree(const ExecutionTrace &Trace) : Trace(Trace) {
-  size_t N = Trace.size();
-  Children.assign(N, {});
-  Enter.assign(N, 0);
-  Exit.assign(N, 0);
-  Depth.assign(N, 0);
+  const size_t N = Trace.size();
+  Enter.resize(N);
+  Exit.resize(N);
+  Depth.resize(N);
 
-  for (TraceIdx I = 0; I < N; ++I) {
-    TraceIdx P = Trace.step(I).CdParent;
-    if (P == InvalidId) {
-      Roots.push_back(I);
-      continue;
-    }
-    assert(P < I && "control-dependence parent must precede its children");
-    Children[P].push_back(I);
-  }
+  // Counting sort of the nodes by parent (row N is the virtual region's):
+  // count row R at R + 2, prefix-sum so that R + 1 holds row R's start,
+  // then place the nodes in index order -- every row stays in execution
+  // order, and each row's cursor ends at its end, which is R + 1's slot.
+  auto Row = [&](TraceIdx I) -> size_t {
+    TraceIdx P = Trace.Steps[I].CdParent;
+    assert((P == InvalidId || P < I) &&
+           "control-dependence parent must precede its children");
+    return P == InvalidId ? N : P;
+  };
+  ChildBegin.assign(N + 3, 0);
+  for (TraceIdx I = 0; I < N; ++I)
+    ++ChildBegin[Row(I) + 2];
+  for (size_t R = 2; R < N + 3; ++R)
+    ChildBegin[R] += ChildBegin[R - 1];
+  Kids.resize(N);
+  for (TraceIdx I = 0; I < N; ++I)
+    Kids[ChildBegin[Row(I) + 1]++] = I;
+  ChildBegin.pop_back();
 
   // Iterative DFS assigning Euler intervals for subtree membership.
   uint32_t Clock = 0;
-  std::vector<std::pair<TraceIdx, size_t>> Stack;
-  for (TraceIdx Root : Roots) {
-    Stack.push_back({Root, 0});
+  std::vector<std::pair<TraceIdx, uint32_t>> Stack;
+  for (TraceIdx Root : children(InvalidId)) {
+    Stack.push_back({Root, ChildBegin[Root]});
     Enter[Root] = Clock++;
     Depth[Root] = 0;
     while (!Stack.empty()) {
-      auto &[Node, NextChild] = Stack.back();
-      if (NextChild < Children[Node].size()) {
-        TraceIdx C = Children[Node][NextChild++];
+      auto &[Node, Next] = Stack.back();
+      if (Next < ChildBegin[Node + 1]) {
+        TraceIdx C = Kids[Next++];
         Enter[C] = Clock++;
         Depth[C] = Depth[Node] + 1;
-        Stack.push_back({C, 0});
+        Stack.push_back({C, ChildBegin[C]});
         continue;
       }
       Exit[Node] = Clock++;
@@ -52,10 +61,10 @@ RegionTree::RegionTree(const ExecutionTrace &Trace) : Trace(Trace) {
   }
 }
 
-const std::vector<TraceIdx> &RegionTree::children(TraceIdx Head) const {
-  if (Head == InvalidId)
-    return Roots;
-  return Children.at(Head);
+std::span<const TraceIdx> RegionTree::children(TraceIdx Head) const {
+  const size_t R = Head == InvalidId ? Trace.size() : Head;
+  assert(R <= Trace.size());
+  return {Kids.data() + ChildBegin[R], ChildBegin[R + 1] - ChildBegin[R]};
 }
 
 bool RegionTree::inRegion(TraceIdx Node, TraceIdx Head) const {

@@ -22,6 +22,7 @@
 #include "interp/Trace.h"
 #include "support/Ids.h"
 
+#include <span>
 #include <vector>
 
 namespace eoe {
@@ -42,7 +43,7 @@ public:
 
   /// Direct sub-instances of the region headed by \p Head in execution
   /// order; pass InvalidId for the virtual whole-execution region.
-  const std::vector<TraceIdx> &children(TraceIdx Head) const;
+  std::span<const TraceIdx> children(TraceIdx Head) const;
 
   /// True if \p Node lies in the region headed by \p Head, including the
   /// head itself; every node is in the virtual region (Head == InvalidId).
@@ -56,8 +57,11 @@ public:
 
 private:
   const interp::ExecutionTrace &Trace;
-  std::vector<std::vector<TraceIdx>> Children; // per node
-  std::vector<TraceIdx> Roots;
+  /// Children in compressed sparse row form: node N's children are
+  /// Kids[ChildBegin[N], ChildBegin[N + 1]), in execution order; row
+  /// size() holds the roots (the virtual region's children).
+  std::vector<uint32_t> ChildBegin;
+  std::vector<TraceIdx> Kids;
   /// DFS intervals for O(1) subtree membership tests.
   std::vector<uint32_t> Enter;
   std::vector<uint32_t> Exit;

@@ -66,8 +66,6 @@ DebugSession::DebugSession(const lang::Program &Prog,
 
   {
     support::EventTracer::Span GraphSpan(C.Opt.Exec.Tracer, "graph", "ddg");
-    support::ScopedTimer Timed(
-        C.Opt.Exec.Stats ? &C.Opt.Exec.Stats->timer("session.graph_build_time") : nullptr);
     Graph = std::make_unique<ddg::DepGraph>(Trace);
   }
   PD = std::make_unique<PotentialDepAnalyzer>(

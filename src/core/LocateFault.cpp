@@ -103,7 +103,7 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
     const VerifiedUse *ToCommit = nullptr;
     const VerifiedUse *FirstPlain = nullptr;
     for (TraceIdx I : Ranked) {
-      for (const UseRecord &Use : T.step(I).Uses) {
+      for (const UseRecord &Use : T.uses(I)) {
         auto Key = std::make_pair(I, Use.LoadExpr);
         if (Committed.count(Key))
           continue;
@@ -209,7 +209,7 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
           if (TInst == ToCommit->Use || !Slice[TInst] ||
               !CA.inferredCorrect(TInst))
             continue;
-          for (const UseRecord &Use : T.step(TInst).Uses)
+          for (const UseRecord &Use : T.uses(TInst))
             if (PD.isPotentialDep(P, TInst, Use))
               FanoutRequests.push_back({P, TInst, Use.LoadExpr});
         }
@@ -305,7 +305,7 @@ eoe::core::failureInducingChain(const ddg::DepGraph &G, StmtId RootCause,
       break;
     }
     const StepRecord &Step = T.step(I);
-    for (const UseRecord &Use : Step.Uses)
+    for (const UseRecord &Use : T.uses(Step))
       Visit(I, Use.Def);
     Visit(I, Step.CdParent);
     for (const ddg::DepGraph::ImplicitEdge &E : G.implicitEdges())

@@ -28,12 +28,12 @@ ValuePerturbVerifier::verify(TraceIdx DefInst, TraceIdx UseInst,
                              const std::vector<int64_t> &CandidateValues) const {
   Result R;
   const StepRecord &DefStep = E.step(DefInst);
-  assert(!DefStep.Defs.empty() && "perturbation target defines nothing");
+  assert(DefStep.NumDefs != 0 && "perturbation target defines nothing");
 
   // The original value the use observed, for change detection.
   int64_t OriginalValue = 0;
   bool HaveOriginal = false;
-  for (const UseRecord &Use : E.step(UseInst).Uses) {
+  for (const UseRecord &Use : E.uses(UseInst)) {
     if (Use.LoadExpr == UseLoad) {
       OriginalValue = Use.Value;
       HaveOriginal = true;
@@ -78,7 +78,7 @@ ValuePerturbVerifier::verify(TraceIdx DefInst, TraceIdx UseInst,
       R.WitnessValue = Candidate;
       return R;
     }
-    for (const UseRecord &Use : EP.step(UMatch.Matched).Uses) {
+    for (const UseRecord &Use : EP.uses(UMatch.Matched)) {
       if (Use.LoadExpr != UseLoad)
         continue;
       if (HaveOriginal && Use.Value != OriginalValue) {

@@ -7,8 +7,6 @@
 
 #include "core/VerifyDep.h"
 
-#include "align/Reconverge.h"
-
 #include <algorithm>
 #include <cassert>
 #include <deque>
@@ -74,8 +72,6 @@ ImplicitDepVerifier::ImplicitDepVerifier(const Interpreter &Interp,
   HChainDepth = &Reg->histogram("verify.chain.depth_hist");
   CSwHits = &Reg->counter("verify.ckpt.switched_hits");
   CSwPromotions = &Reg->counter("verify.ckpt.switched_promotions");
-  CSwSplicedSuffix = &Reg->counter("verify.ckpt.switched_spliced_suffix_steps");
-  CSwProbes = &Reg->counter("verify.ckpt.switched_reconverge_probes");
   CSwInterpreted = &Reg->counter("verify.ckpt.switched_interpreted_steps");
   // Registered eagerly (the disk store bumps them through the registry by
   // name) so --stats always shows the full verify.ckpt.* key set and the
@@ -84,7 +80,6 @@ ImplicitDepVerifier::ImplicitDepVerifier(const Interpreter &Interp,
   Reg->counter("verify.ckpt.disk_rejects");
   Reg->counter("verify.ckpt.disk_write_bytes");
   TReexec = &Reg->timer("verify.reexec_time");
-  TCkptRestore = &Reg->timer("verify.ckpt.restore_time");
   TCkptCollect = &Reg->timer("verify.ckpt.collect_time");
   TLatStrong = &Reg->timer("verify.latency.strong");
   TLatImplicit = &Reg->timer("verify.latency.implicit");
@@ -167,13 +162,14 @@ void ImplicitDepVerifier::computeSwitchedRun(TraceIdx PredInst,
   // divergence-keyed snapshot wins over the plain prefix snapshot only
   // when strictly deeper; its splice source is then the capturing
   // *switched* run's trimmed trace, not E.
-  SwitchedReuse *SR = SwitchedPub.load(std::memory_order_acquire);
+  const SwitchedRunStore::ValidityKey *SR =
+      SwitchedPub.load(std::memory_order_acquire);
   std::vector<SwitchDecision> DivKey{
       {P.Stmt, P.InstanceNo, /*Perturb=*/false, /*Value=*/0}};
   std::shared_ptr<const ExecutionTrace> SwPrefix;
-  if (SR && SR->StoreOn) {
+  if (SR) {
     if (std::optional<SwitchedRunStore::Hit> H =
-            C.SwitchedRuns->lookup(SR->Key, DivKey)) {
+            C.SwitchedRuns->lookup(*SR, DivKey)) {
       if (!CP || H->CP->Index > CP->Index) {
         CP = H->CP;
         SwPrefix = H->Prefix;
@@ -182,17 +178,14 @@ void ImplicitDepVerifier::computeSwitchedRun(TraceIdx PredInst,
     }
   }
   SwitchedCapturePlan Capture;
-  const bool DoCapture = SR && SR->StoreOn && !SwPrefix;
-  if (SR) {
-    Opts.Reconverge = &SR->Plan;
-    if (DoCapture) {
-      // Scale the capture spacing down for short traces (a pure function
-      // of E, so every thread computes the same plan): the default 2048
-      // would never fire on a trace a few hundred steps long.
-      Capture.SpacingSteps = std::min<uint64_t>(
-          Capture.SpacingSteps, std::max<uint64_t>(16, E.size() / 4));
-      Opts.SwitchedCapture = &Capture;
-    }
+  const bool DoCapture = SR && !SwPrefix;
+  if (DoCapture) {
+    // Scale the capture spacing down for short traces (a pure function of
+    // E, so every thread computes the same plan): the default 2048 would
+    // never fire on a trace a few hundred steps long.
+    Capture.SpacingSteps = std::min<uint64_t>(
+        Capture.SpacingSteps, std::max<uint64_t>(16, E.size() / 4));
+    Opts.SwitchedCapture = &Capture;
   }
 
   {
@@ -200,7 +193,6 @@ void ImplicitDepVerifier::computeSwitchedRun(TraceIdx PredInst,
     support::ScopedTimer Timed(TReexec);
     ExecContextPool::Lease Ctx = Arena.acquire();
     if (CP) {
-      support::ScopedTimer Restore(TCkptRestore);
       Run.Trace = Interp.runFrom(*CP, SwPrefix ? *SwPrefix : E, Input, Opts,
                                  *Ctx);
     } else {
@@ -213,36 +205,24 @@ void ImplicitDepVerifier::computeSwitchedRun(TraceIdx PredInst,
     CReexecAborts->add();
 
   // Work accounting: what this run actually interpreted, net of the
-  // spliced prefix and the spliced reconvergence suffix. Recorded with
-  // the cache off too, so the ratio between configurations is a pure
-  // counter comparison.
+  // spliced prefix. Recorded with the cache off too, so the ratio between
+  // configurations is a pure counter comparison.
   const TraceIdx PrefixLen = CP ? CP->Index : 0;
-  CSwInterpreted->add(Run.Trace.size() - PrefixLen - Run.Trace.SplicedSuffix);
-  if (SR) {
-    CSwProbes->add(Run.Trace.ReconvergeProbes);
-    CSwSplicedSuffix->add(Run.Trace.SplicedSuffix);
-  }
+  CSwInterpreted->add(Run.Trace.size() - PrefixLen);
 
-  // Promote this run's divergence-keyed snapshots: trim the trace to the
-  // deepest snapshot (the part a resume can splice) and stage the bundle.
+  // Promote this run's divergence-keyed snapshots: trim the trace to what
+  // it held at the deepest snapshot (the part a resume can splice) and
+  // stage the bundle.
   // Admission happens at the store's next seal(), in canonical order, so
   // the sealed set does not depend on which run stages first.
   if (DoCapture && !Capture.Captured.empty()) {
-    const std::shared_ptr<const Checkpoint> &Deep = Capture.Captured.back();
     auto Prefix = std::make_shared<ExecutionTrace>();
-    Prefix->Steps.assign(Run.Trace.Steps.begin(),
-                         Run.Trace.Steps.begin() + Deep->Index);
-    Prefix->Outputs.assign(Run.Trace.Outputs.begin(),
-                           Run.Trace.Outputs.begin() + Deep->OutputCount);
-    Prefix->SwitchedStep = Run.Trace.SwitchedStep;
-    if (Run.Trace.FirstInputStep != InvalidId &&
-        Run.Trace.FirstInputStep < Deep->Index)
-      Prefix->FirstInputStep = Run.Trace.FirstInputStep;
+    tracePrefix(Run.Trace, *Capture.Captured.back(), *Prefix);
     SwitchedRunStore::Bundle B;
     B.Key = DivKey;
     B.Prefix = std::move(Prefix);
     B.Snapshots = std::move(Capture.Captured);
-    C.SwitchedRuns->stage(SR->Key, std::move(B));
+    C.SwitchedRuns->stage(*SR, std::move(B));
     CSwPromotions->add();
   }
   {
@@ -284,11 +264,12 @@ void ImplicitDepVerifier::computeChainRun(TraceIdx BaseInst,
   // deeper. Depth-k runs staged bundles under their own chain key, so a
   // sealed depth-k snapshot seeds this depth-k+1 run past the whole
   // shared divergent prefix.
-  SwitchedReuse *SR = SwitchedPub.load(std::memory_order_acquire);
+  const SwitchedRunStore::ValidityKey *SR =
+      SwitchedPub.load(std::memory_order_acquire);
   std::shared_ptr<const ExecutionTrace> SwPrefix;
-  if (SR && SR->StoreOn) {
+  if (SR) {
     if (std::optional<SwitchedRunStore::Hit> H =
-            C.SwitchedRuns->lookup(SR->Key, Chain)) {
+            C.SwitchedRuns->lookup(*SR, Chain)) {
       if (!CP || H->CP->Index > CP->Index) {
         CP = H->CP;
         SwPrefix = H->Prefix;
@@ -301,14 +282,11 @@ void ImplicitDepVerifier::computeChainRun(TraceIdx BaseInst,
   // under this exact key could only duplicate a prior session's bundle.
   const bool Exact = SwPrefix && CP->Divergence.size() == Chain.size();
   SwitchedCapturePlan Capture;
-  const bool DoCapture = SR && SR->StoreOn && !Exact;
-  if (SR) {
-    Opts.Reconverge = &SR->Plan;
-    if (DoCapture) {
-      Capture.SpacingSteps = std::min<uint64_t>(
-          Capture.SpacingSteps, std::max<uint64_t>(16, E.size() / 4));
-      Opts.SwitchedCapture = &Capture;
-    }
+  const bool DoCapture = SR && !Exact;
+  if (DoCapture) {
+    Capture.SpacingSteps = std::min<uint64_t>(
+        Capture.SpacingSteps, std::max<uint64_t>(16, E.size() / 4));
+    Opts.SwitchedCapture = &Capture;
   }
 
   {
@@ -316,7 +294,6 @@ void ImplicitDepVerifier::computeChainRun(TraceIdx BaseInst,
     support::ScopedTimer Timed(TReexec);
     ExecContextPool::Lease Ctx = Arena.acquire();
     if (CP) {
-      support::ScopedTimer Restore(TCkptRestore);
       Run.Trace = Interp.runFrom(*CP, SwPrefix ? *SwPrefix : E, Input, Opts,
                                  *Ctx);
     } else {
@@ -330,11 +307,11 @@ void ImplicitDepVerifier::computeChainRun(TraceIdx BaseInst,
   if (Run.Trace.Exit != ExitReason::Finished)
     CReexecAborts->add();
 
-  // Chain-only work accounting: what this run interpreted net of spliced
-  // prefix and suffix. Kept out of the single-switch counters so their
+  // Chain-only work accounting: what this run interpreted net of the
+  // spliced prefix. Kept out of the single-switch counters so their
   // established semantics (and determinism assertions) are untouched.
   const TraceIdx PrefixLen = CP ? CP->Index : 0;
-  CChainExtSteps->add(Run.Trace.size() - PrefixLen - Run.Trace.SplicedSuffix);
+  CChainExtSteps->add(Run.Trace.size() - PrefixLen);
 
   // Promote this run's chain-keyed snapshots for the next depth level.
   // Captures only start once every decision has fired, so each carries
@@ -342,21 +319,13 @@ void ImplicitDepVerifier::computeChainRun(TraceIdx BaseInst,
   // that never fired its tail decisions stages nothing).
   if (DoCapture && !Capture.Captured.empty() &&
       Capture.Captured.front()->Divergence == Chain) {
-    const std::shared_ptr<const Checkpoint> &Deep = Capture.Captured.back();
     auto Prefix = std::make_shared<ExecutionTrace>();
-    Prefix->Steps.assign(Run.Trace.Steps.begin(),
-                         Run.Trace.Steps.begin() + Deep->Index);
-    Prefix->Outputs.assign(Run.Trace.Outputs.begin(),
-                           Run.Trace.Outputs.begin() + Deep->OutputCount);
-    Prefix->SwitchedStep = Run.Trace.SwitchedStep;
-    if (Run.Trace.FirstInputStep != InvalidId &&
-        Run.Trace.FirstInputStep < Deep->Index)
-      Prefix->FirstInputStep = Run.Trace.FirstInputStep;
+    tracePrefix(Run.Trace, *Capture.Captured.back(), *Prefix);
     SwitchedRunStore::Bundle B;
     B.Key = Chain;
     B.Prefix = std::move(Prefix);
     B.Snapshots = std::move(Capture.Captured);
-    C.SwitchedRuns->stage(SR->Key, std::move(B));
+    C.SwitchedRuns->stage(*SR, std::move(B));
     CSwPromotions->add();
   }
   {
@@ -450,31 +419,18 @@ void ImplicitDepVerifier::maybeCollectCheckpoints(
     if (Plan.AutoStride)
       CCkptAutoStride->add(Plan.AutoStride);
 
-    // Switched-run reuse rides on the collected snapshots: the probe
-    // sites are the retained original-run checkpoints (decoded once,
-    // thinned to MaxReconvergeSites), and the store key binds staged
-    // bundles to this exact (program, input, budget). Published last via
-    // release store; concurrent switched runs either see all of it or
-    // run plain.
-    if (C.SwitchedCacheBytes > 0) {
-      std::call_once(OrigTreeOnce, [&] {
-        OrigTree = std::make_unique<align::RegionTree>(E);
-      });
-      auto SR = std::make_unique<SwitchedReuse>();
-      SR->Plan = align::buildReconvergePlan(E, *OrigTree,
-                                            Ckpts->sample(MaxReconvergeSites));
-      if (C.SwitchedRuns && C.SwitchedProgram) {
-        SR->StoreOn = true;
-        SR->Key.ProgramHash =
-            SharedCheckpointStore::hashProgram(*C.SwitchedProgram);
-        SR->Key.Program = C.SwitchedProgram;
-        SR->Key.InputHash = SwitchedRunStore::hashInput(Input);
-        SR->Key.MaxSteps = C.MaxSteps;
-      }
-      if (!SR->Plan.Sites.empty() || SR->StoreOn) {
-        Switched = std::move(SR);
-        SwitchedPub.store(Switched.get(), std::memory_order_release);
-      }
+    // Switched-run reuse rides on checkpointing: the store key binds
+    // staged bundles to this exact (program, input, budget). Published
+    // last via release store; concurrent switched runs either see all of
+    // it or run plain.
+    if (C.SwitchedCacheBytes > 0 && C.SwitchedRuns && C.SwitchedProgram) {
+      SwitchedKey = std::make_unique<SwitchedRunStore::ValidityKey>();
+      SwitchedKey->ProgramHash =
+          SharedCheckpointStore::hashProgram(*C.SwitchedProgram);
+      SwitchedKey->Program = C.SwitchedProgram;
+      SwitchedKey->InputHash = SwitchedRunStore::hashInput(Input);
+      SwitchedKey->MaxSteps = C.MaxSteps;
+      SwitchedPub.store(SwitchedKey.get(), std::memory_order_release);
     }
   });
 }
@@ -540,7 +496,7 @@ ImplicitDepVerifier::reachableFromSwitch(SwitchedRun &Run) {
     // so iterate a worklist over a prebuilt dependents index.
     std::vector<std::vector<TraceIdx>> Dependents(EP.size());
     for (TraceIdx I = 0; I < EP.size(); ++I) {
-      for (const UseRecord &U : EP.step(I).Uses)
+      for (const UseRecord &U : EP.uses(I))
         if (U.Def != InvalidId)
           Dependents[U.Def].push_back(I);
       if (EP.step(I).CdParent != InvalidId)
@@ -669,7 +625,7 @@ DepVerdict ImplicitDepVerifier::classify(SwitchedRun &MutRun, TraceIdx UseInst,
     // it reads now comes from inside the switched predicate's region
     // (the edge-based check).
     const UseRecord *MatchedUse = nullptr;
-    for (const UseRecord &Use : EP.step(UMatch.Matched).Uses) {
+    for (const UseRecord &Use : EP.uses(UMatch.Matched)) {
       if (Use.LoadExpr == UseLoad) {
         MatchedUse = &Use;
         break;

@@ -117,28 +117,22 @@ public:
     interp::SharedCheckpointStore *CheckpointShare = nullptr;
     const lang::Program *CheckpointShareProgram = nullptr;
     /// Switched-run reuse (docs/checkpointing.md, "Switched-run reuse").
-    /// Requires checkpointing (CheckpointStride != CheckpointsOff) and
-    /// SwitchedCacheBytes > 0. Two independent mechanisms share the same
-    /// plumbing:
-    ///  - Reconvergence suffix splicing: always on when enabled -- each
-    ///    switched run probes the original run's retained snapshots and,
-    ///    on reconvergence, splices the rest of the original trace
-    ///    instead of interpreting it.
-    ///  - Divergence-keyed snapshot promotion: when SwitchedRuns is also
-    ///    set (it must outlive the verifier, and SwitchedProgram must be
-    ///    the very Program this verifier's interpreter executes), runs
-    ///    past the switch point keep checkpointing, tagged with their
-    ///    divergence key, and stage the bundles into the store; a later
-    ///    session over the same (program, input, budget) resumes new
-    ///    switched runs from the deepest staged-and-sealed snapshot whose
-    ///    key prefixes the requested switch set.
+    /// Requires checkpointing (CheckpointStride != CheckpointsOff),
+    /// SwitchedCacheBytes > 0 and SwitchedRuns (it must outlive the
+    /// verifier, and SwitchedProgram must be the very Program this
+    /// verifier's interpreter executes): runs past the switch point keep
+    /// checkpointing, tagged with their divergence key, and stage the
+    /// bundles into the store; a later session over the same (program,
+    /// input, budget) resumes new switched runs from the deepest
+    /// staged-and-sealed snapshot whose key prefixes the requested
+    /// switch set.
     /// Results are byte-identical with the cache on, off, or size-capped,
     /// at any thread count.
     interp::SwitchedRunStore *SwitchedRuns = nullptr;
     const lang::Program *SwitchedProgram = nullptr;
-    /// 0 disables both mechanisms (the reference behavior). Budget
-    /// enforcement itself lives in the store; this knob only gates the
-    /// per-run capture/probe instrumentation.
+    /// 0 disables the reuse (the reference behavior). Budget enforcement
+    /// itself lives in the store; this knob only gates the per-run
+    /// capture instrumentation.
     size_t SwitchedCacheBytes = interp::DefaultSwitchedCacheBytes;
     /// External observability sinks. When Stats is null the verifier
     /// records into a private registry, so the distinct-key counters (and
@@ -319,11 +313,8 @@ private:
   support::StatHistogram *HChainDepth = nullptr;
   support::StatCounter *CSwHits = nullptr;
   support::StatCounter *CSwPromotions = nullptr;
-  support::StatCounter *CSwSplicedSuffix = nullptr;
-  support::StatCounter *CSwProbes = nullptr;
   support::StatCounter *CSwInterpreted = nullptr;
   support::StatTimer *TReexec = nullptr;
-  support::StatTimer *TCkptRestore = nullptr;
   support::StatTimer *TCkptCollect = nullptr;
   support::StatTimer *TLatStrong = nullptr;
   support::StatTimer *TLatImplicit = nullptr;
@@ -351,17 +342,13 @@ private:
   std::once_flag OrigTreeOnce;
   std::unique_ptr<align::RegionTree> OrigTree;
 
-  /// Switched-run reuse state, built at the end of the checkpoint
-  /// collection pass (it feeds on the collected snapshots) and published
-  /// to concurrent computeSwitchedRun calls via an acquire/release
-  /// pointer: a run either sees the complete state or none.
-  struct SwitchedReuse {
-    interp::ReconvergePlan Plan;
-    interp::SwitchedRunStore::ValidityKey Key;
-    bool StoreOn = false;
-  };
-  std::unique_ptr<SwitchedReuse> Switched;
-  std::atomic<SwitchedReuse *> SwitchedPub{nullptr};
+  /// Switched-run reuse: the store key of this verifier's (program,
+  /// input, budget), built at the end of the checkpoint collection pass
+  /// and published to concurrent computeSwitchedRun calls via an
+  /// acquire/release pointer: a run either sees the complete key or none.
+  std::unique_ptr<interp::SwitchedRunStore::ValidityKey> SwitchedKey;
+  std::atomic<const interp::SwitchedRunStore::ValidityKey *> SwitchedPub{
+      nullptr};
 
   std::once_flag PoolOnce;
   std::unique_ptr<support::ThreadPool> Pool;

@@ -67,7 +67,7 @@ DepGraph::backwardClosure(const std::vector<TraceIdx> &Seeds,
     Work.pop_front();
     const StepRecord &Step = Trace.step(I);
     if (Opts.Data)
-      for (const UseRecord &Use : Step.Uses)
+      for (const UseRecord &Use : Trace.uses(Step))
         Visit(I, Use.Def);
     if (Opts.Control)
       Visit(I, Step.CdParent);
@@ -90,7 +90,7 @@ void DepGraph::buildForwardIndex(const ClosureOptions &Opts) const {
   for (TraceIdx I = 0; I < Trace.size(); ++I) {
     const StepRecord &Step = Trace.step(I);
     if (Opts.Data)
-      for (const UseRecord &Use : Step.Uses)
+      for (const UseRecord &Use : Trace.uses(Step))
         if (isValidId(Use.Def))
           Fwd.Dependents[Use.Def].push_back(I);
     if (Opts.Control && isValidId(Step.CdParent))

@@ -55,7 +55,10 @@ public:
     emit("fn main() {");
     size_t NumLocals = 2 + Rng.nextBelow(3);
     for (size_t I = 0; I < NumLocals; ++I) {
-      std::string Name = "v" + std::to_string(I);
+      // Appended rather than `"v" + std::to_string(I)`: GCC 12 reports a
+      // false -Wrestrict for that concatenation.
+      std::string Name = "v";
+      Name += std::to_string(I);
       emit("var " + Name + " = " + expr(2) + ";");
       Scalars.push_back(Name);
     }

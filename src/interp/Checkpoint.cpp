@@ -10,13 +10,43 @@
 #include "lang/PrettyPrinter.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace eoe;
 using namespace eoe::interp;
 
-static size_t stepRecordBytes(const StepRecord &R) {
-  return sizeof(StepRecord) + R.Uses.capacity() * sizeof(UseRecord) +
+/// Heap bytes of an open record (the record itself is counted with its
+/// frame).
+static size_t openStepBytes(const OpenStep &R) {
+  return R.Uses.capacity() * sizeof(UseRecord) +
          R.Defs.capacity() * sizeof(DefRecord);
+}
+
+void eoe::interp::tracePrefix(const ExecutionTrace &From, const Checkpoint &CP,
+                              ExecutionTrace &Out) {
+  assert(CP.Index <= From.Steps.size());
+  assert(CP.OutputCount <= From.Outputs.size());
+  Out.Steps.assign(From.Steps.begin(), From.Steps.begin() + CP.Index);
+  for (const CheckpointFrame &CF : CP.Frames)
+    if (CF.PendingRec != InvalidId)
+      Out.Steps[CF.PendingRec] = CF.PendingSnapshot.Step;
+  // At the capture instant the use and def arrays held exactly the
+  // entries of the complete steps (open records keep theirs aside), and
+  // later steps only ever appended past them.
+  size_t NumUses = 0, NumDefs = 0;
+  for (const StepRecord &S : Out.Steps) {
+    NumUses += S.NumUses;
+    NumDefs += S.NumDefs;
+  }
+  assert(NumUses <= From.Uses.size() && NumDefs <= From.Defs.size());
+  Out.Uses.assign(From.Uses.begin(), From.Uses.begin() + NumUses);
+  Out.Defs.assign(From.Defs.begin(), From.Defs.begin() + NumDefs);
+  Out.Outputs.assign(From.Outputs.begin(),
+                     From.Outputs.begin() + CP.OutputCount);
+  if (From.SwitchedStep != InvalidId && From.SwitchedStep < CP.Index)
+    Out.SwitchedStep = From.SwitchedStep;
+  if (From.FirstInputStep != InvalidId && From.FirstInputStep < CP.Index)
+    Out.FirstInputStep = From.FirstInputStep;
 }
 
 size_t Checkpoint::bytes() const {
@@ -32,7 +62,7 @@ size_t Checkpoint::bytes() const {
     N += CF.State.LastPredInstance.size() *
          (sizeof(StmtId) + sizeof(TraceIdx) + 4 * sizeof(void *));
     N += CF.Path.capacity() * sizeof(ResumeEntry);
-    N += stepRecordBytes(CF.PendingSnapshot);
+    N += openStepBytes(CF.PendingSnapshot);
   }
   N += Divergence.capacity() * sizeof(SwitchDecision);
   return N;
@@ -48,7 +78,7 @@ static size_t frameRawBytes(const CheckpointFrame &CF) {
          CF.State.LastPredInstance.size() *
              (sizeof(StmtId) + sizeof(TraceIdx) + 4 * sizeof(void *)) +
          CF.Path.capacity() * sizeof(ResumeEntry) +
-         stepRecordBytes(CF.PendingSnapshot);
+         openStepBytes(CF.PendingSnapshot);
 }
 
 size_t CheckpointFrameDelta::bytes() const {
@@ -57,7 +87,7 @@ size_t CheckpointFrameDelta::bytes() const {
     return N + frameRawBytes(Whole);
   N += Mem.bytes() + LastDef.bytes() + Preds.bytes();
   N += Path.capacity() * sizeof(ResumeEntry);
-  N += stepRecordBytes(PendingSnapshot);
+  N += openStepBytes(PendingSnapshot);
   return N;
 }
 
@@ -302,36 +332,6 @@ std::shared_ptr<const Checkpoint> CheckpointStore::nearest(TraceIdx At) {
   for (uint32_t I = 1; I <= Pos; ++I)
     Cur = applyCheckpointDelta(*Cur, S.Chain[I].Delta);
   return Cur;
-}
-
-std::vector<std::shared_ptr<const Checkpoint>>
-CheckpointStore::sample(size_t MaxCount) {
-  std::lock_guard<std::mutex> Lock(M);
-  std::vector<std::shared_ptr<const Checkpoint>> Out;
-  if (MaxCount == 0 || ByIndex.empty())
-    return Out;
-  // Pick <= MaxCount indices evenly by rank, then decode each the way
-  // nearest() does. ByIndex iterates ascending, so the result is too.
-  size_t N = ByIndex.size();
-  size_t Stride = (N + MaxCount - 1) / MaxCount;
-  size_t Rank = 0;
-  Out.reserve(N < MaxCount ? N : MaxCount);
-  for (const auto &[Idx, Where] : ByIndex) {
-    if (Rank++ % Stride != 0)
-      continue;
-    auto [SegId, Pos] = Where;
-    Segment &S = Segments.at(SegId);
-    S.LastUse = ++Tick;
-    if (!S.Chain[Pos].IsDelta) {
-      Out.push_back(S.Chain[Pos].Full);
-      continue;
-    }
-    std::shared_ptr<const Checkpoint> Cur = S.Chain[0].Full;
-    for (uint32_t I = 1; I <= Pos; ++I)
-      Cur = applyCheckpointDelta(*Cur, S.Chain[I].Delta);
-    Out.push_back(std::move(Cur));
-  }
-  return Out;
 }
 
 size_t CheckpointStore::count() const {

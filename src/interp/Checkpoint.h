@@ -30,12 +30,14 @@
 /// back to full replay.
 ///
 /// Trace records of statements still on the host stack at capture time
-/// mutate after the snapshot (a call-site record gains its return-value
-/// use and Defs when the callee returns), so each CheckpointFrame stores
-/// an as-of-capture copy of its pending call-site record; resume splices
-/// the original trace's prefix and overwrites those few records, making
-/// the resumed trace byte-identical to a full replay. See
-/// docs/checkpointing.md for the full determinism argument.
+/// are still open (a call-site record gains its return-value use and its
+/// definitions when the callee returns), so each CheckpointFrame stores
+/// its pending call-site record as of capture, uses and definitions
+/// included (an OpenStep). Resume copies the three array prefixes of the
+/// original trace that were complete at capture (tracePrefix) and reopens
+/// those few records, making the resumed trace equal to a full replay
+/// step for step. See docs/checkpointing.md for the full determinism
+/// argument.
 ///
 /// Storage is adaptive along three axes (docs/checkpointing.md):
 ///  - snapshots are *delta-compressed* against their predecessor on the
@@ -116,11 +118,12 @@ struct CheckpointFrame {
   /// Path from the function body root to the active statement.
   std::vector<ResumeEntry> Path;
   /// For non-innermost frames: the trace record of the call statement
-  /// that created the next frame, and its as-of-capture contents (the
-  /// record mutates when the callee returns). InvalidId for the
-  /// innermost frame.
+  /// that created the next frame, and its as-of-capture contents with the
+  /// uses and definitions recorded so far (the record is still open; it
+  /// completes when the callee returns). InvalidId for the innermost
+  /// frame.
   TraceIdx PendingRec = InvalidId;
-  StepRecord PendingSnapshot;
+  OpenStep PendingSnapshot;
 
   bool operator==(const CheckpointFrame &O) const = default;
 };
@@ -230,7 +233,7 @@ struct CheckpointFrameDelta {
   PredMapDelta Preds;
   std::vector<ResumeEntry> Path;
   TraceIdx PendingRec = InvalidId;
-  StepRecord PendingSnapshot;
+  OpenStep PendingSnapshot;
 
   size_t bytes() const;
 };
@@ -254,6 +257,19 @@ struct CheckpointDelta {
 
   size_t bytes() const;
 };
+
+/// Fills \p Out (expected empty, possibly with reserved capacity) with the
+/// trace \p From held at \p CP's capture instant: the first CP.Index steps,
+/// the uses and definitions of every step complete at that instant, the
+/// first CP.OutputCount outputs, and the switch and first-input markers
+/// that lie before CP.Index. Each call record then suspended
+/// (CheckpointFrame::PendingRec) keeps its as-of-capture fields and empty
+/// ranges; its entries so far are in the frame's PendingSnapshot. \p From
+/// is the capturing run's trace or any trace that holds its first
+/// CP.Index steps (a resumed run's, a switched-run bundle's prefix). This
+/// is what Interpreter::runFrom splices: three contiguous array prefixes.
+void tracePrefix(const ExecutionTrace &From, const Checkpoint &CP,
+                 ExecutionTrace &Out);
 
 /// Encodes \p Cur as a diff against \p Base (any two snapshots of the
 /// same program run; adjacency just makes the diff small).
@@ -305,13 +321,6 @@ public:
   /// -- the caller then falls back to full replay. Delta entries are
   /// decoded on the way out (at most KeyframeInterval - 1 applications).
   std::shared_ptr<const Checkpoint> nearest(TraceIdx At);
-
-  /// Up to \p MaxCount retained snapshots, decoded, ascending by trace
-  /// index, evenly thinned by rank when more are resident. Deterministic
-  /// for a deterministic insert sequence. Used to seed the reconvergence
-  /// probe sites of switched-run reuse (align::buildReconvergePlan)
-  /// without decoding -- and pinning -- the whole store.
-  std::vector<std::shared_ptr<const Checkpoint>> sample(size_t MaxCount);
 
   size_t count() const;
   /// Encoded bytes currently retained -- what the LRU budget is charged

@@ -158,12 +158,12 @@ private:
 
 using FuncIndex = std::unordered_map<const lang::Function *, uint32_t>;
 
-void writeStepRecord(ByteWriter &W, const StepRecord &R) {
-  W.u32(R.Stmt);
-  W.u32(R.CdParent);
-  W.u32(R.InstanceNo);
-  W.i8(R.BranchTaken);
-  W.i64(R.Value);
+void writeOpenStep(ByteWriter &W, const OpenStep &R) {
+  W.u32(R.Step.Stmt);
+  W.u32(R.Step.CdParent);
+  W.u32(R.Step.InstanceNo);
+  W.i8(R.Step.BranchTaken);
+  W.i64(R.Step.Value);
   W.u32(static_cast<uint32_t>(R.Uses.size()));
   for (const UseRecord &U : R.Uses) {
     W.u64(U.Loc.Raw);
@@ -180,10 +180,11 @@ void writeStepRecord(ByteWriter &W, const StepRecord &R) {
   }
 }
 
-bool readStepRecord(ByteReader &R, StepRecord &Out) {
+bool readOpenStep(ByteReader &R, OpenStep &Out) {
   uint32_t N;
-  if (!R.u32(Out.Stmt) || !R.u32(Out.CdParent) || !R.u32(Out.InstanceNo) ||
-      !R.i8(Out.BranchTaken) || !R.i64(Out.Value))
+  if (!R.u32(Out.Step.Stmt) || !R.u32(Out.Step.CdParent) ||
+      !R.u32(Out.Step.InstanceNo) || !R.i8(Out.Step.BranchTaken) ||
+      !R.i64(Out.Step.Value))
     return false;
   if (!R.count(N, 28))
     return false;
@@ -302,7 +303,7 @@ bool writeFrame(ByteWriter &W, const CheckpointFrame &CF,
   writePredMap(W, CF.State.LastPredInstance);
   writePath(W, CF.Path);
   W.u32(CF.PendingRec);
-  writeStepRecord(W, CF.PendingSnapshot);
+  writeOpenStep(W, CF.PendingSnapshot);
   return true;
 }
 
@@ -317,7 +318,7 @@ bool readFrame(ByteReader &R, const lang::Program &Prog, CheckpointFrame &CF) {
       !R.i64(CF.State.RetVal) || !R.u32(CF.State.RetValDef) ||
       !R.u32(CF.State.CallSite) || !readPredMap(R, CF.State.LastPredInstance) ||
       !readPath(R, CF.Path) || !R.u32(CF.PendingRec) ||
-      !readStepRecord(R, CF.PendingSnapshot))
+      !readOpenStep(R, CF.PendingSnapshot))
     return false;
   return true;
 }
@@ -471,7 +472,7 @@ bool writeCheckpointDelta(ByteWriter &W, const CheckpointDelta &D,
     writePredMapDelta(W, FD.Preds);
     writePath(W, FD.Path);
     W.u32(FD.PendingRec);
-    writeStepRecord(W, FD.PendingSnapshot);
+    writeOpenStep(W, FD.PendingSnapshot);
   }
   return true;
 }
@@ -511,7 +512,7 @@ bool readCheckpointDelta(ByteReader &R, const lang::Program &Prog,
         !R.u32(FD.CallSite) || !readArrayDeltaI64(R, FD.Mem) ||
         !readArrayDeltaU32(R, FD.LastDef) || !readPredMapDelta(R, FD.Preds) ||
         !readPath(R, FD.Path) || !R.u32(FD.PendingRec) ||
-        !readStepRecord(R, FD.PendingSnapshot))
+        !readOpenStep(R, FD.PendingSnapshot))
       return false;
   }
   return true;
@@ -521,6 +522,18 @@ bool fail(std::string *Error, const char *Why) {
   if (Error)
     *Error = Why;
   return false;
+}
+
+/// A resume writes each suspended frame's pending call record into the
+/// spliced prefix, so every frame but the innermost must name a record
+/// before the snapshot's index, and the innermost none.
+bool pendingRecordsInPrefix(const Checkpoint &CP) {
+  if (CP.Frames.empty())
+    return false;
+  for (size_t L = 0; L + 1 < CP.Frames.size(); ++L)
+    if (CP.Frames[L].PendingRec >= CP.Index)
+      return false;
+  return CP.Frames.back().PendingRec == InvalidId;
 }
 
 } // namespace
@@ -655,6 +668,8 @@ decodeImpl(std::string_view Bytes, const lang::Program &Prog,
       return Reject("record indices not ascending");
     if (CP->StepCount > ExpectedMaxSteps)
       return Reject("snapshot past step budget");
+    if (!pendingRecordsInPrefix(*CP))
+      return Reject("pending call record outside the snapshot's prefix");
     LastIndex = CP->Index;
     Prev = CP;
     Out.push_back(std::move(CP));

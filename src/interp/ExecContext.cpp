@@ -9,6 +9,8 @@
 
 #include "support/Stats.h"
 
+#include <algorithm>
+
 using namespace eoe;
 using namespace eoe::interp;
 
@@ -16,6 +18,9 @@ void ExecContext::beginRun(size_t StmtCount, size_t GlobalSlots) {
   GlobalMem.assign(GlobalSlots, 0);
   GlobalLastDef.assign(GlobalSlots, InvalidId);
   InstCount.assign(StmtCount, 0);
+  HeldUses.clear();
+  HeldDefs.clear();
+  HeldStarts.clear();
 }
 
 ExecFrame ExecContext::takeFrame() {
@@ -38,9 +43,10 @@ void ExecContext::recycleFrame(ExecFrame &&F) {
   FreeFrames.push_back(std::move(F));
 }
 
-void ExecContext::noteTraceSize(size_t Steps) {
-  if (Steps > StepsHint)
-    StepsHint = Steps;
+void ExecContext::noteTraceSize(const ExecutionTrace &T) {
+  StepsHint = std::max(StepsHint, T.Steps.size());
+  UsesHint = std::max(UsesHint, T.Uses.size());
+  DefsHint = std::max(DefsHint, T.Defs.size());
 }
 
 ExecContextPool::Lease ExecContextPool::acquire() {

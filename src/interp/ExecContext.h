@@ -25,12 +25,14 @@
 #ifndef EOE_INTERP_EXECCONTEXT_H
 #define EOE_INTERP_EXECCONTEXT_H
 
+#include "interp/Trace.h"
 #include "support/Ids.h"
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace eoe {
@@ -81,21 +83,33 @@ public:
   /// Returns a finished frame to the freelist, keeping its capacity.
   void recycleFrame(ExecFrame &&F);
 
-  /// Records a finished run's trace length; the next run reserves step
-  /// storage up front instead of growth-doubling through it.
-  void noteTraceSize(size_t Steps);
+  /// Records a finished run's array sizes; the next run reserves step,
+  /// use and def storage up front instead of growth-doubling through it.
+  void noteTraceSize(const ExecutionTrace &T);
 
-  /// Reservation hint for ExecutionTrace::Steps (0 on a fresh context).
+  /// Reservation hints for ExecutionTrace::Steps / Uses / Defs (0 on a
+  /// fresh context).
   size_t stepsHint() const { return StepsHint; }
+  size_t usesHint() const { return UsesHint; }
+  size_t defsHint() const { return DefsHint; }
 
   // Shadow state the engine works on directly.
   std::vector<int64_t> GlobalMem;
   std::vector<TraceIdx> GlobalLastDef;
   std::vector<uint32_t> InstCount;
 
+  /// Open step records of suspended call statements (see
+  /// ExecutionTrace's layout notes): their uses and definitions so far,
+  /// stacked innermost last, and where each record's entries start.
+  std::vector<UseRecord> HeldUses;
+  std::vector<DefRecord> HeldDefs;
+  std::vector<std::pair<size_t, size_t>> HeldStarts;
+
 private:
   std::vector<ExecFrame> FreeFrames;
   size_t StepsHint = 0;
+  size_t UsesHint = 0;
+  size_t DefsHint = 0;
 };
 
 /// Thread-safe arena of ExecContexts. Contexts are created on demand and

@@ -13,6 +13,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 using namespace eoe;
@@ -67,13 +68,13 @@ public:
         Collecting(Opts.Trace && Opts.Checkpoints && Opts.Checkpoints->Store &&
                    !Opts.Checkpoints->Sites.empty()),
         Capturing(Opts.Trace && Opts.SwitchedCapture != nullptr),
-        Probing(Opts.Trace && Opts.Reconverge != nullptr &&
-                !Opts.Reconverge->Sites.empty()),
-        Mirror(Collecting || Capturing || Probing),
+        Mirror(Collecting || Capturing),
         RequiredDecisions((Opts.Switch ? 1u : 0u) + (Opts.Perturb ? 1u : 0u) +
                           static_cast<unsigned>(Opts.Decisions.size())) {
     Ctx.beginRun(Prog.statements().size(), Prog.globalSlots());
     Trace.Steps.reserve(Ctx.stepsHint());
+    Trace.Uses.reserve(Ctx.usesHint());
+    Trace.Defs.reserve(Ctx.defsHint());
   }
 
   ExecutionTrace run() {
@@ -89,57 +90,26 @@ public:
         Trace.ExitValue = Main.RetVal;
       Ctx.recycleFrame(std::move(Main));
     }
-    Ctx.noteTraceSize(Trace.Steps.size());
+    Ctx.noteTraceSize(Trace);
     return std::move(Trace);
   }
 
   /// Resumes the checkpointed execution, splicing the prefix of \p From
   /// (the trace of the run that captured \p CP) in place of re-executing
-  /// it. Byte-identical to a full run() whose switch/perturbation targets
-  /// lie at or after CP.Index -- see docs/checkpointing.md.
-  ExecutionTrace resume(const Checkpoint &CP, const ExecutionTrace &From) {
+  /// it. Equal to a full run() whose switch/perturbation targets lie at or
+  /// after CP.Index, step for step -- see docs/checkpointing.md. The
+  /// splice is timed into \p SpliceTime.
+  ExecutionTrace resume(const Checkpoint &CP, const ExecutionTrace &From,
+                        support::StatTimer *SpliceTime) {
     assert(Tracing && "resume requires a tracing run");
     assert(!Collecting && "checkpoints are collected by full runs only");
-    assert(CP.Index <= From.Steps.size());
-    assert(CP.OutputCount <= From.Outputs.size());
     assert(!CP.Frames.empty());
+    {
+      support::ScopedTimer Timed(SpliceTime);
+      splice(CP, From);
+    }
 
-    // Splice: the capturing run's prefix is byte-identical to what this
-    // run would have produced (determinism), except for the records of
-    // call statements still active at capture time, which completed later
-    // in From -- overwrite those with their as-of-capture copies.
-    Trace.Steps.reserve(
-        std::max(Ctx.stepsHint(), static_cast<size_t>(CP.Index)));
-    Trace.Steps.assign(From.Steps.begin(), From.Steps.begin() + CP.Index);
-    Trace.Outputs.assign(From.Outputs.begin(),
-                         From.Outputs.begin() + CP.OutputCount);
-    for (const CheckpointFrame &CF : CP.Frames)
-      if (CF.PendingRec != InvalidId)
-        Trace.Steps[CF.PendingRec] = CF.PendingSnapshot;
-
-    // Restore the interpreter state (beginRun() reset it in the ctor).
-    GlobalMem = CP.GlobalMem;
-    GlobalLastDef = CP.GlobalLastDef;
-    InstCount = CP.InstCount;
-    InputCursor = CP.InputCursor;
-    StepCount = CP.StepCount;
-    FrameCounter = CP.FrameCounter;
-    // Input-independence watermark: the spliced prefix read input iff the
-    // capture was not input-independent; carry the capturing run's first-
-    // read index over in that case so the resumed trace matches a full
-    // replay byte for byte.
-    InputSeen = !CP.InputIndependent;
-    if (From.FirstInputStep != InvalidId && From.FirstInputStep < CP.Index)
-      Trace.FirstInputStep = From.FirstInputStep;
-    // Divergence-keyed resumes: the snapshot already applied these forced
-    // decisions (their instance counters have passed, so they cannot
-    // re-fire), and the capturing run's divergence record lies in the
-    // spliced prefix.
-    Applied.assign(CP.Divergence.begin(), CP.Divergence.end());
-    if (From.SwitchedStep != InvalidId && From.SwitchedStep < CP.Index)
-      Trace.SwitchedStep = From.SwitchedStep;
-    LastCaptureStep = StepCount;
-
+    // Each frame is restored as the resumed run re-enters it.
     Frame Main = CP.Frames.front().State;
     if (Mirror)
       Cont.push_back({&Main, InvalidId, 0});
@@ -149,11 +119,46 @@ public:
     if (F == Flow::Return || F == Flow::Normal)
       Trace.ExitValue = Main.RetVal;
     Ctx.recycleFrame(std::move(Main));
-    Ctx.noteTraceSize(Trace.Steps.size());
+    Ctx.noteTraceSize(Trace);
     return std::move(Trace);
   }
 
 private:
+  /// The prefix copy and state restore of resume(): afterwards the trace
+  /// and the global state are what a full run had at CP's capture.
+  void splice(const Checkpoint &CP, const ExecutionTrace &From) {
+    // The capturing run's prefix is what this run would have produced
+    // (determinism): its steps, the uses and defs of the steps complete
+    // at capture, its outputs and markers.
+    Trace.Steps.reserve(
+        std::max(Ctx.stepsHint(), static_cast<size_t>(CP.Index)));
+    tracePrefix(From, CP, Trace);
+    // The call records still open at capture are open again: their uses
+    // and defs so far go back on the held stack, outermost first, and each
+    // reopens when its resumed callee returns.
+    for (const CheckpointFrame &CF : CP.Frames)
+      if (CF.PendingRec != InvalidId)
+        hold(CF.PendingRec, CF.PendingSnapshot.Uses, CF.PendingSnapshot.Defs);
+
+    // Restore the interpreter state (beginRun() reset it in the ctor).
+    GlobalMem = CP.GlobalMem;
+    GlobalLastDef = CP.GlobalLastDef;
+    InstCount = CP.InstCount;
+    InputCursor = CP.InputCursor;
+    StepCount = CP.StepCount;
+    FrameCounter = CP.FrameCounter;
+    // Input-independence watermark: the spliced prefix read input iff the
+    // capture was not input-independent (tracePrefix carried the capturing
+    // run's first-read index over in that case).
+    InputSeen = !CP.InputIndependent;
+    // Divergence-keyed resumes: the snapshot already applied these forced
+    // decisions (their instance counters have passed, so they cannot
+    // re-fire), and the capturing run's divergence record lies in the
+    // spliced prefix.
+    Applied.assign(CP.Divergence.begin(), CP.Divergence.end());
+    LastCaptureStep = StepCount;
+  }
+
   const Program &Prog;
   const analysis::StaticAnalysis &SA;
   const std::vector<int64_t> &Input;
@@ -174,9 +179,6 @@ private:
   uint64_t FrameCounter = 0;
   uint64_t StepCount = 0;
   bool Halted = false;
-  /// True once a reconvergence probe spliced the original suffix: the
-  /// halted statement was never executed, so it must not match a switch.
-  bool Spliced = false;
   bool Tracing;
 
   //===--------------------------------------------------------------------===//
@@ -197,15 +199,14 @@ private:
 
   const bool Collecting;
   /// Switched-run reuse (SwitchedRunStore.h): capture divergence-keyed
-  /// snapshots on this run / probe for reconvergence with the original
-  /// trace. Either implies the continuation mirror below is maintained.
+  /// snapshots on this run. Implies the continuation mirror below is
+  /// maintained.
   const bool Capturing;
-  const bool Probing;
-  /// Maintain Cont/Path/DirtyCalls: any feature that needs to describe or
-  /// compare the live continuation.
+  /// Maintain Cont/Path/DirtyCalls: any feature that needs to describe
+  /// the live continuation.
   const bool Mirror;
   /// Forced alterations this run must apply (switch and/or perturbation);
-  /// probes and switched captures only engage once all have fired.
+  /// switched captures only engage once all have fired.
   const unsigned RequiredDecisions;
   /// The decisions applied so far, in order (the divergence key of any
   /// snapshot captured now). Pre-seeded from Checkpoint::Divergence on
@@ -214,9 +215,6 @@ private:
   /// StepCount at the last applied decision or switched capture; paces
   /// SwitchedCapturePlan::SpacingSteps.
   uint64_t LastCaptureStep = 0;
-  /// Cursor into Opts.Reconverge->Sites (ascending by CP->Index), so the
-  /// per-step probe check is amortized O(1).
-  size_t RecCursor = 0;
   size_t NextSite = 0;
   /// Stride autotuning (CheckpointPlan::AutoBudgetBytes): chosen after
   /// the first successful capture, then applied by skipping
@@ -321,7 +319,7 @@ private:
       CF.Path.assign(Path.begin() + Cont[L].PathStart, Path.begin() + PathEnd);
       if (L + 1 < Cont.size()) {
         CF.PendingRec = Cont[L + 1].PendingRec;
-        CF.PendingSnapshot = Trace.Steps[CF.PendingRec];
+        CF.PendingSnapshot = heldStep(L, CF.PendingRec);
       }
       CP->Frames.push_back(std::move(CF));
     }
@@ -348,120 +346,10 @@ private:
     LastCaptureStep = StepCount;
   }
 
-  /// Reconvergence probe (see align/Reconverge.h for the construction and
-  /// the soundness argument). Called at the top of beginStep, before the
-  /// instance-count bump. Returns true after splicing the rest of the
-  /// original trace -- the caller must not execute the statement.
-  bool maybeReconverge(const Stmt *S, Frame &F) {
-    const ReconvergePlan &Plan = *Opts.Reconverge;
-    const TraceIdx Here = static_cast<TraceIdx>(Trace.Steps.size());
-    while (RecCursor < Plan.Sites.size() &&
-           Plan.Sites[RecCursor].CP->Index < Here)
-      ++RecCursor;
-    if (RecCursor >= Plan.Sites.size() ||
-        Plan.Sites[RecCursor].CP->Index != Here)
-      return false;
-    if (Applied.size() < RequiredDecisions)
-      return false; // A pending decision still has to fire; keep going.
-    const ReconvergeSite &Site = Plan.Sites[RecCursor];
-    const Checkpoint &CP = *Site.CP;
-    const ExecutionTrace &Orig = *Plan.Original;
-    ++Trace.ReconvergeProbes;
-
-    // Cheap gates first. Statement identity + the scalar state, then the
-    // region identity: the next record's dynamic control-dependence
-    // parent must be the same instance the original's was (the site and
-    // the probe sit in the same RegionTree region).
-    if (DirtyCalls != 0 || S->id() != Site.Stmt)
-      return false;
-    if (InstCount[S->id()] + 1 != Site.InstanceNo)
-      return false;
-    if (StepCount != CP.StepCount || InputCursor != CP.InputCursor ||
-        FrameCounter != CP.FrameCounter ||
-        Trace.Outputs.size() != CP.OutputCount ||
-        InputSeen == CP.InputIndependent)
-      return false;
-    if (CP.StepCount + (Orig.Steps.size() - Here) > Opts.MaxSteps)
-      return false; // The spliced run would have tripped the step budget.
-    if (Cont.size() != CP.Frames.size())
-      return false;
-    if (resolveCdParent(S->id(), F) != Site.CdParent)
-      return false;
-
-    // Deep state comparison: live frames exactly; instance counters and
-    // global store only where the suffix can observe them.
-    for (size_t L = 0; L < Cont.size(); ++L) {
-      if (!(*Cont[L].F == CP.Frames[L].State))
-        return false;
-      size_t PathEnd =
-          L + 1 < Cont.size() ? Cont[L + 1].PathStart : Path.size();
-      size_t PathLen = PathEnd - Cont[L].PathStart;
-      if (PathLen != CP.Frames[L].Path.size() ||
-          !std::equal(Path.begin() + Cont[L].PathStart,
-                      Path.begin() + PathEnd, CP.Frames[L].Path.begin()))
-        return false;
-      if (L + 1 < Cont.size()) {
-        if (Cont[L + 1].PendingRec != CP.Frames[L].PendingRec)
-          return false;
-        if (!(Trace.Steps[Cont[L + 1].PendingRec] ==
-              CP.Frames[L].PendingSnapshot))
-          return false;
-      }
-    }
-    assert(InstCount.size() == CP.InstCount.size());
-    for (size_t W = 0; W < Site.SuffixStmts.size(); ++W) {
-      uint64_t Bits = Site.SuffixStmts[W];
-      while (Bits) {
-        size_t Sid = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
-        Bits &= Bits - 1;
-        if (Sid < InstCount.size() && InstCount[Sid] != CP.InstCount[Sid])
-          return false;
-      }
-    }
-    for (size_t W = 0; W < Site.SuffixReads.size(); ++W) {
-      uint64_t Bits = Site.SuffixReads[W];
-      while (Bits) {
-        size_t Slot = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
-        Bits &= Bits - 1;
-        if (Slot < GlobalMem.size() &&
-            (GlobalMem[Slot] != CP.GlobalMem[Slot] ||
-             GlobalLastDef[Slot] != CP.GlobalLastDef[Slot]))
-          return false;
-      }
-    }
-
-    // Reconverged: from this state, interpretation would reproduce the
-    // original suffix byte for byte -- splice it instead. Live frames'
-    // pending call records complete during the suffix; the original's
-    // completed copies are exactly what interpretation would have written
-    // (pending contents were proved equal, and the completion depends
-    // only on post-site state, also proved equal).
-    for (size_t L = 0; L + 1 < Cont.size(); ++L) {
-      TraceIdx PR = Cont[L + 1].PendingRec;
-      if (PR != InvalidId)
-        Trace.Steps[PR] = Orig.Steps[PR];
-    }
-    Trace.Steps.insert(Trace.Steps.end(), Orig.Steps.begin() + Here,
-                       Orig.Steps.end());
-    Trace.Outputs.insert(Trace.Outputs.end(),
-                         Orig.Outputs.begin() + CP.OutputCount,
-                         Orig.Outputs.end());
-    if (Trace.FirstInputStep == InvalidId && Orig.FirstInputStep != InvalidId &&
-        Orig.FirstInputStep >= Here)
-      Trace.FirstInputStep = Orig.FirstInputStep;
-    Trace.ExitValue = Orig.ExitValue;
-    Trace.SplicedSuffix = static_cast<TraceIdx>(Orig.Steps.size() - Here);
-    Spliced = true;
-    halt(ExitReason::Finished); // Plan builder guarantees Orig finished.
-    return true;
-  }
-
   /// Starts a StepRecord for one execution of \p S in \p F, resolving the
   /// dynamic control-dependence parent. Returns the record's index, or
   /// InvalidId in non-tracing runs (which only count steps).
   TraceIdx beginStep(const Stmt *S, Frame &F) {
-    if (Probing && maybeReconverge(S, F))
-      return InvalidId; // Spliced + halted; the statement is not executed.
     if (Collecting)
       maybeCapture(S);
     if (Capturing)
@@ -471,15 +359,94 @@ private:
       halt(ExitReason::StepLimit);
     if (!Tracing)
       return InvalidId;
-    StepRecord Rec;
-    Rec.Stmt = S->id();
-    Rec.InstanceNo = InstCount[S->id()];
-    Rec.CdParent = resolveCdParent(S->id(), F);
-    Trace.Steps.push_back(std::move(Rec));
-    TraceIdx Idx = static_cast<TraceIdx>(Trace.Steps.size() - 1);
+    TraceIdx Idx = openStep(S->id(), InstCount[S->id()]);
+    Trace.Steps[Idx].CdParent = resolveCdParent(S->id(), F);
     if (S->isPredicate())
       F.LastPredInstance[S->id()] = Idx;
     return Idx;
+  }
+
+  /// Appends the record of a new statement instance, open at the arrays'
+  /// tails: every use and def recorded until the next step begins is its.
+  TraceIdx openStep(StmtId Stmt, uint32_t InstanceNo) {
+    StepRecord Rec;
+    Rec.Stmt = Stmt;
+    Rec.InstanceNo = InstanceNo;
+    Rec.UseBegin = static_cast<uint32_t>(Trace.Uses.size());
+    Rec.DefBegin = static_cast<uint32_t>(Trace.Defs.size());
+    Trace.Steps.push_back(Rec);
+    return static_cast<TraceIdx>(Trace.Steps.size() - 1);
+  }
+
+  void recordUse(TraceIdx Rec, const UseRecord &U) {
+    StepRecord &S = Trace.Steps[Rec];
+    assert(S.UseBegin + S.NumUses == Trace.Uses.size() &&
+           "uses are recorded on the open record only");
+    Trace.Uses.push_back(U);
+    ++S.NumUses;
+  }
+
+  void recordDef(TraceIdx Rec, const DefRecord &D) {
+    StepRecord &S = Trace.Steps[Rec];
+    assert(S.DefBegin + S.NumDefs == Trace.Defs.size() &&
+           "defs are recorded on the open record only");
+    Trace.Defs.push_back(D);
+    ++S.NumDefs;
+  }
+
+  /// Pushes \p Rec on the held stack with the given entries: the record
+  /// stays open while the call it makes records the callee's steps.
+  void hold(TraceIdx Rec, std::span<const UseRecord> Uses,
+            std::span<const DefRecord> Defs) {
+    Ctx.HeldStarts.push_back({Ctx.HeldUses.size(), Ctx.HeldDefs.size()});
+    Ctx.HeldUses.insert(Ctx.HeldUses.end(), Uses.begin(), Uses.end());
+    Ctx.HeldDefs.insert(Ctx.HeldDefs.end(), Defs.begin(), Defs.end());
+    StepRecord &S = Trace.Steps[Rec];
+    S.NumUses = static_cast<uint32_t>(Uses.size());
+    S.NumDefs = static_cast<uint32_t>(Defs.size());
+  }
+
+  /// Sets the open record \p Rec aside before its call runs the callee:
+  /// its entries so far move from the arrays' tails to the held stack.
+  void suspend(TraceIdx Rec) {
+    const StepRecord &S = Trace.Steps[Rec];
+    hold(Rec, std::span<const UseRecord>(Trace.Uses).subspan(S.UseBegin),
+         std::span<const DefRecord>(Trace.Defs).subspan(S.DefBegin));
+    Trace.Uses.resize(S.UseBegin);
+    Trace.Defs.resize(S.DefBegin);
+  }
+
+  /// Makes the innermost held record \p Rec the open record again once
+  /// its callee has returned: its entries move back to the arrays' tails.
+  void reopen(TraceIdx Rec) {
+    auto [UseStart, DefStart] = Ctx.HeldStarts.back();
+    Ctx.HeldStarts.pop_back();
+    StepRecord &S = Trace.Steps[Rec];
+    assert(S.NumUses == Ctx.HeldUses.size() - UseStart &&
+           S.NumDefs == Ctx.HeldDefs.size() - DefStart);
+    S.UseBegin = static_cast<uint32_t>(Trace.Uses.size());
+    S.DefBegin = static_cast<uint32_t>(Trace.Defs.size());
+    Trace.Uses.insert(Trace.Uses.end(), Ctx.HeldUses.begin() + UseStart,
+                      Ctx.HeldUses.end());
+    Trace.Defs.insert(Trace.Defs.end(), Ctx.HeldDefs.begin() + DefStart,
+                      Ctx.HeldDefs.end());
+    Ctx.HeldUses.resize(UseStart);
+    Ctx.HeldDefs.resize(DefStart);
+  }
+
+  /// The \p Level-th held record (outermost first), \p Rec, as it stands:
+  /// what a snapshot keeps of a suspended call's record.
+  OpenStep heldStep(size_t Level, TraceIdx Rec) const {
+    assert(Level < Ctx.HeldStarts.size());
+    auto [UseStart, DefStart] = Ctx.HeldStarts[Level];
+    OpenStep P;
+    P.Step = Trace.Steps[Rec];
+    P.Step.UseBegin = P.Step.NumUses = P.Step.DefBegin = P.Step.NumDefs = 0;
+    P.Uses.assign(Ctx.HeldUses.begin() + UseStart,
+                  Ctx.HeldUses.begin() + UseStart + Trace.Steps[Rec].NumUses);
+    P.Defs.assign(Ctx.HeldDefs.begin() + DefStart,
+                  Ctx.HeldDefs.begin() + DefStart + Trace.Steps[Rec].NumDefs);
+    return P;
   }
 
   TraceIdx resolveCdParent(StmtId S, const Frame &F) const {
@@ -516,7 +483,7 @@ private:
   }
 
   /// Records a forced decision the run just applied (feeds the divergence
-  /// key and gates captures/probes on "all decisions applied"). Resumed
+  /// key and gates captures on "all decisions applied"). Resumed
   /// runs pre-seed Applied from the snapshot, so a decision inherited
   /// that way is not re-recorded.
   void noteDecision(SwitchDecision D) {
@@ -543,13 +510,8 @@ private:
       const VarInfo &Info = Prog.variable(G->var());
       TraceIdx Idx = InvalidId;
       ++InstCount[G->id()];
-      if (Tracing) {
-        StepRecord Rec;
-        Rec.Stmt = G->id();
-        Rec.InstanceNo = InstCount[G->id()];
-        Trace.Steps.push_back(std::move(Rec));
-        Idx = static_cast<TraceIdx>(Trace.Steps.size() - 1);
-      }
+      if (Tracing)
+        Idx = openStep(G->id(), InstCount[G->id()]);
       if (Info.isArray())
         continue; // Array elements start as undefined zeros.
       int64_t Init = 0;
@@ -570,7 +532,7 @@ private:
         GlobalLastDef[Loc.slot()] = Writer;
     }
     if (Writer != InvalidId)
-      Trace.Steps[Writer].Defs.push_back({Loc, Var, Value});
+      recordDef(Writer, {Loc, Var, Value});
   }
 
   void storeFrame(Frame &F, uint32_t Slot, VarId Var, int64_t Value,
@@ -579,8 +541,7 @@ private:
     if (Tracing)
       F.LastDef[Slot] = Writer;
     if (Writer != InvalidId)
-      Trace.Steps[Writer].Defs.push_back(
-          {MemLoc::frame(F.Serial, Slot), Var, Value});
+      recordDef(Writer, {MemLoc::frame(F.Serial, Slot), Var, Value});
   }
 
   /// Reads a location, recording the use on instance \p Reader.
@@ -601,7 +562,7 @@ private:
       Def = Tracing ? F.LastDef[Slot] : InvalidId;
     }
     if (Reader != InvalidId)
-      Trace.Steps[Reader].Uses.push_back({Loc, Def, LoadExpr, Var, Value});
+      recordUse(Reader, {Loc, Def, LoadExpr, Var, Value});
     return Value;
   }
 
@@ -758,7 +719,11 @@ private:
         ++DirtyCalls;
       Cont.push_back({&Inner, Rec, Path.size()});
     }
+    if (Rec != InvalidId)
+      suspend(Rec);
     execBody(Callee.body(), Inner);
+    if (Rec != InvalidId)
+      reopen(Rec);
     if (Mirror) {
       Cont.pop_back();
       if (!Clean)
@@ -771,9 +736,8 @@ private:
 
     // The return-value read: data-depends on the executed return.
     if (Rec != InvalidId)
-      Trace.Steps[Rec].Uses.push_back({MemLoc::retVal(Inner.Serial),
-                                       Inner.RetValDef, Call->id(),
-                                       /*Var=*/InvalidId, Inner.RetVal});
+      recordUse(Rec, {MemLoc::retVal(Inner.Serial), Inner.RetValDef,
+                      Call->id(), /*Var=*/InvalidId, Inner.RetVal});
     int64_t RetVal = Inner.RetVal;
     Ctx.recycleFrame(std::move(Inner));
     return RetVal;
@@ -794,8 +758,7 @@ private:
       return Flow::Normal;
     }
     // Mirror runs track the descent in Path so a capture can record the
-    // continuation (and a probe compare it): one entry per live body,
-    // updated per statement.
+    // continuation: one entry per live body, updated per statement.
     size_t Slot = Path.size();
     Path.push_back({In, 0});
     Flow Result = Flow::Normal;
@@ -812,9 +775,6 @@ private:
   /// Evaluates the condition of predicate instance \p Rec, applying the
   /// requested switch when this is the targeted instance.
   bool evalPredicate(const Expr *Cond, Frame &F, TraceIdx Rec, StmtId Sid) {
-    if (Spliced)
-      return false; // The un-executed statement after a suffix splice
-                    // must not match the switch (its counter never bumped).
     bool Taken = evalExpr(Cond, F, Rec) != 0;
     bool Fire = false;
     SwitchDecision D{Sid, InstCount[Sid], /*Perturb=*/false, /*Value=*/0};
@@ -941,8 +901,7 @@ private:
       F.RetValDef = Rec;
       if (Rec != InvalidId) {
         Trace.Steps[Rec].Value = Value;
-        Trace.Steps[Rec].Defs.push_back(
-            {MemLoc::retVal(F.Serial), /*Var=*/InvalidId, Value});
+        recordDef(Rec, {MemLoc::retVal(F.Serial), /*Var=*/InvalidId, Value});
       }
       return Flow::Return;
     }
@@ -1027,8 +986,8 @@ private:
     const bool Terminal = Depth + 1 == CF.Path.size();
 
     // Mirror runs rebuild the descent Path exactly as execBody would have
-    // it at this point of a full run (captures and probes on resumed runs
-    // depend on it).
+    // it at this point of a full run (captures on resumed runs depend on
+    // it).
     size_t Slot = Path.size();
     if (Mirror)
       Path.push_back({E.In, E.Index});
@@ -1098,6 +1057,8 @@ private:
     if (Mirror)
       Cont.push_back({&Inner, Rec, Path.size()});
     resumeFrame(CP, Level + 1, Inner);
+    if (Rec != InvalidId)
+      reopen(Rec);
     if (Mirror)
       Cont.pop_back();
     if (Halted) {
@@ -1106,9 +1067,8 @@ private:
     }
 
     if (Rec != InvalidId)
-      Trace.Steps[Rec].Uses.push_back({MemLoc::retVal(Inner.Serial),
-                                       Inner.RetValDef, Call->id(),
-                                       /*Var=*/InvalidId, Inner.RetVal});
+      recordUse(Rec, {MemLoc::retVal(Inner.Serial), Inner.RetValDef,
+                      Call->id(), /*Var=*/InvalidId, Inner.RetVal});
     int64_t Value = Inner.RetVal;
     Ctx.recycleFrame(std::move(Inner));
 
@@ -1145,8 +1105,7 @@ private:
       F.RetValDef = Rec;
       if (Rec != InvalidId) {
         Trace.Steps[Rec].Value = Value;
-        Trace.Steps[Rec].Defs.push_back(
-            {MemLoc::retVal(F.Serial), /*Var=*/InvalidId, Value});
+        recordDef(Rec, {MemLoc::retVal(F.Serial), /*Var=*/InvalidId, Value});
       }
       return Flow::Return;
     }
@@ -1169,11 +1128,12 @@ Interpreter::Interpreter(const Program &Prog,
     CSwitchedRuns = &Stats->counter("interp.switched_runs");
     CResumedRuns = &Stats->counter("interp.resumed_runs");
     CSplicedSteps = &Stats->counter("interp.spliced_steps");
-    CSplicedSuffixSteps = &Stats->counter("interp.spliced_suffix_steps");
     CSteps = &Stats->counter("interp.steps");
+    CTraceBytes = &Stats->counter("interp.trace_bytes");
     COutputs = &Stats->counter("interp.outputs");
     CAborts = &Stats->counter("interp.aborted_runs");
     TRunTime = &Stats->timer("interp.run_time");
+    TSpliceTime = &Stats->timer("interp.splice_time");
   }
 }
 
@@ -1187,9 +1147,8 @@ ExecutionTrace Interpreter::record(ExecutionTrace T, bool Switched,
       CResumedRuns->add();
       CSplicedSteps->add(Spliced);
     }
-    if (T.SplicedSuffix)
-      CSplicedSuffixSteps->add(T.SplicedSuffix);
     CSteps->add(T.size()); // Traced instances; plain runs record nothing.
+    CTraceBytes->add(T.recordBytes());
     COutputs->add(T.Outputs.size());
     if (T.Exit != ExitReason::Finished)
       CAborts->add();
@@ -1220,7 +1179,7 @@ ExecutionTrace Interpreter::runFrom(const Checkpoint &CP,
   Options Local = Opts;
   Local.Checkpoints = nullptr; // Checkpoints are collected by full runs only.
   Engine E(Prog, Analysis, Input, Local, Ctx);
-  return record(E.resume(CP, SpliceFrom),
+  return record(E.resume(CP, SpliceFrom, TSpliceTime),
                 Local.Switch.has_value() || !Local.Decisions.empty(),
                 /*Resumed=*/true, CP.Index);
 }

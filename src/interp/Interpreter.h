@@ -73,12 +73,6 @@ public:
     /// divergence-keyed snapshots past the last applied decision (see
     /// SwitchedRunStore.h). Owned by the caller, one plan per run.
     SwitchedCapturePlan *SwitchedCapture = nullptr;
-    /// When set on a switched/perturbed tracing run, the engine probes
-    /// the plan's sites once all decisions are applied; on a match it
-    /// stops interpreting and splices the rest of the plan's original
-    /// trace (suffix splicing; byte-identical to interpreting on). The
-    /// plan is read-only and may be shared by concurrent runs.
-    const ReconvergePlan *Reconverge = nullptr;
   };
 
   /// \p Analysis must have been built for \p Prog. When \p Stats is
@@ -122,18 +116,19 @@ public:
                              uint64_t MaxSteps,
                              ExecContext *Ctx = nullptr) const;
 
-  /// Resumes execution from \p CP, splicing Steps[0, CP.Index) and the
-  /// matching output prefix of \p SpliceFrom (the trace of the run that
-  /// captured \p CP) instead of re-executing them. \p Input must be the
-  /// input of the capturing run -- except when CP.InputIndependent, in
-  /// which case the prefix read no input and \p Input may be *any* input
-  /// vector, provided \p SpliceFrom is an unswitched trace of the same
-  /// program (its prefix up to CP.Index is then input-invariant too);
-  /// this is what makes cross-input checkpoint sharing sound (see
-  /// SharedCheckpointStore). The result is byte-identical to
-  /// run(Input, Opts) for any Opts whose switch/perturbation targets lie
-  /// at or after CP.Index and whose MaxSteps is no lower than the
-  /// capturing run's budget at capture time.
+  /// Resumes execution from \p CP, splicing the prefix \p SpliceFrom (the
+  /// trace of the run that captured \p CP) held at the capture -- its
+  /// steps, uses, defs and outputs, see tracePrefix -- instead of
+  /// re-executing it. \p Input must be the input of the capturing run --
+  /// except when CP.InputIndependent, in which case the prefix read no
+  /// input and \p Input may be *any* input vector, provided \p SpliceFrom
+  /// is an unswitched trace of the same program (its prefix up to
+  /// CP.Index is then input-invariant too); this is what makes
+  /// cross-input checkpoint sharing sound (see SharedCheckpointStore).
+  /// The result is byte-identical to run(Input, Opts) for any Opts whose
+  /// switch/perturbation targets lie at or after CP.Index and whose
+  /// MaxSteps is no lower than the capturing run's budget at capture
+  /// time.
   ///
   /// Divergence-keyed resumes (SwitchedRunStore): when CP.Divergence is
   /// non-empty, \p SpliceFrom must be the capturing *switched* run's
@@ -164,11 +159,12 @@ private:
   support::StatCounter *CSwitchedRuns = nullptr;
   support::StatCounter *CResumedRuns = nullptr;
   support::StatCounter *CSplicedSteps = nullptr;
-  support::StatCounter *CSplicedSuffixSteps = nullptr;
   support::StatCounter *CSteps = nullptr;
+  support::StatCounter *CTraceBytes = nullptr;
   support::StatCounter *COutputs = nullptr;
   support::StatCounter *CAborts = nullptr;
   support::StatTimer *TRunTime = nullptr;
+  support::StatTimer *TSpliceTime = nullptr;
 
   ExecutionTrace record(ExecutionTrace T, bool Switched, bool Resumed,
                         TraceIdx Spliced) const;

@@ -18,12 +18,12 @@ bool UnionDependenceGraph::definesSomething(StmtId Def) const {
 void eoe::interp::accumulateTrace(Profile &P, const ExecutionTrace &Trace) {
   for (TraceIdx I = 0; I < Trace.Steps.size(); ++I) {
     const StepRecord &Step = Trace.Steps[I];
-    for (const UseRecord &Use : Step.Uses) {
+    for (const UseRecord &Use : Trace.uses(Step)) {
       if (!isValidId(Use.Def))
         continue;
       P.UnionDeps.addDataDep(Trace.Steps[Use.Def].Stmt, Use.LoadExpr);
     }
-    for (const DefRecord &Def : Step.Defs)
+    for (const DefRecord &Def : Trace.defs(Step))
       P.Values.addValue(Step.Stmt, Def.Value);
   }
   ++P.Runs;

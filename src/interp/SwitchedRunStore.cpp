@@ -24,17 +24,9 @@ uint64_t SwitchedRunStore::hashInput(const std::vector<int64_t> &Input) {
   return H;
 }
 
-static size_t stepBytes(const StepRecord &R) {
-  return sizeof(StepRecord) + R.Uses.capacity() * sizeof(UseRecord) +
-         R.Defs.capacity() * sizeof(DefRecord);
-}
-
 size_t SwitchedRunStore::traceBytes(const ExecutionTrace &T) {
-  size_t N = sizeof(ExecutionTrace);
-  for (const StepRecord &R : T.Steps)
-    N += stepBytes(R);
-  N += T.Outputs.capacity() * sizeof(OutputEvent);
-  return N;
+  return sizeof(ExecutionTrace) + T.recordBytes() +
+         T.Outputs.capacity() * sizeof(OutputEvent);
 }
 
 static size_t bundleBytes(const SwitchedRunStore::Bundle &B) {

@@ -8,24 +8,13 @@
 /// \file
 /// Per-input reuse of *switched* runs. CheckpointStore amortizes the
 /// original-trace prefix of every switched run; this layer amortizes the
-/// other two pieces of the run graph:
-///
-///  - SwitchedCapturePlan + SwitchedRunStore: during a switched run, the
-///    engine keeps capturing checkpoints *past* the switch point, each
-///    tagged with the run's divergence key (the ordered SwitchDecision
-///    sequence applied so far). A later run requesting a decision
-///    sequence that starts with a stored key resumes from the deepest
-///    such snapshot -- its switched prefix is spliced from the capturing
-///    run's trace exactly the way runFrom splices original prefixes.
-///
-///  - ReconvergePlan: probe sites on the *original* trace where a
-///    switched run may have reconverged -- the original run's retained
-///    checkpoints plus, per site, the relaxed state footprint the suffix
-///    actually depends on. When the probe matches, the engine stops
-///    interpreting and splices the rest of the original trace's steps and
-///    outputs (suffix splicing). Site construction lives in
-///    align/Reconverge.h because it walks the RegionTree; this header is
-///    the pure data contract the engine consumes.
+/// switched part: during a switched run (SwitchedCapturePlan), the engine
+/// keeps capturing checkpoints *past* the switch point, each tagged with
+/// the run's divergence key (the ordered SwitchDecision sequence applied
+/// so far). A later run requesting a decision sequence that starts with
+/// a stored key resumes from the deepest such snapshot -- its switched
+/// prefix is spliced from the capturing run's trace exactly the way
+/// runFrom splices original prefixes.
 ///
 /// Determinism (the hard invariant: bit-identical results at any thread
 /// count) shapes the store's API. True LRU admission is arrival-order-
@@ -59,45 +48,6 @@ namespace interp {
 /// Default byte budget for the switched-run snapshot cache (staged +
 /// sealed bundles). 0 disables the feature everywhere.
 inline constexpr size_t DefaultSwitchedCacheBytes = 64ull << 20;
-
-/// Cap on reconvergence probe sites per original trace: the plan holds
-/// decoded snapshots, so an uncapped plan over a delta-compressed store
-/// could pin many times the store budget in raw bytes.
-inline constexpr size_t MaxReconvergeSites = 256;
-
-/// One reconvergence probe site: an original-run checkpoint plus the
-/// relaxed footprint of the original trace's suffix from there.
-struct ReconvergeSite {
-  /// Original-run snapshot at the site (Divergence empty).
-  std::shared_ptr<const Checkpoint> CP;
-  /// Statement and instance number of the site's step record, and its
-  /// dynamic control-dependence parent (the region identity: equal
-  /// CdParent means the switched run sits in the same region instance of
-  /// the RegionTree as the original did; see align/Reconverge.cpp).
-  StmtId Stmt = InvalidId;
-  uint32_t InstanceNo = 0;
-  TraceIdx CdParent = InvalidId;
-  /// Region depth of the site in the original RegionTree (diagnostics).
-  uint32_t RegionDepth = 0;
-  /// Bitset over StmtId: statements that execute in the original suffix
-  /// [CP->Index, end). Instance counters must match only on these --
-  /// counters of statements confined to the divergent region may differ
-  /// without affecting the suffix.
-  std::vector<uint64_t> SuffixStmts;
-  /// Bitset over global slots read anywhere in the suffix. Global memory
-  /// and last-def tables must match only on these ("store-state epoch
-  /// check"); slots the suffix never reads are written before any use or
-  /// not touched at all, so both runs rewrite them identically.
-  std::vector<uint64_t> SuffixReads;
-};
-
-/// All probe sites for one original trace, ascending by CP->Index.
-/// Built once per verifier session (align::buildReconvergePlan) and
-/// shared read-only by every concurrent switched run.
-struct ReconvergePlan {
-  const ExecutionTrace *Original = nullptr;
-  std::vector<ReconvergeSite> Sites;
-};
 
 /// Per-run instruction to capture divergence-keyed snapshots on a
 /// switched/perturbed run. Owned by the caller (one per run; written by

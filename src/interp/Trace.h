@@ -13,6 +13,17 @@
 /// The trace *is* the dynamic dependence graph; the ddg library only adds
 /// closure algorithms and implicit edges on top.
 ///
+/// Layout: structure of arrays. StepRecord is plain data; every step's
+/// uses and definitions live in two trace-wide arrays, and a step names
+/// its contiguous range in each (read through ExecutionTrace::uses() /
+/// defs()). Recording a step allocates nothing once the arrays have
+/// grown, and a prefix of a trace is three contiguous array prefixes
+/// (see interp/Checkpoint.h, tracePrefix). The arrays hold ranges in the
+/// order the steps *completed*, not the order they began: a call
+/// statement's record gains its return-value use and its own definitions
+/// after the callee's steps, so the interpreter holds such an open record
+/// aside until its statement completes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EOE_INTERP_TRACE_H
@@ -20,8 +31,10 @@
 
 #include "support/Ids.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace eoe {
@@ -86,8 +99,12 @@ struct DefRecord {
   bool operator==(const DefRecord &O) const = default;
 };
 
-/// One executed statement instance.
+/// One executed statement instance. Plain data: its uses and definitions
+/// live in the owning ExecutionTrace's arrays.
 struct StepRecord {
+  /// Value summary: the defined value, branch condition value, or first
+  /// printed value, depending on the statement kind.
+  int64_t Value = 0;
   StmtId Stmt = InvalidId;
   /// The instance this one is dynamically control dependent on: the most
   /// recent instance of one of the statement's static control-dependence
@@ -97,20 +114,37 @@ struct StepRecord {
   TraceIdx CdParent = InvalidId;
   /// 1-based occurrence number of this statement in the execution.
   uint32_t InstanceNo = 0;
+  /// Where the step's uses and definitions sit in its trace's Uses and
+  /// Defs arrays. Placement only: not part of the recorded facts.
+  uint32_t UseBegin = 0;
+  uint32_t NumUses = 0;
+  uint32_t DefBegin = 0;
+  uint32_t NumDefs = 0;
   /// Predicate outcome: -1 for non-predicates, else 0/1.
   int8_t BranchTaken = -1;
-  /// Value summary: the defined value, branch condition value, or first
-  /// printed value, depending on the statement kind.
-  int64_t Value = 0;
-  std::vector<UseRecord> Uses;
-  std::vector<DefRecord> Defs;
 
   bool isPredicateInstance() const { return BranchTaken >= 0; }
   bool branch() const { return BranchTaken == 1; }
 
-  /// Byte-for-byte equality, used by the checkpoint-equivalence property
-  /// tests (a resumed trace must equal a full replay).
-  bool operator==(const StepRecord &O) const = default;
+  /// Equality of the recorded fields. Placement in the arrays is not
+  /// compared; ExecutionTrace::sameStep compares a step's use and def
+  /// sequences too.
+  bool operator==(const StepRecord &O) const {
+    return Value == O.Value && Stmt == O.Stmt && CdParent == O.CdParent &&
+           InstanceNo == O.InstanceNo && BranchTaken == O.BranchTaken;
+  }
+};
+
+/// A step record whose statement has not completed, with the uses and
+/// definitions recorded so far: a call statement suspended in its callee.
+/// Checkpoints hold one per suspended call (CheckpointFrame).
+struct OpenStep {
+  /// The record's fields as of now; placement fields are zero.
+  StepRecord Step;
+  std::vector<UseRecord> Uses;
+  std::vector<DefRecord> Defs;
+
+  bool operator==(const OpenStep &O) const = default;
 };
 
 /// One value printed by a print statement.
@@ -140,6 +174,10 @@ enum class ExitReason {
 /// A complete traced execution.
 struct ExecutionTrace {
   std::vector<StepRecord> Steps;
+  /// Every step's uses and definitions; StepRecord::UseBegin / DefBegin
+  /// address them. Read them through uses() / defs().
+  std::vector<UseRecord> Uses;
+  std::vector<DefRecord> Defs;
   std::vector<OutputEvent> Outputs;
   ExitReason Exit = ExitReason::Finished;
   /// main's return value when Exit == Finished.
@@ -155,16 +193,39 @@ struct ExecutionTrace {
   /// alone, valid for any input (the cross-input sharing watermark; see
   /// interp/Checkpoint.h).
   TraceIdx FirstInputStep = InvalidId;
-  /// Bookkeeping for switched-run suffix splicing (transient -- not
-  /// serialized by TraceIO; see interp/SwitchedRunStore.h). Number of
-  /// steps appended from the original trace after a successful
-  /// reconvergence probe instead of being interpreted, and the number of
-  /// probe attempts this run made.
-  TraceIdx SplicedSuffix = 0;
-  uint32_t ReconvergeProbes = 0;
 
   size_t size() const { return Steps.size(); }
   const StepRecord &step(TraceIdx I) const { return Steps.at(I); }
+
+  /// The memory reads of a step, in evaluation order.
+  std::span<const UseRecord> uses(const StepRecord &S) const {
+    return {Uses.data() + S.UseBegin, S.NumUses};
+  }
+  std::span<const UseRecord> uses(TraceIdx I) const { return uses(step(I)); }
+  /// The memory writes of a step, in execution order.
+  std::span<const DefRecord> defs(const StepRecord &S) const {
+    return {Defs.data() + S.DefBegin, S.NumDefs};
+  }
+  std::span<const DefRecord> defs(TraceIdx I) const { return defs(step(I)); }
+
+  /// True when step \p I of this trace and step \p J of \p O record the
+  /// same fields and the same use and def sequences.
+  bool sameStep(TraceIdx I, const ExecutionTrace &O, TraceIdx J) const {
+    const StepRecord &A = Steps[I], &B = O.Steps[J];
+    if (!(A == B))
+      return false;
+    std::span<const UseRecord> UA = uses(A), UB = O.uses(B);
+    std::span<const DefRecord> DA = defs(A), DB = O.defs(B);
+    return std::equal(UA.begin(), UA.end(), UB.begin(), UB.end()) &&
+           std::equal(DA.begin(), DA.end(), DB.begin(), DB.end());
+  }
+
+  /// Bytes of the step, use and def arrays, counted by element (the
+  /// interp.trace_bytes statistic).
+  size_t recordBytes() const {
+    return Steps.size() * sizeof(StepRecord) +
+           Uses.size() * sizeof(UseRecord) + Defs.size() * sizeof(DefRecord);
+  }
 
   /// Output values in emission order (the observable behaviour).
   std::vector<int64_t> outputValues() const {

@@ -78,9 +78,9 @@ std::string eoe::interp::serializeTrace(const ExecutionTrace &Trace) {
     else
       OS << Step.CdParent;
     OS << ' ' << Step.InstanceNo << ' ' << static_cast<int>(Step.BranchTaken)
-       << ' ' << Step.Value << ' ' << Step.Uses.size() << ' '
-       << Step.Defs.size() << '\n';
-    for (const UseRecord &Use : Step.Uses) {
+       << ' ' << Step.Value << ' ' << Step.NumUses << ' ' << Step.NumDefs
+       << '\n';
+    for (const UseRecord &Use : Trace.uses(Step)) {
       OS << "u " << Use.Loc.Raw << ' ';
       if (Use.Def == InvalidId)
         OS << '-';
@@ -93,7 +93,7 @@ std::string eoe::interp::serializeTrace(const ExecutionTrace &Trace) {
         OS << Use.Var;
       OS << ' ' << Use.Value << '\n';
     }
-    for (const DefRecord &Def : Step.Defs) {
+    for (const DefRecord &Def : Trace.defs(Step)) {
       OS << "d " << Def.Loc.Raw << ' ';
       if (Def.Var == InvalidId)
         OS << '-';
@@ -173,6 +173,8 @@ eoe::interp::deserializeTrace(const std::string &Text, std::string *Error) {
   Trace.Steps.reserve(NumSteps);
   for (size_t I = 0; I < NumSteps; ++I) {
     StepRecord Step;
+    Step.UseBegin = static_cast<uint32_t>(Trace.Uses.size());
+    Step.DefBegin = static_cast<uint32_t>(Trace.Defs.size());
     int Branch = 0;
     size_t NumUses = 0, NumDefs = 0;
     if (!(IS >> Word) || Word != "s" || !readIdx(IS, Step.Stmt) ||
@@ -195,7 +197,7 @@ eoe::interp::deserializeTrace(const std::string &Text, std::string *Error) {
         fail(Error, "bad use record in step " + std::to_string(I));
         return std::nullopt;
       }
-      Step.Uses.push_back(Use);
+      Trace.Uses.push_back(Use);
     }
     for (size_t D = 0; D < NumDefs; ++D) {
       DefRecord Def;
@@ -204,9 +206,11 @@ eoe::interp::deserializeTrace(const std::string &Text, std::string *Error) {
         fail(Error, "bad def record in step " + std::to_string(I));
         return std::nullopt;
       }
-      Step.Defs.push_back(Def);
+      Trace.Defs.push_back(Def);
     }
-    Trace.Steps.push_back(std::move(Step));
+    Step.NumUses = static_cast<uint32_t>(NumUses);
+    Step.NumDefs = static_cast<uint32_t>(NumDefs);
+    Trace.Steps.push_back(Step);
   }
 
   size_t NumOutputs = 0;
@@ -237,7 +241,7 @@ eoe::interp::deserializeTrace(const std::string &Text, std::string *Error) {
   // Use records may reference defining instances *later* in the trace
   // (call-site reads of return values), so validate them at the end.
   for (size_t I = 0; I < Trace.Steps.size(); ++I)
-    for (const UseRecord &Use : Trace.Steps[I].Uses)
+    for (const UseRecord &Use : Trace.uses(static_cast<TraceIdx>(I)))
       if (Use.Def != InvalidId && Use.Def >= Trace.Steps.size()) {
         fail(Error, "step " + std::to_string(I) + " dangling def index");
         return std::nullopt;

@@ -22,7 +22,7 @@ namespace {
 /// True for the instances the print rule of ConfidenceAnalysis::verdict
 /// judges by the definitions they read.
 bool isPrintVerdict(const lang::Program &Prog, const StepRecord &Step) {
-  return Step.Defs.empty() && !Step.Uses.empty() &&
+  return Step.NumDefs == 0 && Step.NumUses != 0 &&
          Prog.statement(Step.Stmt)->kind() == lang::Stmt::Kind::Print;
 }
 
@@ -38,11 +38,11 @@ ConfidenceAnalysis::ConfidenceAnalysis(const lang::Program &Prog,
   DefBegin.push_back(0);
   for (TraceIdx I = 0; I < T.size(); ++I)
     DefBegin.push_back(DefBegin.back() +
-                       static_cast<uint32_t>(T.step(I).Defs.size()));
+                       T.step(I).NumDefs);
   for (TraceIdx I = 0; I < T.size(); ++I) {
     if (!isPrintVerdict(Prog, T.step(I)))
       continue;
-    for (const UseRecord &Use : T.step(I).Uses) {
+    for (const UseRecord &Use : T.uses(I)) {
       uint32_t Slot = defSlot(Use.Def, Use.Loc.Raw);
       if (Slot != NoSlot)
         PrintReaders.Pairs.push_back({Slot, I});
@@ -145,10 +145,10 @@ const lang::Expr *rootExprForDef(const lang::Program &Prog,
   size_t Expected = HasOwnDef ? 1 : 0;
   for (const lang::CallExpr *Call : Calls)
     Expected += Call->args().size();
-  if (Expected != Step.Defs.size()) {
+  if (Expected != Step.NumDefs) {
     // Short-circuit skipped some call: fall back to trusting only the
     // final (own) definition.
-    if (HasOwnDef && DefIdx == Step.Defs.size() - 1)
+    if (HasOwnDef && DefIdx + 1 == Step.NumDefs)
       return Own;
     return nullptr;
   }
@@ -168,7 +168,7 @@ uint32_t ConfidenceAnalysis::defSlot(TraceIdx Def, uint64_t LocRaw) const {
   if (Def == InvalidId)
     return NoSlot;
   // A location an instance writes twice is one fact: the first slot.
-  const std::vector<DefRecord> &Defs = G.trace().step(Def).Defs;
+  std::span<const DefRecord> Defs = G.trace().defs(Def);
   for (size_t K = 0; K < Defs.size(); ++K)
     if (Defs[K].Loc.Raw == LocRaw)
       return DefBegin[Def] + static_cast<uint32_t>(K);
@@ -201,7 +201,7 @@ void ConfidenceAnalysis::markDefCorrect(TraceIdx Def, uint64_t LocRaw,
 void ConfidenceAnalysis::seedBenign(TraceIdx B, PropagationWork &Work,
                                     std::vector<TraceIdx> *Affected) {
   // A user-declared benign instance's definitions carry correct values.
-  for (const DefRecord &D : G.trace().step(B).Defs)
+  for (const DefRecord &D : G.trace().defs(B))
     markDefCorrect(B, D.Loc.Raw, Work, Affected);
 }
 
@@ -213,7 +213,7 @@ void ConfidenceAnalysis::propagate(PropagationWork &Work,
   while (!Work.empty()) {
     auto [I, Root] = Work.back();
     Work.pop_back();
-    for (const UseRecord &Use : T.step(I).Uses)
+    for (const UseRecord &Use : T.uses(I))
       if (exprContains(Root, Use.LoadExpr) &&
           invertiblePath(Root, Use.LoadExpr))
         markDefCorrect(Use.Def, Use.Loc.Raw, Work, Affected);
@@ -225,9 +225,10 @@ bool ConfidenceAnalysis::verdict(TraceIdx I) const {
     return false;
   if (UserBenign[I])
     return true;
-  const StepRecord &Step = G.trace().step(I);
-  if (!Step.Defs.empty())
-    return defCorrect(I, Step.Defs.back().Loc.Raw);
+  const ExecutionTrace &T = G.trace();
+  const StepRecord &Step = T.step(I);
+  if (Step.NumDefs != 0)
+    return defCorrect(I, T.defs(Step).back().Loc.Raw);
   // Print instances: the emitted values ARE the used values, so a print
   // whose observed values are all verified is correct. The same
   // inference is deliberately NOT applied to predicates: a predicate can
@@ -237,7 +238,7 @@ bool ConfidenceAnalysis::verdict(TraceIdx I) const {
   // pruned via user marks or the Figure 5 implicit-dependent rule.
   if (!isPrintVerdict(Prog, Step))
     return false;
-  for (const UseRecord &Use : Step.Uses)
+  for (const UseRecord &Use : T.uses(Step))
     if (!defCorrect(Use.Def, Use.Loc.Raw))
       return false;
   return true;
@@ -276,7 +277,7 @@ void ConfidenceAnalysis::inferCorrectValues() {
     const OutputEvent &E = T.Outputs.at(O);
     const auto *P = cast<lang::PrintStmt>(Prog.statement(T.step(E.Step).Stmt));
     const lang::Expr *Root = P->args().at(E.ArgNo);
-    for (const UseRecord &Use : T.step(E.Step).Uses)
+    for (const UseRecord &Use : T.uses(E.Step))
       if (exprContains(Root, Use.LoadExpr) &&
           invertiblePath(Root, Use.LoadExpr))
         markDefCorrect(Use.Def, Use.Loc.Raw, Work, nullptr);

@@ -35,7 +35,7 @@ eoe::slicing::computeRelevantSlice(const ddg::DepGraph &G,
     Work.pop_front();
     const StepRecord &Step = T.step(I);
     Visit(Step.CdParent);
-    for (const UseRecord &Use : Step.Uses) {
+    for (const UseRecord &Use : T.uses(Step)) {
       Visit(Use.Def);
       // Potential dependences: every qualifying predicate instance, not
       // just one per static predicate -- this is what makes relevant

@@ -180,11 +180,9 @@ const char *commonOptionsHelp() {
       "  --switched-cache=MB|off\n"
       "                        switched-run snapshot cache: capture\n"
       "                        divergence-keyed snapshots past the switch\n"
-      "                        point, resume deeper switched runs from\n"
-      "                        them, and splice the original trace's\n"
-      "                        suffix once a switched run reconverges\n"
-      "                        (default 64 MiB; off = always interpret\n"
-      "                        the full switched run)\n"
+      "                        point and resume deeper switched runs\n"
+      "                        from them (default 64 MiB; off = always\n"
+      "                        interpret the full switched run)\n"
       "  --checkpoint-dir=DIR  persistent checkpoint cache: load\n"
       "                        input-independent snapshots for this\n"
       "                        program from DIR on start and write them\n"

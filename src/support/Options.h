@@ -79,10 +79,9 @@ struct ReuseOptions {
   /// age-out, then oldest-mtime eviction). 0 = unlimited.
   size_t CheckpointDirCapBytes = 0;
   /// Switched-run snapshot cache budget in bytes: capture
-  /// divergence-keyed snapshots past the switch point, resume deeper
-  /// switched runs from them, and splice the original trace's suffix
-  /// once a switched run reconverges. 0 = always interpret the full
-  /// switched run.
+  /// divergence-keyed snapshots past the switch point and resume deeper
+  /// switched runs from them. 0 = always interpret the full switched
+  /// run.
   size_t SwitchedCacheBytes = interp::DefaultSwitchedCacheBytes;
   /// Maximum decisions per perturbation chain (1 = chaining off).
   unsigned ChainDepth = DefaultChainDepth;

@@ -114,7 +114,7 @@ std::string viz::depGraphToDot(const lang::Program &Prog,
   for (TraceIdx I = 0; I < T.size(); ++I) {
     if (!Included(I))
       continue;
-    for (const interp::UseRecord &Use : T.step(I).Uses)
+    for (const interp::UseRecord &Use : T.uses(I))
       if (Use.Def != InvalidId && Included(Use.Def))
         OS << "  i" << I << " -> i" << Use.Def << ";\n";
     if (T.step(I).CdParent != InvalidId && Included(T.step(I).CdParent))

@@ -75,8 +75,8 @@ TEST(AlignerTest, Figure2MatchFoundAcrossLoopNoise) {
   EXPECT_EQ(EP.step(R.Matched).Stmt, S.stmtAtLine(23));
   EXPECT_NE(R.Matched, U) << "indices shift, matching is non-trivial";
   // The matched instance now reads x = 42 defined inside the P-branch.
-  ASSERT_EQ(EP.step(R.Matched).Uses.size(), 1u);
-  EXPECT_EQ(EP.step(R.Matched).Uses[0].Value, 42);
+  ASSERT_EQ(EP.uses(R.Matched).size(), 1u);
+  EXPECT_EQ(EP.uses(R.Matched)[0].Value, 42);
 }
 
 TEST(AlignerTest, Figure2Execution3HasNoMatch) {

@@ -162,8 +162,8 @@ TEST(ChainSearchTest, ChainSearchFindsTheChain) {
   TraceIdx U = S.instanceAtLine(T, 13);
   ASSERT_NE(Q, InvalidId);
   ASSERT_NE(U, InvalidId);
-  ASSERT_FALSE(T.step(U).Uses.empty());
-  ExprId Load = T.step(U).Uses.front().LoadExpr;
+  ASSERT_FALSE(T.uses(U).empty());
+  ExprId Load = T.uses(U).front().LoadExpr;
 
   // Seed the single-switch cache the way locateFault's verdict pass does.
   EXPECT_EQ(Verifier.verify(Q, U, Load), DepVerdict::NotImplicit);

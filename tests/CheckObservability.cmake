@@ -39,13 +39,12 @@ endif()
 foreach(Key
     "\"interp\"" "\"align\"" "\"verify\"" "\"locate\"" "\"slicing\""
     "\"verifications\"" "\"reexecutions\"" "\"ckpt.hits\"" "\"ckpt.misses\""
-    "\"ckpt.restore_time\"" "\"ckpt.delta_encoded\"" "\"ckpt.keyframes\""
+    "\"splice_time\"" "\"trace_bytes\""
+    "\"ckpt.delta_encoded\"" "\"ckpt.keyframes\""
     "\"ckpt.encoded_bytes\"" "\"ckpt.raw_bytes\"" "\"ckpt.shared_hits\""
     "\"ckpt.auto_stride\"" "\"ckpt.disk_hits\"" "\"ckpt.disk_loads\""
     "\"ckpt.disk_rejects\"" "\"ckpt.disk_write_bytes\""
     "\"ckpt.switched_hits\"" "\"ckpt.switched_promotions\""
-    "\"ckpt.switched_spliced_suffix_steps\""
-    "\"ckpt.switched_reconverge_probes\""
     "\"ckpt.switched_interpreted_steps\""
     "\"chain.runs\"" "\"chain.prefix_hits\"" "\"chain.extended_steps\""
     "\"prune_time\"" "\"recompute_time\"" "\"prune_rounds\""

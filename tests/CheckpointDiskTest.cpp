@@ -214,6 +214,17 @@ TEST(CheckpointDiskTest, CorruptedImagesAreRejected) {
   // Trailing garbage after a valid image.
   std::string Padded = Bytes + std::string(16, '\0');
   EXPECT_FALSE(deserializeCheckpoints(Padded, *S.Prog, S.Hash, kMaxSteps));
+
+  // A checksum-valid image whose innermost frame names a pending call
+  // record at the snapshot's own index: a resume would write it outside
+  // the spliced prefix.
+  auto Bad = std::make_shared<Checkpoint>(*S.Snaps.front());
+  Bad->Frames.back().PendingRec = Bad->Index;
+  std::string Err;
+  EXPECT_FALSE(deserializeCheckpoints(
+      serializeCheckpoints({Bad}, *S.Prog, S.Hash, kMaxSteps), *S.Prog,
+      S.Hash, kMaxSteps, &Err));
+  EXPECT_EQ(Err, "pending call record outside the snapshot's prefix");
 }
 
 // The validity key: a cache written for another program revision (hash)

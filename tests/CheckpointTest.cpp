@@ -58,12 +58,13 @@ void expectSameTrace(const ExecutionTrace &Full, const ExecutionTrace &Resumed,
   EXPECT_EQ(Full.FirstInputStep, Resumed.FirstInputStep)
       << "seed " << Seed << " pred " << P;
   EXPECT_EQ(Full.Outputs, Resumed.Outputs) << "seed " << Seed << " pred " << P;
-  // Step records carry the Uses/Defs lists, so equality here covers the
-  // dependence edges the verifier derives from the switched run.
+  // sameStep compares each step's use and def sequences too, so this
+  // covers the dependence edges the verifier derives from the switched
+  // run.
   ASSERT_EQ(Full.Steps.size(), Resumed.Steps.size())
       << "seed " << Seed << " pred " << P;
   for (TraceIdx I = 0; I < Full.Steps.size(); ++I)
-    ASSERT_EQ(Full.Steps[I], Resumed.Steps[I])
+    ASSERT_TRUE(Full.sameStep(I, Resumed, I))
         << "seed " << Seed << " pred " << P << " step " << I;
 }
 
@@ -206,6 +207,60 @@ TEST(CheckpointTest, DirtyCallSitesAreSkipped) {
     ExecutionTrace FromCkpt = S.Interp->runFrom(*CP, E, {}, ResumeOpts, Ctx);
     expectSameTrace(Full, FromCkpt, 0, P);
   }
+}
+
+// Snapshots deep in a recursion hold one open call record per suspended
+// frame. Resume must reopen them innermost last, each with the uses and
+// defs it had recorded, so that every level gains its return-value read
+// and its own definition in the right record as the recursion unwinds.
+TEST(CheckpointTest, NestedPendingCallsResumeIdentically) {
+  const char *Src = "fn down(n) {\n"         // 1
+                    "  var r = n;\n"         // 2
+                    "  if (n > 0) {\n"       // 3
+                    "    r = down(n - 1);\n" // 4
+                    "  }\n"                  // 5
+                    "  return r + n;\n"      // 6
+                    "}\n"                    // 7
+                    "fn main() {\n"          // 8
+                    "  var i = 0;\n"         // 9
+                    "  var acc = 0;\n"       // 10
+                    "  while (i < 5) {\n"    // 11
+                    "    acc = down(i);\n"   // 12
+                    "    i = i + 1;\n"       // 13
+                    "  }\n"                  // 14
+                    "  print(acc);\n"        // 15
+                    "}\n";                   // 16
+  Session S(Src);
+  ASSERT_TRUE(S.valid());
+  ExecutionTrace E = S.run();
+  std::vector<TraceIdx> Preds = predicateInstances(E);
+  CheckpointStore Store(64ull << 20);
+  CheckpointPlan Plan;
+  Plan.Store = &Store;
+  Plan.Sites = Preds;
+  Interpreter::Options Opts;
+  Opts.MaxSteps = kBudget;
+  Opts.Checkpoints = &Plan;
+  S.Interp->run({}, Opts);
+  ASSERT_EQ(Plan.Collected, Preds.size()) << "every call here is clean";
+
+  ExecContext Ctx;
+  size_t Deepest = 0;
+  for (TraceIdx P : Preds) {
+    std::shared_ptr<const Checkpoint> CP = Store.nearest(P);
+    ASSERT_TRUE(CP && CP->Index == P);
+    Deepest = std::max(Deepest, CP->Frames.size());
+    Interpreter::Options Plain;
+    Plain.MaxSteps = kBudget;
+    expectSameTrace(E, S.Interp->runFrom(*CP, E, {}, Plain, Ctx), 0, P);
+    const StepRecord &Step = E.step(P);
+    SwitchSpec Spec{Step.Stmt, Step.InstanceNo};
+    Interpreter::Options Switched = Plain;
+    Switched.Switch = Spec;
+    expectSameTrace(S.Interp->runSwitched({}, Spec, kBudget),
+                    S.Interp->runFrom(*CP, E, {}, Switched, Ctx), 0, P);
+  }
+  EXPECT_EQ(Deepest, 6u) << "main plus five nested down() frames";
 }
 
 // The LRU budget: a store too small for everything keeps the most

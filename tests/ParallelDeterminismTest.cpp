@@ -210,12 +210,13 @@ const char *const InvariantCounterKeys[] = {
     "verify.ckpt.disk_hits", "verify.ckpt.disk_loads",
     "verify.ckpt.disk_rejects", "verify.ckpt.disk_write_bytes",
     // The switched-run cache resolves once per distinct predicate under
-    // the run cell's call_once, and capture/probe/splice work is a pure
+    // the run cell's call_once, and capture/splice work is a pure
     // function of each (session, predicate) -- invariant like ckpt.hits.
     "verify.ckpt.switched_hits", "verify.ckpt.switched_promotions",
-    "verify.ckpt.switched_spliced_suffix_steps",
-    "verify.ckpt.switched_reconverge_probes",
-    "verify.ckpt.switched_interpreted_steps", "interp.spliced_suffix_steps",
+    "verify.ckpt.switched_interpreted_steps",
+    // Element counts of every traced run's step, use and def arrays: a
+    // function of the runs alone, whichever thread executes them.
+    "interp.trace_bytes",
     "align.aligners", "align.queries", "align.matched",
     "align.prefix_hits", "align.regions_walked",
     "align.no_match.region_ended_early", "align.no_match.branch_diverged",
@@ -238,8 +239,8 @@ const char *const InvariantCounterKeys[] = {
 };
 
 /// Two locate sessions around a SwitchedRunStore seal(), so the second
-/// session's switched runs actually resume from staged snapshots and
-/// splice reconvergent suffixes. Returns both outcomes. CacheBytes 0 is
+/// session's switched runs actually resume from staged snapshots.
+/// Returns both outcomes. CacheBytes 0 is
 /// the reference configuration (no store wired, full interpretation).
 std::vector<LocateOutcome> locateTwiceCached(const PreparedFault &F,
                                              unsigned Threads,

@@ -32,7 +32,7 @@ TEST(ProfilerTest, UnionGraphAccumulatesAcrossRuns) {
   // Find the load expression of x at the print.
   ExecutionTrace T = S.run({1});
   TraceIdx Print = S.instanceAtLine(T, 7);
-  ExprId Load = T.step(Print).Uses[0].LoadExpr;
+  ExprId Load = T.uses(Print)[0].LoadExpr;
 
   Profile OnlyFalse = profileTestSuite(*S.Interp, *S.Prog, {{0}});
   EXPECT_TRUE(OnlyFalse.UnionDeps.contains(S.stmtAtLine(3), Load));

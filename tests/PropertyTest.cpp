@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace eoe;
 using namespace eoe::interp;
 using namespace eoe::test;
@@ -55,9 +57,9 @@ TEST_P(RandomProgramProperty, ReplayIsDeterministic) {
     EXPECT_EQ(T.step(I).Stmt, U.step(I).Stmt);
     EXPECT_EQ(T.step(I).Value, U.step(I).Value);
     EXPECT_EQ(T.step(I).CdParent, U.step(I).CdParent);
-    ASSERT_EQ(T.step(I).Uses.size(), U.step(I).Uses.size());
-    for (size_t K = 0; K < T.step(I).Uses.size(); ++K)
-      EXPECT_EQ(T.step(I).Uses[K].Def, U.step(I).Uses[K].Def);
+    ASSERT_EQ(T.uses(I).size(), U.uses(I).size());
+    for (size_t K = 0; K < T.uses(I).size(); ++K)
+      EXPECT_EQ(T.uses(I)[K].Def, U.uses(I)[K].Def);
   }
   EXPECT_EQ(T.outputValues(), U.outputValues());
 }
@@ -79,7 +81,7 @@ TEST_P(RandomProgramProperty, RegionForestIsWellFormed) {
     if (P != InvalidId) {
       EXPECT_LT(P, I) << "parents precede children";
       EXPECT_TRUE(T.step(P).isPredicateInstance() ||
-                  !T.step(P).Uses.empty() || !T.step(P).Defs.empty() ||
+                  !T.uses(P).empty() || !T.defs(P).empty() ||
                   true); // parent is a real instance
       EXPECT_TRUE(Tree.inRegion(I, P));
     }
@@ -111,7 +113,7 @@ TEST_P(RandomProgramProperty, BackwardSlicesAreDependenceClosed) {
   for (TraceIdx I = 0; I < T.size(); ++I) {
     if (!Member[I])
       continue;
-    for (const UseRecord &Use : T.step(I).Uses) {
+    for (const UseRecord &Use : T.uses(I)) {
       if (Use.Def != InvalidId) {
         EXPECT_TRUE(Member[Use.Def]) << "data dep escapes the slice";
       }
@@ -121,6 +123,76 @@ TEST_P(RandomProgramProperty, BackwardSlicesAreDependenceClosed) {
           << "control dep escapes the slice";
     }
   }
+}
+
+// The slicing laws: backward and forward closure are each extensive,
+// monotone and idempotent, and they are adjoint -- I lies in
+// backward({J}) exactly when J lies in forward({I}) (the Galois-connection
+// view of slicing in Perera et al., "Causally consistent dynamic
+// slicing", and Ricciotti et al., "Imperative functional programs that
+// explain their work"). Checked on the plain dependence graph and again
+// after adding implicit edges, each from a later instance to an earlier
+// predicate instance as verified edges run.
+TEST_P(RandomProgramProperty, ClosuresObeySlicingLaws) {
+  ddg::DepGraph G(T);
+  const ddg::DepGraph::ClosureOptions All;
+  std::mt19937_64 Rng(GetParam());
+  auto Pick = [&] { return static_cast<TraceIdx>(Rng() % T.size()); };
+  auto CheckLaws = [&](const char *Graph) {
+    for (bool Backward : {true, false}) {
+      const char *Dir = Backward ? "backward" : "forward";
+      auto Close = [&](const std::vector<TraceIdx> &Seeds) {
+        return Backward ? G.backwardClosure(Seeds, All)
+                        : G.forwardClosure(Seeds, All);
+      };
+      for (int Trial = 0; Trial < 8; ++Trial) {
+        std::vector<TraceIdx> A{Pick(), Pick()};
+        std::vector<TraceIdx> B = A;
+        B.push_back(Pick());
+        std::vector<bool> CA = Close(A), CB = Close(B);
+        for (TraceIdx S : A)
+          EXPECT_TRUE(CA[S]) << Dir << " closure not extensive, " << Graph;
+        std::vector<TraceIdx> Closed;
+        for (TraceIdx I = 0; I < T.size(); ++I) {
+          if (!CA[I])
+            continue;
+          Closed.push_back(I);
+          EXPECT_TRUE(CB[I]) << Dir << " closure not monotone, " << Graph;
+        }
+        EXPECT_EQ(Close(Closed), CA)
+            << Dir << " closure not idempotent, " << Graph;
+      }
+    }
+    std::vector<std::vector<bool>> Bwd, Fwd;
+    for (TraceIdx I = 0; I < T.size(); ++I) {
+      Bwd.push_back(G.backwardClosure({I}, All));
+      Fwd.push_back(G.forwardClosure({I}, All));
+    }
+    size_t Violations = 0;
+    for (TraceIdx I = 0; I < T.size(); ++I)
+      for (TraceIdx J = 0; J < T.size(); ++J)
+        if (Bwd[J][I] != Fwd[I][J] && Violations++ == 0)
+          ADD_FAILURE() << "not adjoint, " << Graph << ": " << I
+                        << (Bwd[J][I] ? " in" : " not in") << " backward({"
+                        << J << "}) but " << J
+                        << (Fwd[I][J] ? " in" : " not in") << " forward({"
+                        << I << "})";
+    EXPECT_EQ(Violations, 0u);
+  };
+
+  CheckLaws("no implicit edges");
+  std::vector<TraceIdx> Preds;
+  for (TraceIdx I = 0; I + 1 < T.size(); ++I)
+    if (T.step(I).isPredicateInstance())
+      Preds.push_back(I);
+  if (Preds.empty())
+    GTEST_SKIP() << "no predicate instance to hang an implicit edge on";
+  for (int E = 0; E < 6; ++E) {
+    TraceIdx P = Preds[Rng() % Preds.size()];
+    TraceIdx U = P + 1 + static_cast<TraceIdx>(Rng() % (T.size() - P - 1));
+    G.addImplicitEdge(U, P, /*Strong=*/Rng() % 2 == 0);
+  }
+  CheckLaws("with implicit edges");
 }
 
 TEST_P(RandomProgramProperty, DynamicSliceIsSubsetOfRelevantSlice) {
@@ -235,7 +307,7 @@ TEST_P(RandomProgramProperty, PotentialDepsSatisfyDefinitionOne) {
   // of a sample of uses.
   size_t Checked = 0;
   for (TraceIdx I = 0; I < T.size() && Checked < 25; ++I) {
-    for (const UseRecord &Use : T.step(I).Uses) {
+    for (const UseRecord &Use : T.uses(I)) {
       if (!isValidId(Use.Var))
         continue;
       ++Checked;

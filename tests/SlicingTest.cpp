@@ -105,7 +105,7 @@ TEST(PotentialDepsTest, Figure1PDSetsMatchThePaper) {
   // PD(flags@S6) = { S4 }: the use of flags at line 14.
   TraceIdx S6 = F.S.instanceAtLine(F.T, 14);
   const UseRecord *FlagsUse = nullptr;
-  for (const UseRecord &U : F.T.step(S6).Uses)
+  for (const UseRecord &U : F.T.uses(S6))
     if (F.S.Prog->variable(U.Var).Name == "flags")
       FlagsUse = &U;
   ASSERT_NE(FlagsUse, nullptr);
@@ -116,8 +116,8 @@ TEST(PotentialDepsTest, Figure1PDSetsMatchThePaper) {
   // PD(outbuf[1]@S10) = { S7 }: the conservative false candidate the
   // paper blames on static analysis (the S8 store may alias outbuf[1]).
   TraceIdx S10 = F.S.instanceAtLine(F.T, 21);
-  ASSERT_EQ(F.T.step(S10).Uses.size(), 1u);
-  std::vector<TraceIdx> PDOut = PD.compute(S10, F.T.step(S10).Uses[0], false);
+  ASSERT_EQ(F.T.uses(S10).size(), 1u);
+  std::vector<TraceIdx> PDOut = PD.compute(S10, F.T.uses(S10)[0], false);
   ASSERT_EQ(PDOut.size(), 1u);
   EXPECT_EQ(F.T.step(PDOut[0]).Stmt, F.S.stmtAtLine(16)); // S7
 }
@@ -139,7 +139,7 @@ TEST(PotentialDepsTest, ConditionIIIExcludesKilledBranchDefs) {
   ExecutionTrace T = S.run();
   PotentialDepAnalyzer PD(*S.SA, T);
   TraceIdx Print = S.instanceAtLine(T, 8);
-  EXPECT_TRUE(PD.compute(Print, T.step(Print).Uses[0], false).empty());
+  EXPECT_TRUE(PD.compute(Print, T.uses(Print)[0], false).empty());
 }
 
 TEST(PotentialDepsTest, WithoutTheKillThePredicateQualifies) {
@@ -156,7 +156,7 @@ TEST(PotentialDepsTest, WithoutTheKillThePredicateQualifies) {
   ExecutionTrace T = S.run();
   PotentialDepAnalyzer PD(*S.SA, T);
   TraceIdx Print = S.instanceAtLine(T, 7);
-  std::vector<TraceIdx> Out = PD.compute(Print, T.step(Print).Uses[0], false);
+  std::vector<TraceIdx> Out = PD.compute(Print, T.uses(Print)[0], false);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_EQ(T.step(Out[0]).Stmt, S.stmtAtLine(4));
 }
@@ -175,7 +175,7 @@ TEST(PotentialDepsTest, ConditionIIExcludesControlAncestors) {
   ExecutionTrace T = S.run();
   PotentialDepAnalyzer PD(*S.SA, T);
   TraceIdx Print = S.instanceAtLine(T, 6);
-  EXPECT_TRUE(PD.compute(Print, T.step(Print).Uses[0], false).empty());
+  EXPECT_TRUE(PD.compute(Print, T.uses(Print)[0], false).empty());
 }
 
 TEST(PotentialDepsTest, LoopsYieldOneInstancePerIterationUnlessDeduped) {
@@ -195,11 +195,11 @@ TEST(PotentialDepsTest, LoopsYieldOneInstancePerIterationUnlessDeduped) {
   ExecutionTrace T = S.run();
   PotentialDepAnalyzer PD(*S.SA, T);
   TraceIdx Print = S.instanceAtLine(T, 10);
-  std::vector<TraceIdx> All = PD.compute(Print, T.step(Print).Uses[0], false);
+  std::vector<TraceIdx> All = PD.compute(Print, T.uses(Print)[0], false);
   // Every iteration's if qualifies, plus the final (false-taking) while
   // test: switching it would run one more iteration containing the def.
   EXPECT_EQ(All.size(), 11u);
-  std::vector<TraceIdx> One = PD.compute(Print, T.step(Print).Uses[0], true);
+  std::vector<TraceIdx> One = PD.compute(Print, T.uses(Print)[0], true);
   ASSERT_EQ(One.size(), 2u) << "one instance per static predicate";
   EXPECT_EQ(One[0], All[0]) << "dedup keeps the closest instance";
 }
@@ -218,7 +218,7 @@ TEST(PotentialDepsTest, UnionBackendRequiresAnExercisedFlow) {
   ExecutionTrace T = S.run({0}); // failing-style run: branch untaken
 
   TraceIdx Print = S.instanceAtLine(T, 7);
-  const UseRecord &Use = T.step(Print).Uses[0];
+  const UseRecord &Use = T.uses(Print)[0];
 
   // Profile that never took the branch: the union graph lacks the flow.
   Profile Cold = profileTestSuite(*S.Interp, *S.Prog, {{0}, {0}});
@@ -298,8 +298,8 @@ TEST(InvertibilityTest, AddSubNegChainsAreInvertible) {
   ASSERT_NE(DefB, InvalidId);
   const lang::Expr *Root = valueRoot(S.Prog->statement(T.step(DefB).Stmt));
   ASSERT_NE(Root, nullptr);
-  ASSERT_EQ(T.step(DefB).Uses.size(), 1u);
-  EXPECT_TRUE(invertiblePath(Root, T.step(DefB).Uses[0].LoadExpr));
+  ASSERT_EQ(T.uses(DefB).size(), 1u);
+  EXPECT_TRUE(invertiblePath(Root, T.uses(DefB)[0].LoadExpr));
 }
 
 TEST(InvertibilityTest, ManyToOneOpsAreNot) {
@@ -320,8 +320,8 @@ TEST(InvertibilityTest, ManyToOneOpsAreNot) {
     ASSERT_NE(I, InvalidId);
     const lang::Expr *Root = valueRoot(S.Prog->statement(T.step(I).Stmt));
     ASSERT_NE(Root, nullptr);
-    ASSERT_EQ(T.step(I).Uses.size(), 1u);
-    EXPECT_EQ(invertiblePath(Root, T.step(I).Uses[0].LoadExpr), Expect)
+    ASSERT_EQ(T.uses(I).size(), 1u);
+    EXPECT_EQ(invertiblePath(Root, T.uses(I)[0].LoadExpr), Expect)
         << "line " << Line;
   };
   CheckLine(3, false); // %

@@ -54,7 +54,7 @@ TEST(StressTest, AlignmentAcrossTwentyThousandNestedRegions) {
   align::AlignResult R = A.match(U);
   ASSERT_TRUE(R.found());
   EXPECT_EQ(EP.step(R.Matched).Stmt, S.stmtAtLine(13));
-  EXPECT_EQ(EP.step(R.Matched).Uses[0].Value, 2) << "reads the new def";
+  EXPECT_EQ(EP.uses(R.Matched)[0].Value, 2) << "reads the new def";
 
   // A point deep inside the loop aligns too.
   TraceIdx Mid = S.instanceAtLine(T, 10, 15000);

@@ -141,7 +141,7 @@ constexpr const char *StressSrc = "fn main() {\n"
 /// Finds the load of variable \p Name among the uses at instance \p I.
 ExprId loadOfVar(const Session &S, const ExecutionTrace &T, TraceIdx I,
                  const std::string &Name) {
-  for (const UseRecord &U : T.step(I).Uses)
+  for (const UseRecord &U : T.uses(I))
     if (isValidId(U.Var) && S.Prog->variable(U.Var).Name == Name)
       return U.LoadExpr;
   return InvalidId;

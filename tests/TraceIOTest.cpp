@@ -13,6 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
 using namespace eoe;
 using namespace eoe::interp;
 using eoe::test::Session;
@@ -48,18 +53,20 @@ void expectTracesEqual(const ExecutionTrace &A, const ExecutionTrace &B) {
     EXPECT_EQ(SA.InstanceNo, SB.InstanceNo);
     EXPECT_EQ(SA.BranchTaken, SB.BranchTaken);
     EXPECT_EQ(SA.Value, SB.Value);
-    ASSERT_EQ(SA.Uses.size(), SB.Uses.size());
-    for (size_t U = 0; U < SA.Uses.size(); ++U) {
-      EXPECT_EQ(SA.Uses[U].Loc.Raw, SB.Uses[U].Loc.Raw);
-      EXPECT_EQ(SA.Uses[U].Def, SB.Uses[U].Def);
-      EXPECT_EQ(SA.Uses[U].LoadExpr, SB.Uses[U].LoadExpr);
-      EXPECT_EQ(SA.Uses[U].Var, SB.Uses[U].Var);
-      EXPECT_EQ(SA.Uses[U].Value, SB.Uses[U].Value);
+    auto UA = A.uses(SA), UB = B.uses(SB);
+    ASSERT_EQ(UA.size(), UB.size());
+    for (size_t U = 0; U < UA.size(); ++U) {
+      EXPECT_EQ(UA[U].Loc.Raw, UB[U].Loc.Raw);
+      EXPECT_EQ(UA[U].Def, UB[U].Def);
+      EXPECT_EQ(UA[U].LoadExpr, UB[U].LoadExpr);
+      EXPECT_EQ(UA[U].Var, UB[U].Var);
+      EXPECT_EQ(UA[U].Value, UB[U].Value);
     }
-    ASSERT_EQ(SA.Defs.size(), SB.Defs.size());
-    for (size_t D = 0; D < SA.Defs.size(); ++D) {
-      EXPECT_EQ(SA.Defs[D].Loc.Raw, SB.Defs[D].Loc.Raw);
-      EXPECT_EQ(SA.Defs[D].Value, SB.Defs[D].Value);
+    auto DA = A.defs(SA), DB = B.defs(SB);
+    ASSERT_EQ(DA.size(), DB.size());
+    for (size_t D = 0; D < DA.size(); ++D) {
+      EXPECT_EQ(DA[D].Loc.Raw, DB[D].Loc.Raw);
+      EXPECT_EQ(DA[D].Value, DB[D].Value);
     }
   }
   ASSERT_EQ(A.Outputs.size(), B.Outputs.size());
@@ -178,6 +185,52 @@ TEST(TraceIOTest, RejectsMalformedFirstInputRecords) {
                   "\nfirstinput " + std::to_string(T.Steps.size()));
   EXPECT_FALSE(deserializeTrace(PastEnd, &Error).has_value());
   EXPECT_EQ(Error, "firstinput dangling step index");
+}
+
+// The committed golden fixture pins the version-2 text byte for byte.
+// The round-trip tests above still pass when writer and reader drift
+// together; this one does not. Its trace holds a call statement whose
+// record gains the return-value use and its own def after the callee's
+// steps, an array store, a switched predicate and a firstinput record.
+// Any drift is a format change (run with EOE_REGEN_GOLDEN=1 to
+// regenerate, after bumping the version).
+TEST(TraceIOTest, GoldenFixtureIsByteStable) {
+  Session S("fn twice(a) {\n"
+            "var d = a + a;\n"
+            "return d;\n"
+            "}\n"
+            "fn main() {\n"
+            "var buf[3];\n"
+            "var x = input();\n"
+            "var y = twice(x);\n"
+            "buf[1] = y;\n"
+            "if (y > 100) {\n"
+            "y = 0;\n"
+            "}\n"
+            "print(y, buf[1]);\n"
+            "}\n");
+  ASSERT_TRUE(S.valid());
+  ExecutionTrace T = S.Interp->runSwitched({7}, {S.stmtAtLine(10), 1}, 1000);
+  ASSERT_NE(T.SwitchedStep, InvalidId);
+  ASSERT_NE(T.FirstInputStep, InvalidId);
+  std::string Text = serializeTrace(T);
+
+  std::filesystem::path Fixture =
+      std::filesystem::path(EOE_GOLDEN_DIR) / "trace-v2.eoetrace";
+  if (std::getenv("EOE_REGEN_GOLDEN")) {
+    std::ofstream(Fixture, std::ios::binary) << Text;
+    GTEST_SKIP() << "regenerated " << Fixture;
+  }
+  std::ifstream In(Fixture, std::ios::binary);
+  ASSERT_TRUE(In) << Fixture
+                  << " missing; run with EOE_REGEN_GOLDEN=1 to create it";
+  std::string Golden((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+  EXPECT_EQ(Golden, Text) << "TraceIO output drifted from the committed "
+                             "version-2 fixture";
+  auto Back = deserializeTrace(Golden);
+  ASSERT_TRUE(Back.has_value());
+  expectTracesEqual(T, *Back);
 }
 
 TEST(TraceIOTest, RejectsCorruptInput) {

@@ -51,11 +51,11 @@ TEST(TraceTest, DataDependenceLinksDefToUse) {
   ASSERT_NE(DefY, InvalidId);
   ASSERT_NE(Print, InvalidId);
 
-  ASSERT_EQ(T.step(DefY).Uses.size(), 1u);
-  EXPECT_EQ(T.step(DefY).Uses[0].Def, DefX);
-  EXPECT_EQ(T.step(DefY).Uses[0].Value, 5);
-  ASSERT_EQ(T.step(Print).Uses.size(), 1u);
-  EXPECT_EQ(T.step(Print).Uses[0].Def, DefY);
+  ASSERT_EQ(T.uses(DefY).size(), 1u);
+  EXPECT_EQ(T.uses(DefY)[0].Def, DefX);
+  EXPECT_EQ(T.uses(DefY)[0].Value, 5);
+  ASSERT_EQ(T.uses(Print).size(), 1u);
+  EXPECT_EQ(T.uses(Print)[0].Def, DefY);
 }
 
 TEST(TraceTest, RedefinitionKillsOldDef) {
@@ -68,7 +68,7 @@ TEST(TraceTest, RedefinitionKillsOldDef) {
   ASSERT_TRUE(S.valid());
   ExecutionTrace T = S.run();
   TraceIdx Print = S.instanceAtLine(T, 4);
-  EXPECT_EQ(T.step(Print).Uses[0].Def, S.instanceAtLine(T, 3));
+  EXPECT_EQ(T.uses(Print)[0].Def, S.instanceAtLine(T, 3));
 }
 
 TEST(TraceTest, ArrayElementsTrackedIndividually) {
@@ -83,9 +83,9 @@ TEST(TraceTest, ArrayElementsTrackedIndividually) {
   ExecutionTrace T = S.run();
   TraceIdx Print = S.instanceAtLine(T, 5);
   // Uses: the element load (index is a literal, no load for it).
-  ASSERT_EQ(T.step(Print).Uses.size(), 1u);
-  EXPECT_EQ(T.step(Print).Uses[0].Def, S.instanceAtLine(T, 4));
-  EXPECT_EQ(T.step(Print).Uses[0].Value, 20);
+  ASSERT_EQ(T.uses(Print).size(), 1u);
+  EXPECT_EQ(T.uses(Print)[0].Def, S.instanceAtLine(T, 4));
+  EXPECT_EQ(T.uses(Print)[0].Value, 20);
 }
 
 TEST(TraceTest, IndexExpressionLoadsAreUsesToo) {
@@ -100,8 +100,8 @@ TEST(TraceTest, IndexExpressionLoadsAreUsesToo) {
   ExecutionTrace T = S.run();
   TraceIdx Store = S.instanceAtLine(T, 4);
   // The store uses i (the index).
-  ASSERT_EQ(T.step(Store).Uses.size(), 1u);
-  EXPECT_EQ(T.step(Store).Uses[0].Def, S.instanceAtLine(T, 3));
+  ASSERT_EQ(T.uses(Store).size(), 1u);
+  EXPECT_EQ(T.uses(Store)[0].Def, S.instanceAtLine(T, 3));
 }
 
 TEST(TraceTest, CallLinksArgsParamsAndReturn) {
@@ -121,16 +121,16 @@ TEST(TraceTest, CallLinksArgsParamsAndReturn) {
   TraceIdx Ret = S.instanceAtLine(T, 2);
 
   // The call-site instance uses x and the callee's return value.
-  const StepRecord &Call = T.step(CallY);
-  ASSERT_EQ(Call.Uses.size(), 2u);
-  EXPECT_EQ(Call.Uses[0].Def, DefX);   // argument evaluation
-  EXPECT_EQ(Call.Uses[1].Def, Ret);    // return value
-  EXPECT_TRUE(Call.Uses[1].Loc.isRetVal());
+  auto Call = T.uses(CallY);
+  ASSERT_EQ(Call.size(), 2u);
+  EXPECT_EQ(Call[0].Def, DefX);   // argument evaluation
+  EXPECT_EQ(Call[1].Def, Ret);    // return value
+  EXPECT_TRUE(Call[1].Loc.isRetVal());
 
   // The return instance uses the parameter, defined by the call site.
-  const StepRecord &RetStep = T.step(Ret);
-  ASSERT_EQ(RetStep.Uses.size(), 1u);
-  EXPECT_EQ(RetStep.Uses[0].Def, CallY);
+  auto RetUses = T.uses(Ret);
+  ASSERT_EQ(RetUses.size(), 1u);
+  EXPECT_EQ(RetUses[0].Def, CallY);
 }
 
 TEST(TraceTest, DynamicControlParentsFormLoopNesting) {

@@ -53,7 +53,7 @@ struct NestedFixture {
   }
 
   const UseRecord *xUse(TraceIdx I) const {
-    for (const UseRecord &U : T.step(I).Uses)
+    for (const UseRecord &U : T.uses(I))
       if (isValidId(U.Var) && S.Prog->variable(U.Var).Name == "X")
         return &U;
     return nullptr;
@@ -151,7 +151,7 @@ TEST(VerifyDepPathCheckTest, EdgeCheckMissesIndirectExposure) {
   TraceIdx P = S.instanceAtLine(T, 6);
   TraceIdx Use = S.instanceAtLine(T, 13);
   ExprId Load = InvalidId;
-  for (const UseRecord &U : T.step(Use).Uses)
+  for (const UseRecord &U : T.uses(Use))
     if (isValidId(U.Var) && S.Prog->variable(U.Var).Name == "x")
       Load = U.LoadExpr;
   ASSERT_NE(Load, InvalidId);
@@ -187,7 +187,7 @@ TEST(VerifyDepPathCheckTest, BothChecksAgreeOnDirectRegionDefs) {
   V.ExpectedValue = 99;
   TraceIdx P = S.instanceAtLine(T, 4);
   TraceIdx Use = S.instanceAtLine(T, 7);
-  ExprId Load = T.step(Use).Uses[0].LoadExpr;
+  ExprId Load = T.uses(Use)[0].LoadExpr;
 
   ImplicitDepVerifier Edge(*S.Interp, T, {}, V,
                            ImplicitDepVerifier::Config());

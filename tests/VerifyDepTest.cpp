@@ -23,7 +23,7 @@ namespace {
 /// Finds the use of variable \p Name recorded at instance \p I.
 const UseRecord *useOfVar(const Session &S, const ExecutionTrace &T,
                           TraceIdx I, const std::string &Name) {
-  for (const UseRecord &U : T.step(I).Uses)
+  for (const UseRecord &U : T.uses(I))
     if (isValidId(U.Var) && S.Prog->variable(U.Var).Name == Name)
       return &U;
   return nullptr;

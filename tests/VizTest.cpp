@@ -47,8 +47,8 @@ TEST(VizTest, RegionTreeDotNestsBodyUnderPredicate) {
   std::string Dot = viz::regionTreeToDot(*S.Prog, Tree);
   TraceIdx If = S.instanceAtLine(T, 3);
   TraceIdx Print7 = S.instanceAtLine(T, 4);
-  std::string Edge =
-      "i" + std::to_string(If) + " -> i" + std::to_string(Print7);
+  std::string Edge = "i";
+  Edge += std::to_string(If) + " -> i" + std::to_string(Print7);
   EXPECT_NE(Dot.find(Edge), std::string::npos);
   EXPECT_NE(Dot.find("(T)"), std::string::npos) << "branch outcome shown";
 }
@@ -82,8 +82,8 @@ TEST(VizTest, DepGraphDotShowsAllThreeEdgeKinds) {
   EXPECT_NE(Dot.find("strong id"), std::string::npos);
   // Data edge: the if uses c.
   TraceIdx DefC = S.instanceAtLine(T, 2);
-  std::string DataEdge =
-      "i" + std::to_string(If) + " -> i" + std::to_string(DefC) + ";";
+  std::string DataEdge = "i";
+  DataEdge += std::to_string(If) + " -> i" + std::to_string(DefC) + ";";
   EXPECT_NE(Dot.find(DataEdge), std::string::npos);
 }
 

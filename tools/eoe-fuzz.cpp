@@ -10,7 +10,7 @@
 // it, and the demand-driven locator finds it. Any deviation is printed
 // with the offending seed and program for triage.
 //
-//   eoe-fuzz [--fuzz=pipeline|diskstore|switched|chain|prune]
+//   eoe-fuzz [--fuzz=pipeline|diskstore|switched|chain|prune|resume]
 //            [--seeds N] [--start S] [--verbose]
 //
 // --fuzz=diskstore targets the persistent checkpoint cache instead:
@@ -23,9 +23,9 @@
 // --fuzz=switched targets the switched-run snapshot cache: each
 // reproducing seed runs the locator three times -- cache off, cache on
 // (two sessions around a seal(), so the second actually resumes from
-// divergence-keyed snapshots and splices reconvergent suffixes), and
-// cache size-capped -- and asserts the critical predicates, counters,
-// and final pruned slice are bit-identical across all three.
+// divergence-keyed snapshots), and cache size-capped -- and asserts the
+// critical predicates, counters, and final pruned slice are
+// bit-identical across all three.
 //
 // --fuzz=chain targets the multi-switch chain search: each reproducing
 // seed runs the locator chain-off (depth 1) and chain-on (depth 2, at 1
@@ -42,6 +42,14 @@
 // with one recomputed from scratch on the same marks and pins: the
 // ranking, every instance's verdict and confidence, and that the
 // question is the one the from-scratch ranking poses.
+//
+// --fuzz=resume is the differential oracle of checkpoint resume: each
+// seed snapshots every clean predicate instance of a random program,
+// resumes from each snapshot twice -- unswitched, and with a predicate
+// at or after the snapshot switched -- and compares each resumed trace
+// with full interpretation step by step: every step's fields and its
+// use and def sequences, the outputs, the switch and first-input
+// markers, and the exit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -291,6 +299,123 @@ bool runDiskstoreSeed(uint64_t Seed, bool Verbose, DiskTally &T) {
 }
 
 //===----------------------------------------------------------------------===//
+// Resume fuzzing: a run resumed from a snapshot must equal full
+// interpretation step by step, with or without a switch past the
+// snapshot.
+//===----------------------------------------------------------------------===//
+
+struct ResumeTally {
+  size_t Generated = 0;
+  size_t Snapshots = 0;
+  size_t Resumes = 0;
+  size_t PendingCalls = 0;
+  size_t Failures = 0;
+};
+
+/// The first way \p Got (a resumed run) differs from \p Want (the same
+/// run interpreted in full), or "" when they agree: exit, exit value,
+/// switch and first-input markers, outputs, then every step's fields and
+/// its use and def sequences.
+std::string traceDifference(const interp::ExecutionTrace &Want,
+                            const interp::ExecutionTrace &Got) {
+  if (Want.Exit != Got.Exit)
+    return "exit reason";
+  if (Want.ExitValue != Got.ExitValue)
+    return "exit value";
+  if (Want.SwitchedStep != Got.SwitchedStep)
+    return "switched step";
+  if (Want.FirstInputStep != Got.FirstInputStep)
+    return "first input step";
+  if (Want.Outputs != Got.Outputs)
+    return "outputs";
+  if (Want.size() != Got.size())
+    return "length " + std::to_string(Want.size()) + " vs " +
+           std::to_string(Got.size());
+  for (TraceIdx I = 0; I < Want.size(); ++I)
+    if (!Want.sameStep(I, Got, I))
+      return "step " + std::to_string(I);
+  return "";
+}
+
+bool runResumeSeed(uint64_t Seed, bool Verbose, ResumeTally &T) {
+  gen::RandomProgramGenerator Gen(Seed);
+  auto Variant = Gen.generateOmission();
+  ++T.Generated;
+
+  DiagnosticEngine Diags;
+  auto Prog = lang::parseAndCheck(Variant.FaultySource, Diags);
+  if (!Prog) {
+    std::printf("seed %llu: GENERATED PROGRAM DOES NOT PARSE\n%s\n",
+                static_cast<unsigned long long>(Seed), Diags.str().c_str());
+    ++T.Failures;
+    return false;
+  }
+  analysis::StaticAnalysis SA(*Prog);
+  interp::Interpreter Interp(*Prog, SA);
+  // Small enough that switched loops hit the step limit quickly, so the
+  // limit path is compared too.
+  const uint64_t MaxSteps = 20'000;
+  interp::Interpreter::Options Plain;
+  Plain.MaxSteps = MaxSteps;
+  interp::ExecutionTrace E = Interp.run(Variant.Input, Plain);
+
+  // Snapshot every predicate instance; the engine skips the dirty ones.
+  std::vector<TraceIdx> Preds;
+  for (TraceIdx I = 0; I < E.size(); ++I)
+    if (E.step(I).isPredicateInstance())
+      Preds.push_back(I);
+  interp::CheckpointStore Store(interp::DefaultCheckpointMemBytes);
+  interp::CheckpointPlan Plan;
+  Plan.Sites = Preds;
+  Plan.Store = &Store;
+  interp::Interpreter::Options Collect = Plain;
+  Collect.Checkpoints = &Plan;
+  Interp.run(Variant.Input, Collect);
+
+  std::mt19937_64 Rng(Seed * 0x9E3779B97F4A7C15ull + 0x5851F42D4C957F2Dull);
+  interp::ExecContext Ctx;
+  bool Ok = true;
+  auto Check = [&](const interp::ExecutionTrace &Want,
+                   const interp::ExecutionTrace &Got, TraceIdx At,
+                   const char *What) {
+    ++T.Resumes;
+    std::string Diff = traceDifference(Want, Got);
+    if (Diff.empty())
+      return;
+    std::printf("seed %llu: %s RESUME AT STEP %u DIFFERS FROM FULL RUN "
+                "(%s)\n%s\n",
+                static_cast<unsigned long long>(Seed), What, At, Diff.c_str(),
+                Variant.FaultySource.c_str());
+    ++T.Failures;
+    Ok = false;
+  };
+  for (size_t N = 0; N < Preds.size(); ++N) {
+    std::shared_ptr<const interp::Checkpoint> CP = Store.nearest(Preds[N]);
+    if (!CP || CP->Index != Preds[N])
+      continue; // Dirty site: no snapshot here.
+    ++T.Snapshots;
+    if (CP->Frames.size() > 1)
+      ++T.PendingCalls;
+    Check(E, Interp.runFrom(*CP, E, Variant.Input, Plain, Ctx), CP->Index,
+          "UNSWITCHED");
+
+    // Switch a predicate instance at or after the snapshot.
+    TraceIdx Q = Preds[N + Rng() % (Preds.size() - N)];
+    interp::SwitchSpec Spec{E.step(Q).Stmt, E.step(Q).InstanceNo};
+    interp::Interpreter::Options Switched = Plain;
+    Switched.Switch = Spec;
+    Check(Interp.run(Variant.Input, Switched, Ctx),
+          Interp.runFrom(*CP, E, Variant.Input, Switched, Ctx), CP->Index,
+          "SWITCHED");
+  }
+  if (Verbose)
+    std::printf("seed %llu: %s (%zu predicate instances)\n",
+                static_cast<unsigned long long>(Seed), Ok ? "ok" : "FAILED",
+                Preds.size());
+  return Ok;
+}
+
+//===----------------------------------------------------------------------===//
 // Switched-cache fuzzing: the divergence-keyed snapshot cache must be
 // invisible in every result -- only the re-execution work may change.
 //===----------------------------------------------------------------------===//
@@ -299,7 +424,6 @@ struct SwitchedTally {
   size_t Generated = 0;
   size_t Masked = 0;
   size_t Hits = 0;
-  size_t Splices = 0;
   size_t Failures = 0;
 };
 
@@ -351,12 +475,9 @@ std::string locateTwice(const lang::Program &Faulty,
     core::LocateReport R = Session.locate(Oracle);
     Sig += locateSignature(Session, R);
     Store.seal();
-    if (Tally) {
+    if (Tally)
       Tally->Hits += static_cast<size_t>(
           Stats.counter("verify.ckpt.switched_hits").get());
-      Tally->Splices += static_cast<size_t>(
-          Stats.counter("verify.ckpt.switched_spliced_suffix_steps").get());
-    }
   }
   return Sig;
 }
@@ -744,7 +865,8 @@ int main(int Argc, char **Argv) {
       Mode = Argv[I] + 7;
     else {
       std::fprintf(stderr, "usage: eoe-fuzz [--fuzz=pipeline|diskstore|"
-                           "switched|chain|prune] [--seeds N] [--start S] "
+                           "switched|chain|prune|resume] [--seeds N] "
+                           "[--start S] "
                            "[--verbose]\n");
       return 2;
     }
@@ -756,9 +878,9 @@ int main(int Argc, char **Argv) {
     for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
       runSwitchedSeed(Seed, Verbose, T);
     std::printf("switched-fuzzed %zu programs in %s s: %zu masked, %zu "
-                "snapshot hits, %zu spliced steps, %zu violations\n",
+                "snapshot hits, %zu violations\n",
                 T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
-                T.Masked, T.Hits, T.Splices, T.Failures);
+                T.Masked, T.Hits, T.Failures);
     return T.Failures == 0 ? 0 : 1;
   }
   if (Mode == "chain") {
@@ -800,6 +922,23 @@ int main(int Argc, char **Argv) {
                 T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
                 T.Masked, T.Questions, T.Benign, T.Edges, T.Sanitized,
                 T.Failures);
+    return T.Failures == 0 ? 0 : 1;
+  }
+  if (Mode == "resume") {
+    ResumeTally T;
+    for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
+      runResumeSeed(Seed, Verbose, T);
+    // Snapshots inside a callee are the ones with a pending call record
+    // to restore; a run without them skips the hard case.
+    if (T.Generated > 0 && T.PendingCalls == 0) {
+      std::printf("resume fuzzing took no snapshot inside a call -- the "
+                  "pending call records are not exercised\n");
+      ++T.Failures;
+    }
+    std::printf("resume-fuzzed %zu programs in %s s: %zu snapshots (%zu "
+                "inside a call), %zu resumed runs, %zu violations\n",
+                T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
+                T.Snapshots, T.PendingCalls, T.Resumes, T.Failures);
     return T.Failures == 0 ? 0 : 1;
   }
   if (Mode == "diskstore") {
