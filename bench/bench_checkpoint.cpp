@@ -7,8 +7,8 @@
 // (docs/checkpointing.md) against the full-replay reference. The subject
 // front-loads a heavy crc loop so every candidate predicate sits past
 // 50% of the trace: full replay pays the whole prefix per switched run,
-// while the checkpointed engine snapshots once and resumes each run by
-// splicing the recorded prefix.
+// while the checkpointed engine snapshots once and resumes each run
+// past the recorded prefix, which it shares instead of re-interpreting.
 //
 // Two claims are checked:
 //  - determinism (hard assertion, any machine): reports and verified
@@ -81,7 +81,7 @@ constexpr int LoopIters = 60000;
 /// past the crc loop -- the worst case for full prefix replay and the
 /// best case for snapshot/resume. Each loop statement mixes several
 /// multiplies/mods so the interpreter's per-step execution cost is large
-/// relative to the cost of splicing that step's record.
+/// relative to the cost of a resume.
 std::string subject(bool Fixed) {
   std::string Src = "fn main() {\n";
   for (int G = 0; G < GuardCount; ++G)
@@ -439,12 +439,12 @@ int main(int Argc, char **Argv) {
       for (int Rep = 0; Rep < Reps; ++Rep) {
         support::StatsRegistry Stats;
         DebugSession::Config C;
-        C.Threads = Threads;
-        C.Locate.Checkpoints = Checkpoints;
-        C.Stats = &Stats;
+        C.Opt.Exec.Threads = Threads;
+        C.Opt.Reuse.Checkpoints = Checkpoints;
+        C.Opt.Exec.Stats = &Stats;
         if (!CheckpointDir.empty()) {
           C.SharedCheckpoints = &Shared;
-          C.Locate.CheckpointDir = CheckpointDir;
+          C.Opt.Reuse.CheckpointDir = CheckpointDir;
         }
         DebugSession Session(*Faulty, {}, Expected, {}, C);
         if (!Session.hasFailure()) {
@@ -483,7 +483,7 @@ int main(int Argc, char **Argv) {
         R.CkptStored = Counter("verify.ckpt.stored");
         R.SplicedSteps = Counter("interp.spliced_steps");
         R.AutoStride = Counter("verify.ckpt.auto_stride");
-        // Prefix copy plus state restore inside the resumed runs.
+        // The state restore inside the resumed runs.
         R.RestoreMs = TimerMs("interp.splice_time");
         R.CollectMs = TimerMs("verify.ckpt.collect_time");
       }
@@ -518,11 +518,11 @@ int main(int Argc, char **Argv) {
 
   // Wall-clock speedup (stride 1 vs off) is reported but not asserted:
   // on a loaded single-core container the off-baseline swings by 1.8x
-  // run to run, and the true quiet-machine ratio is set by how fast
-  // splicing a recorded prefix is relative to re-interpreting it --
-  // a machine property, not an algorithm property. What the subsystem
+  // run to run, and the true quiet-machine ratio is set by how fast a
+  // resume is relative to re-interpreting the prefix -- a machine
+  // property, not an algorithm property. What the subsystem
   // *guarantees* is deterministic and asserted below instead: every
-  // switched run resumes from a snapshot (no misses), and splicing
+  // switched run resumes from a snapshot (no misses), and resuming
   // skips at least half of each switched run's interpretation (the
   // subject puts every candidate past 50% of the trace).
   double Speedup1 = 0, Speedup4 = 0;
@@ -646,9 +646,9 @@ int main(int Argc, char **Argv) {
   {
     support::StatsRegistry Stats;
     DebugSession::Config C;
-    C.Threads = 1;
-    C.Locate.Checkpoints = interp::CheckpointsOff;
-    C.Stats = &Stats;
+    C.Opt.Exec.Threads = 1;
+    C.Opt.Reuse.Checkpoints = interp::CheckpointsOff;
+    C.Opt.Exec.Stats = &Stats;
     DebugSession Session(*SweepFaulty, {}, SweepExpected, {}, C);
     if (!Session.hasFailure()) {
       std::fprintf(stderr, "sweep fault did not reproduce\n");
@@ -679,14 +679,14 @@ int main(int Argc, char **Argv) {
       Row.Delta = Delta;
       support::StatsRegistry Stats;
       DebugSession::Config C;
-      C.Threads = 1;
-      C.Locate.Checkpoints = 1; // every candidate: maximal store pressure
-      C.Locate.CheckpointMemBytes = BudgetMB << 20;
-      C.Locate.CheckpointDelta = Delta;
-      C.Stats = &Stats;
+      C.Opt.Exec.Threads = 1;
+      C.Opt.Reuse.Checkpoints = 1; // every candidate: maximal store pressure
+      C.Opt.Reuse.CheckpointMemBytes = BudgetMB << 20;
+      C.Opt.Reuse.CheckpointDelta = Delta;
+      C.Opt.Exec.Stats = &Stats;
       if (!CheckpointDir.empty()) {
         C.SharedCheckpoints = &Shared;
-        C.Locate.CheckpointDir = CheckpointDir;
+        C.Opt.Reuse.CheckpointDir = CheckpointDir;
       }
       DebugSession Session(*SweepFaulty, {}, SweepExpected, {}, C);
       if (!Session.hasFailure()) {
@@ -829,11 +829,11 @@ int main(int Argc, char **Argv) {
         for (int Pass = 0; Pass < 2; ++Pass) {
           support::StatsRegistry Stats;
           DebugSession::Config C;
-          C.Threads = Threads;
-          C.Locate.Checkpoints = 1;
-          C.Stats = &Stats;
+          C.Opt.Exec.Threads = Threads;
+          C.Opt.Reuse.Checkpoints = 1;
+          C.Opt.Exec.Stats = &Stats;
           // Explicitly zero in the off rows: the config default is on.
-          C.Locate.SwitchedCacheBytes = CacheBytes;
+          C.Opt.Reuse.SwitchedCacheBytes = CacheBytes;
           if (CacheBytes > 0)
             C.SwitchedRuns = &SwStore;
           DebugSession Session(*SwFaulty, {}, SwExpected, {}, C);

@@ -74,7 +74,7 @@ int main() {
     }
     FaultRunner::Options Opts;
     Opts.ComputeSlices = false;
-    Opts.Stats = &Stats;
+    Opts.Opt.Exec.Stats = &Stats;
     ExperimentResult R = Runner.run(Opts);
     const PaperRow *P = paperRow(F.Id);
 

@@ -85,7 +85,9 @@ int main() {
   ExecutionAligner Aligner(E, EP);
   printForest(*Prog, E, Aligner.originalTree(),
               "original execution's region forest (Definition 3):");
-  printForest(*Prog, EP, Aligner.switchedTree(),
+  // The aligner indexes the switched run only from its switch point on
+  // (the runs agree before it); print the whole forest.
+  printForest(*Prog, EP, RegionTree(EP),
               "switched execution's region forest (if (P) forced true; the "
               "while loop now runs twice):");
 

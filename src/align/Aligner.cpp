@@ -7,36 +7,51 @@
 
 #include "align/Aligner.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace eoe;
 using namespace eoe::align;
 using namespace eoe::interp;
 
+/// Where the switched run's region tree starts: its switch point, or its
+/// end when no switch was applied (the aligner then never walks it).
+static TraceIdx switchedTreeStart(const ResumedTrace &EP) {
+  return EP.switchedStep() != InvalidId ? EP.switchedStep()
+                                        : static_cast<TraceIdx>(EP.size());
+}
+
+ExecutionAligner::ExecutionAligner(const ExecutionTrace &Original,
+                                   const ResumedTrace &Switched,
+                                   const RegionTree &OriginalTree,
+                                   support::StatsRegistry *Stats)
+    : E(Original), EP(Switched), TreeE(&OriginalTree),
+      Switch(Switched.switchedStep()),
+      TreeEP(Switched, switchedTreeStart(Switched)) {
+  bindStats(Stats);
+}
+
 ExecutionAligner::ExecutionAligner(const ExecutionTrace &Original,
                                    const ExecutionTrace &Switched,
-                                   support::StatsRegistry *Stats,
-                                   const RegionTree *SharedOriginalTree)
-    : E(Original), EP(Switched), TreeEP(Switched),
-      Switch(Switched.SwitchedStep) {
-  if (SharedOriginalTree) {
-    TreeE = SharedOriginalTree;
-  } else {
-    OwnedTreeE.emplace(Original);
-    TreeE = &*OwnedTreeE;
-  }
-  if (Stats) {
-    Stats->counter("align.aligners").add();
-    CQueries = &Stats->counter("align.queries");
-    CMatched = &Stats->counter("align.matched");
-    CPrefixHits = &Stats->counter("align.prefix_hits");
-    CRegionsWalked = &Stats->counter("align.regions_walked");
-    CFailEndedEarly = &Stats->counter("align.no_match.region_ended_early");
-    CFailBranchDiverged = &Stats->counter("align.no_match.branch_diverged");
-    CFailStaticMismatch = &Stats->counter("align.no_match.static_mismatch");
-    CFailSwitchNotApplied =
-        &Stats->counter("align.no_match.switch_not_applied");
-  }
+                                   support::StatsRegistry *Stats)
+    : E(Original), OwnedEP(ResumedTrace::view(Switched)), EP(*OwnedEP),
+      OwnedTreeE(std::in_place, Original), TreeE(&*OwnedTreeE),
+      Switch(Switched.SwitchedStep), TreeEP(EP, switchedTreeStart(EP)) {
+  bindStats(Stats);
+}
+
+void ExecutionAligner::bindStats(support::StatsRegistry *Stats) {
+  if (!Stats)
+    return;
+  Stats->counter("align.aligners").add();
+  CQueries = &Stats->counter("align.queries");
+  CMatched = &Stats->counter("align.matched");
+  CPrefixHits = &Stats->counter("align.prefix_hits");
+  CRegionsWalked = &Stats->counter("align.regions_walked");
+  CFailEndedEarly = &Stats->counter("align.no_match.region_ended_early");
+  CFailBranchDiverged = &Stats->counter("align.no_match.branch_diverged");
+  CFailStaticMismatch = &Stats->counter("align.no_match.static_mismatch");
+  CFailSwitchNotApplied = &Stats->counter("align.no_match.switch_not_applied");
 }
 
 AlignResult ExecutionAligner::match(TraceIdx U) const {
@@ -119,17 +134,26 @@ AlignResult ExecutionAligner::matchInsideRegion(TraceIdx R, TraceIdx U,
       return {RPrime, AlignFailure::None};
 
     std::span<const TraceIdx> Cs = TreeE->children(R);
-    std::span<const TraceIdx> CsP = TreeEP.children(RPrime);
+    // The switched run's subregions of RPrime. Below the switch point
+    // RPrime == R (the walk descends into a shared child only as itself),
+    // and the two runs agree on R's children below the switch: they are
+    // the shared Cs[0, Shared), followed by the switched run's own.
+    std::span<const TraceIdx> Own = TreeEP.children(RPrime);
+    size_t Shared = 0;
+    if (RPrime == InvalidId || RPrime < Switch)
+      Shared = std::lower_bound(Cs.begin(), Cs.end(), Switch) - Cs.begin();
 
     bool Descended = false;
     for (size_t I = 0; I < Cs.size(); ++I) {
       TraceIdx C = Cs[I];
       // Algorithm 1 lines 16/20: the switched run exhausted this
       // region's subregions before reaching the one that contains u.
-      if (I >= CsP.size())
+      if (I >= Shared + Own.size())
         return {InvalidId, AlignFailure::RegionEndedEarly};
-      TraceIdx CP = CsP[I];
-      if (E.step(C).Stmt != EP.step(CP).Stmt)
+      // A shared child is itself in the switched run.
+      TraceIdx CP = I < Shared ? C : Own[I - Shared];
+      const StepRecord &SP = I < Shared ? E.step(C) : EP.step(CP);
+      if (E.step(C).Stmt != SP.Stmt)
         return {InvalidId, AlignFailure::StaticMismatch};
 
       if (!TreeE->inRegion(U, C))
@@ -140,7 +164,7 @@ AlignResult ExecutionAligner::matchInsideRegion(TraceIdx R, TraceIdx U,
 
       // Line 23: a predicate on the path to u must take the same branch.
       if (E.step(C).isPredicateInstance() &&
-          E.step(C).BranchTaken != EP.step(CP).BranchTaken)
+          E.step(C).BranchTaken != SP.BranchTaken)
         return {InvalidId, AlignFailure::BranchDiverged};
 
       R = C; // Line 24: descend one region level.

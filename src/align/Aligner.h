@@ -21,6 +21,12 @@
 /// single-entry-multiple-exit regions failing the walk when the switched
 /// run exits a region early -- the paper's Figure 3).
 ///
+/// The same invariant keeps the switched run's region tree small: it
+/// indexes only the steps from the switch point on. A region head below
+/// the switch has the same children below the switch in both runs, so
+/// the walk takes those from the original run's tree and the rest from
+/// the switched run's.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EOE_ALIGN_ALIGNER_H
@@ -65,34 +71,27 @@ struct AlignResult {
 /// Aligns a switched execution against its original.
 class ExecutionAligner {
 public:
-  /// Both traces must outlive the aligner. \p Switched should carry a
-  /// SwitchedStep (the flipped predicate instance); aligning two
-  /// identical executions (no switch) degenerates to the identity.
-  /// When \p Stats is given, queries record their outcome mix and the
-  /// number of region-tree siblings walked (align.queries, align.matched,
+  /// Aligns \p Switched against \p Original, whose region tree
+  /// \p OriginalTree is: the verifier builds it once and shares it, since
+  /// it is identical across every switched run verified against the same
+  /// original. All three must outlive the aligner. \p Switched should
+  /// carry a switched step (the flipped predicate instance); aligning two
+  /// identical executions (no switch) degenerates to the identity. When
+  /// \p Stats is given, queries record their outcome mix and the number
+  /// of region levels walked (align.queries, align.matched,
   /// align.no_match.*, align.regions_walked, align.prefix_hits).
-  ///
-  /// \p SharedOriginalTree, when non-null, must be the RegionTree of
-  /// \p Original and must outlive the aligner; the aligner then skips
-  /// rebuilding it. The original trace's tree is identical across every
-  /// switched run verified against it, so the verifier builds it once and
-  /// shares it -- halving per-switched-run alignment setup.
+  ExecutionAligner(const interp::ExecutionTrace &Original,
+                   const interp::ResumedTrace &Switched,
+                   const RegionTree &OriginalTree,
+                   support::StatsRegistry *Stats = nullptr);
+
+  /// Same, for a fully recorded switched run; the aligner builds the
+  /// original's region tree itself. Both traces must outlive it.
   ExecutionAligner(const interp::ExecutionTrace &Original,
                    const interp::ExecutionTrace &Switched,
-                   support::StatsRegistry *Stats = nullptr,
-                   const RegionTree *SharedOriginalTree = nullptr);
+                   support::StatsRegistry *Stats = nullptr);
 
-  /// Convenience overload for callers that already hold \p Original's
-  /// RegionTree: passing the tree by reference makes the sharing
-  /// mandatory (no silently rebuilding it on a typo'd null) and keeps
-  /// the stats sink optional.
-  ExecutionAligner(const interp::ExecutionTrace &Original,
-                   const interp::ExecutionTrace &Switched,
-                   const RegionTree &SharedOriginalTree,
-                   support::StatsRegistry *Stats = nullptr)
-      : ExecutionAligner(Original, Switched, Stats, &SharedOriginalTree) {}
-
-  // TreeE may point into OwnedTreeE, so the aligner must stay put.
+  // TreeE and EP may point into the aligner's own members.
   ExecutionAligner(const ExecutionAligner &) = delete;
   ExecutionAligner &operator=(const ExecutionAligner &) = delete;
 
@@ -102,6 +101,9 @@ public:
   AlignResult match(TraceIdx U) const;
 
   const RegionTree &originalTree() const { return *TreeE; }
+  /// The switched run's region tree over its steps from the switch point
+  /// on (none when no switch was applied). Its inRegion(D, switchPoint())
+  /// is the verdict's edge check.
   const RegionTree &switchedTree() const { return TreeEP; }
 
   /// The switched predicate instance (equal index in both runs);
@@ -111,15 +113,18 @@ public:
 private:
   AlignResult matchImpl(TraceIdx U) const;
   AlignResult matchInsideRegion(TraceIdx R, TraceIdx U, TraceIdx RPrime) const;
+  void bindStats(support::StatsRegistry *Stats);
 
   const interp::ExecutionTrace &E;
-  const interp::ExecutionTrace &EP;
+  /// Engaged only for a fully recorded switched run: a view of it.
+  std::optional<interp::ResumedTrace> OwnedEP;
+  const interp::ResumedTrace &EP;
   /// Engaged only when the original tree is not shared.
   std::optional<RegionTree> OwnedTreeE;
   /// The original run's region tree: &*OwnedTreeE or the shared one.
   const RegionTree *TreeE;
-  RegionTree TreeEP;
   TraceIdx Switch;
+  RegionTree TreeEP;
 
   /// Metric handles; all null on unobserved aligners.
   support::StatCounter *CQueries = nullptr;

@@ -25,21 +25,24 @@ ChainSearch::ChainSearch(ImplicitDepVerifier &Verifier,
 }
 
 std::vector<TraceIdx>
-ChainSearch::extensions(const ExecutionTrace &EP,
+ChainSearch::extensions(const ResumedTrace &EP,
                         const std::vector<SwitchDecision> &Chain) const {
   // Locate each decision's fire step in the chained run. Instance
   // numbers are unique per statement within a trace, so one ascending
-  // scan finds them all; decisions fire in chain order by construction.
+  // scan finds them all; decisions fire in chain order by construction,
+  // the first at the run's switched step, so the scan starts there.
+  const TraceIdx First = EP.switchedStep();
+  const TraceIdx N = static_cast<TraceIdx>(EP.size());
   std::set<std::pair<StmtId, uint32_t>> Want;
   for (const SwitchDecision &D : Chain)
     Want.insert({D.Stmt, D.InstanceNo});
-  std::vector<bool> IsFire(EP.size(), false);
+  std::vector<bool> IsFire(N - First, false);
   TraceIdx Last = InvalidId;
   size_t Fired = 0;
-  for (TraceIdx I = 0; I < EP.size(); ++I) {
+  for (TraceIdx I = First; I < N; ++I) {
     const StepRecord &S = EP.step(I);
     if (Want.count({S.Stmt, S.InstanceNo})) {
-      IsFire[I] = true;
+      IsFire[I - First] = true;
       Last = I;
       ++Fired;
     }
@@ -51,16 +54,19 @@ ChainSearch::extensions(const ExecutionTrace &EP,
   // decision and controlled -- transitively -- by a fired decision. The
   // control-dependence restriction keeps the branching factor at the
   // predicates the chain itself exposed (switching an unrelated later
-  // predicate is the job of that predicate's own candidate entry).
+  // predicate is the job of that predicate's own candidate entry). An
+  // ancestor before the first decision cannot be one, so each climb
+  // stops there.
   std::set<StmtId> SeenStmt;
   std::vector<TraceIdx> Out;
-  for (TraceIdx I = Last + 1; I < EP.size(); ++I) {
+  for (TraceIdx I = Last + 1; I < N; ++I) {
     const StepRecord &S = EP.step(I);
     if (!S.isPredicateInstance() || SeenStmt.count(S.Stmt))
       continue;
     bool Related = false;
-    for (TraceIdx A = S.CdParent; A != InvalidId; A = EP.step(A).CdParent) {
-      if (IsFire[A]) {
+    for (TraceIdx A = S.CdParent; A != InvalidId && A >= First;
+         A = EP.step(A).CdParent) {
+      if (IsFire[A - First]) {
         Related = true;
         break;
       }
@@ -94,11 +100,11 @@ ChainSearch::Result ChainSearch::search(const std::vector<TraceIdx> &Candidates,
         // Depth-1 traces come from the single-switch cache (computed by
         // the verdict pass that triggered this search); deeper ones from
         // the chain cache.
-        const ExecutionTrace *EP = Chain.size() == 1
-                                       ? Verifier.switchedRun(P)
-                                       : &Verifier.chainTrace(P, Chain);
-        if (!EP || EP->Exit != ExitReason::Finished ||
-            EP->SwitchedStep == InvalidId)
+        const ResumedTrace *EP = Chain.size() == 1
+                                     ? Verifier.switchedRun(P)
+                                     : &Verifier.chainTrace(P, Chain);
+        if (!EP || EP->exit() != ExitReason::Finished ||
+            EP->switchedStep() == InvalidId)
           continue;
         for (TraceIdx Ext : extensions(*EP, Chain)) {
           if (Used >= Budget)

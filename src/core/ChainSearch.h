@@ -84,7 +84,7 @@ private:
   /// statement (closest instance first), in trace order. Empty when some
   /// decision never fired.
   std::vector<TraceIdx>
-  extensions(const interp::ExecutionTrace &EP,
+  extensions(const interp::ResumedTrace &EP,
              const std::vector<interp::SwitchDecision> &Chain) const;
 
   ImplicitDepVerifier &Verifier;

@@ -136,12 +136,11 @@ std::vector<TraceIdx> DebugSession::prunedSlice() const {
 
 LocateReport DebugSession::locate(Oracle &O) {
   assert(hasFailure() && "no failure to locate");
-  // Since Config::Opt and Locate.Opt share storage, the thread knob the
-  // verifier was built with is the one locateFault schedules by: at
-  // Threads == 1 it takes the original one-at-a-time serial path, not
-  // batches of size one.
+  // The thread knob the verifier was built with is the one locateFault
+  // schedules by: at Threads == 1 it takes the original one-at-a-time
+  // serial path, not batches of size one.
   return locateFault(Prog, *Graph, *PD, *Verifier, &Prof.Values, *Verdicts, O,
-                     C.Locate);
+                     C.Locate, C.Opt);
 }
 
 std::vector<bool> DebugSession::failureChain(StmtId RootCause) const {

@@ -61,44 +61,14 @@ public:
     /// SharedCheckpoints; the owner must seal() the store between
     /// sessions for staged bundles to become visible.
     interp::SwitchedRunStore *SwitchedRuns = nullptr;
-    /// Algorithm 2 tunables, including the unified knob bundle.
+    /// Algorithm 2 tunables.
     LocateConfig Locate;
-
-    /// The unified knob bundle (support/Options.h). One storage location
-    /// shared with Locate.Opt, so session-level and locate-level code
-    /// configure the same knobs: Opt.Exec.MaxSteps is the failing-run
-    /// step budget, Opt.Exec.Threads the verification worker count,
-    /// Opt.Exec.Stats/Tracer the observability sinks wired through every
-    /// pipeline layer, and Opt.Reuse every checkpoint / switched-cache /
-    /// chain knob.
-    eoe::Options &Opt = Locate.Opt;
-
-    /// Deprecated: alias of Opt.Exec.MaxSteps (failing-run step budget;
-    /// switched verification runs use the tighter Locate.MaxSteps).
-    uint64_t &MaxSteps = Opt.Exec.MaxSteps;
-    /// Deprecated: alias of Opt.Exec.Threads. 0 = hardware_concurrency,
-    /// 1 = the serial reference engine; any value is bit-identical (see
-    /// docs/parallelism.md).
-    unsigned &Threads = Opt.Exec.Threads;
-    /// Deprecated: aliases of Opt.Exec.Stats / Opt.Exec.Tracer. Null =
-    /// off; see docs/observability.md.
-    support::StatsRegistry *&Stats = Opt.Exec.Stats;
-    support::EventTracer *&Tracer = Opt.Exec.Tracer;
-
-    // The alias members make the implicit copy operations wrong (they
-    // would rebind to the source object); copy the value members and
-    // let the alias initializers bind to this object's Locate.Opt.
-    Config() = default;
-    Config(const Config &O)
-        : PDBackend(O.PDBackend), SharedCheckpoints(O.SharedCheckpoints),
-          SwitchedRuns(O.SwitchedRuns), Locate(O.Locate) {}
-    Config &operator=(const Config &O) {
-      PDBackend = O.PDBackend;
-      SharedCheckpoints = O.SharedCheckpoints;
-      SwitchedRuns = O.SwitchedRuns;
-      Locate = O.Locate;
-      return *this;
-    }
+    /// The unified knob bundle (support/Options.h): Opt.Exec.MaxSteps is
+    /// the failing-run step budget, Opt.Exec.Threads the verification
+    /// worker count, Opt.Exec.Stats/Tracer the observability sinks wired
+    /// through every pipeline layer, and Opt.Reuse every checkpoint /
+    /// switched-cache / chain knob.
+    eoe::Options Opt;
   };
 
   /// \p Prog must outlive the session. \p ExpectedOutputs is the output

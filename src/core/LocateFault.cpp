@@ -38,7 +38,8 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
                                     ImplicitDepVerifier &Verifier,
                                     const ValueProfile *Values,
                                     const OutputVerdicts &V, Oracle &O,
-                                    const LocateConfig &Config) {
+                                    const LocateConfig &Config,
+                                    const eoe::Options &Opt) {
   const ExecutionTrace &T = G.trace();
   LocateReport Report;
 
@@ -49,7 +50,7 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
   // is bit-identical to the serial one; Threads == 1 keeps the original
   // one-at-a-time reference loop.
   VerifyScheduler Scheduler(Verifier);
-  const bool Batched = Config.Threads != 1;
+  const bool Batched = Opt.Exec.Threads != 1;
 
   // One registry serves the whole locate pipeline: the verifier's
   // configured registry (or its private fallback), so Table 3 counters
@@ -68,9 +69,9 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
   // extends the decision sequence. One object for the whole procedure:
   // the re-execution budget is global across uses and rounds.
   std::unique_ptr<ChainSearch> Chains;
-  if (Config.Opt.Reuse.ChainDepth >= 2)
-    Chains = std::make_unique<ChainSearch>(
-        Verifier, T, Config.Opt.Reuse.ChainDepth, Config.Opt.Reuse.ChainBudget);
+  if (Opt.Reuse.ChainDepth >= 2)
+    Chains = std::make_unique<ChainSearch>(Verifier, T, Opt.Reuse.ChainDepth,
+                                           Opt.Reuse.ChainBudget);
 
   support::EventTracer::Span FirstPruneSpan(Tracer, "prune", "slicing");
   support::ScopedTimer FirstPruneTimed(&PruneTime);

@@ -60,53 +60,6 @@ struct LocateConfig {
   uint64_t MaxSteps = 2'000'000;
   /// Safety cap on expansion rounds.
   size_t MaxIterations = 200;
-
-  /// The unified knob bundle (support/Options.h) -- authoritative for
-  /// threads, every checkpoint/switched-cache knob, the perturbation-
-  /// chain depth/budget, and the observability sinks. The flat members
-  /// below are deprecated aliases into it, kept for one release so
-  /// downstream code keeps compiling; new code should read and write
-  /// Opt directly.
-  eoe::Options Opt;
-
-  /// Deprecated: alias of Opt.Exec.Threads. Verification scheduling.
-  /// 0 = follow the verifier's configuration (batched onto its pool
-  /// when it has one). 1 = force the serial reference path (bit-
-  /// identical; see docs/parallelism.md).
-  unsigned &Threads = Opt.Exec.Threads;
-  /// Deprecated: alias of Opt.Reuse.Checkpoints (stride for checkpointed
-  /// switched-run re-execution; see docs/checkpointing.md).
-  unsigned &Checkpoints = Opt.Reuse.Checkpoints;
-  /// Deprecated: alias of Opt.Reuse.CheckpointMemBytes.
-  size_t &CheckpointMemBytes = Opt.Reuse.CheckpointMemBytes;
-  /// Deprecated: alias of Opt.Reuse.CheckpointDelta.
-  bool &CheckpointDelta = Opt.Reuse.CheckpointDelta;
-  /// Deprecated: alias of Opt.Reuse.CheckpointShare.
-  bool &CheckpointShare = Opt.Reuse.CheckpointShare;
-  /// Deprecated: alias of Opt.Reuse.SwitchedCacheBytes (switched-run
-  /// snapshot cache; docs/checkpointing.md "Switched-run reuse").
-  size_t &SwitchedCacheBytes = Opt.Reuse.SwitchedCacheBytes;
-  /// Deprecated: alias of Opt.Reuse.CheckpointDir (persistent checkpoint
-  /// cache; docs/checkpointing.md "The on-disk cache").
-  std::string &CheckpointDir = Opt.Reuse.CheckpointDir;
-
-  // The reference aliases make the implicit copy operations wrong (they
-  // would rebind to the source object's Opt), so spell them out: copy
-  // the value members, let the alias initializers bind to this->Opt.
-  LocateConfig() = default;
-  LocateConfig(const LocateConfig &O)
-      : VerifyFanout(O.VerifyFanout), OnePerPredicate(O.OnePerPredicate),
-        UsePathCheck(O.UsePathCheck), MaxSteps(O.MaxSteps),
-        MaxIterations(O.MaxIterations), Opt(O.Opt) {}
-  LocateConfig &operator=(const LocateConfig &O) {
-    VerifyFanout = O.VerifyFanout;
-    OnePerPredicate = O.OnePerPredicate;
-    UsePathCheck = O.UsePathCheck;
-    MaxSteps = O.MaxSteps;
-    MaxIterations = O.MaxIterations;
-    Opt = O.Opt;
-    return *this;
-  }
 };
 
 /// The paper's Table 3 row for one debugging session.
@@ -130,12 +83,16 @@ struct LocateReport {
 /// \param G the failing run's dependence graph; verified implicit edges
 ///        are added to it (so OS can be derived from it afterwards).
 /// \param O the programmer in the loop (experiments: the OS protocol).
+/// \param Opt the session's knob bundle: Opt.Exec.Threads == 1 selects
+///        the serial reference loop, Opt.Reuse.ChainDepth/ChainBudget
+///        the perturbation chains.
 LocateReport locateFault(const lang::Program &Prog, ddg::DepGraph &G,
                          const slicing::PotentialDepAnalyzer &PD,
                          ImplicitDepVerifier &Verifier,
                          const interp::ValueProfile *Values,
                          const slicing::OutputVerdicts &V,
-                         slicing::Oracle &O, const LocateConfig &Config);
+                         slicing::Oracle &O, const LocateConfig &Config,
+                         const eoe::Options &Opt);
 
 /// Derives the paper's OS -- the failure-inducing dependence chain from
 /// the root cause to the failure -- on \p G's current edges (run

@@ -22,31 +22,66 @@ static size_t openStepBytes(const OpenStep &R) {
          R.Defs.capacity() * sizeof(DefRecord);
 }
 
-void eoe::interp::tracePrefix(const ExecutionTrace &From, const Checkpoint &CP,
+void eoe::interp::tracePrefix(const ResumedTrace &From, const Checkpoint &CP,
                               ExecutionTrace &Out) {
-  assert(CP.Index <= From.Steps.size());
-  assert(CP.OutputCount <= From.Outputs.size());
-  Out.Steps.assign(From.Steps.begin(), From.Steps.begin() + CP.Index);
+  const ExecutionTrace &Own = From.own();
+  const TraceIdx Base = From.base();
+  const std::span<const TraceIdx> Reopened = From.reopened();
+  assert(Base <= CP.Index && CP.Index <= From.size());
+  assert(CP.OutputCount <= From.outputCount());
+  // The full run's arrays are the source's entries of the steps complete
+  // at Base -- a contiguous prefix of its arrays, since open records keep
+  // theirs aside and later steps only ever append -- followed by the
+  // run's own entries, which it recorded in completion order too. The
+  // run's own records shift past that source part.
+  size_t SrcUses = 0, SrcDefs = 0;
+  Out.Steps.resize(CP.Index);
+  if (Base > 0) {
+    const ExecutionTrace &Src = *From.source();
+    std::copy(Src.Steps.begin(), Src.Steps.begin() + Base, Out.Steps.begin());
+    for (TraceIdx R : Reopened)
+      Out.Steps[R].NumUses = Out.Steps[R].NumDefs = 0;
+    for (TraceIdx I = 0; I < Base; ++I) {
+      SrcUses += Out.Steps[I].NumUses;
+      SrcDefs += Out.Steps[I].NumDefs;
+    }
+    Out.Uses.assign(Src.Uses.begin(), Src.Uses.begin() + SrcUses);
+    Out.Defs.assign(Src.Defs.begin(), Src.Defs.begin() + SrcDefs);
+  }
+  auto Shifted = [&](StepRecord S) {
+    S.UseBegin += static_cast<uint32_t>(SrcUses);
+    S.DefBegin += static_cast<uint32_t>(SrcDefs);
+    return S;
+  };
+  for (size_t K = 0; K < Reopened.size(); ++K)
+    Out.Steps[Reopened[K]] = Shifted(Own.Steps[K]);
+  for (TraceIdx I = Base; I < CP.Index; ++I)
+    Out.Steps[I] = Shifted(Own.Steps[I - Base + Reopened.size()]);
+  // The records open at CP's capture keep their as-of-capture fields and
+  // empty ranges; their entries so far are in the frames' PendingSnapshot.
   for (const CheckpointFrame &CF : CP.Frames)
     if (CF.PendingRec != InvalidId)
       Out.Steps[CF.PendingRec] = CF.PendingSnapshot.Step;
-  // At the capture instant the use and def arrays held exactly the
-  // entries of the complete steps (open records keep theirs aside), and
-  // later steps only ever appended past them.
+  // At the capture instant the run's own arrays held exactly the entries
+  // of its complete records.
   size_t NumUses = 0, NumDefs = 0;
   for (const StepRecord &S : Out.Steps) {
     NumUses += S.NumUses;
     NumDefs += S.NumDefs;
   }
-  assert(NumUses <= From.Uses.size() && NumDefs <= From.Defs.size());
-  Out.Uses.assign(From.Uses.begin(), From.Uses.begin() + NumUses);
-  Out.Defs.assign(From.Defs.begin(), From.Defs.begin() + NumDefs);
-  Out.Outputs.assign(From.Outputs.begin(),
-                     From.Outputs.begin() + CP.OutputCount);
-  if (From.SwitchedStep != InvalidId && From.SwitchedStep < CP.Index)
-    Out.SwitchedStep = From.SwitchedStep;
-  if (From.FirstInputStep != InvalidId && From.FirstInputStep < CP.Index)
-    Out.FirstInputStep = From.FirstInputStep;
+  assert(NumUses >= SrcUses && NumUses - SrcUses <= Own.Uses.size());
+  assert(NumDefs >= SrcDefs && NumDefs - SrcDefs <= Own.Defs.size());
+  Out.Uses.insert(Out.Uses.end(), Own.Uses.begin(),
+                  Own.Uses.begin() + (NumUses - SrcUses));
+  Out.Defs.insert(Out.Defs.end(), Own.Defs.begin(),
+                  Own.Defs.begin() + (NumDefs - SrcDefs));
+  Out.Outputs.reserve(CP.OutputCount);
+  for (size_t I = 0; I < CP.OutputCount; ++I)
+    Out.Outputs.push_back(From.output(I));
+  if (From.switchedStep() != InvalidId && From.switchedStep() < CP.Index)
+    Out.SwitchedStep = From.switchedStep();
+  if (From.firstInputStep() != InvalidId && From.firstInputStep() < CP.Index)
+    Out.FirstInputStep = From.firstInputStep();
 }
 
 size_t Checkpoint::bytes() const {

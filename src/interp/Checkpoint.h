@@ -12,9 +12,9 @@
 /// input, switch), the switched run is bit-identical to the original up
 /// to the switch point. A Checkpoint captures the full interpreter state
 /// at a predicate instance of the *original* run, so a switched run whose
-/// switch point lies at or after the snapshot can splice the recorded
+/// switch point lies at or after the snapshot can share the recorded
 /// prefix of the original trace and resume execution there -- turning
-/// O(prefix) replay per candidate into an O(prefix) memcpy-splice plus
+/// O(prefix) replay per candidate into an O(state) restore plus
 /// O(suffix) execution, with none of the prefix's interpretation cost.
 ///
 /// The interpreter is a recursive tree walker, so "interpreter state" is
@@ -33,11 +33,11 @@
 /// are still open (a call-site record gains its return-value use and its
 /// definitions when the callee returns), so each CheckpointFrame stores
 /// its pending call-site record as of capture, uses and definitions
-/// included (an OpenStep). Resume copies the three array prefixes of the
-/// original trace that were complete at capture (tracePrefix) and reopens
-/// those few records, making the resumed trace equal to a full replay
-/// step for step. See docs/checkpointing.md for the full determinism
-/// argument.
+/// included (an OpenStep). A resumed run (ResumedTrace) shares every
+/// record complete at capture with the original trace and owns those few
+/// reopened records, which it completes, plus the steps it executes:
+/// read through its accessors it equals a full replay step for step. See
+/// docs/checkpointing.md for the full determinism argument.
 ///
 /// Storage is adaptive along three axes (docs/checkpointing.md):
 ///  - snapshots are *delta-compressed* against their predecessor on the
@@ -258,17 +258,18 @@ struct CheckpointDelta {
   size_t bytes() const;
 };
 
-/// Fills \p Out (expected empty, possibly with reserved capacity) with the
-/// trace \p From held at \p CP's capture instant: the first CP.Index steps,
-/// the uses and definitions of every step complete at that instant, the
-/// first CP.OutputCount outputs, and the switch and first-input markers
-/// that lie before CP.Index. Each call record then suspended
-/// (CheckpointFrame::PendingRec) keeps its as-of-capture fields and empty
-/// ranges; its entries so far are in the frame's PendingSnapshot. \p From
-/// is the capturing run's trace or any trace that holds its first
-/// CP.Index steps (a resumed run's, a switched-run bundle's prefix). This
-/// is what Interpreter::runFrom splices: three contiguous array prefixes.
-void tracePrefix(const ExecutionTrace &From, const Checkpoint &CP,
+/// Fills \p Out (expected empty) with the trace \p From held at \p CP's
+/// capture instant, as one self-contained ExecutionTrace: the first
+/// CP.Index steps, the uses and definitions of every step complete at
+/// that instant, the first CP.OutputCount outputs, and the switch and
+/// first-input markers that lie before CP.Index. Each call record then
+/// suspended (CheckpointFrame::PendingRec) keeps its as-of-capture fields
+/// and empty ranges; its entries so far are in the frame's
+/// PendingSnapshot. \p CP must have been captured by the run \p From
+/// records, at or after its base(). This materialises a switched-run
+/// bundle's prefix, which outlives the session whose runs it came from
+/// (SwitchedRunStore); resumed runs share their prefix instead.
+void tracePrefix(const ResumedTrace &From, const Checkpoint &CP,
                  ExecutionTrace &Out);
 
 /// Encodes \p Cur as a diff against \p Base (any two snapshots of the

@@ -12,9 +12,9 @@
 /// keeps capturing checkpoints *past* the switch point, each tagged with
 /// the run's divergence key (the ordered SwitchDecision sequence applied
 /// so far). A later run requesting a decision sequence that starts with
-/// a stored key resumes from the deepest such snapshot -- its switched
-/// prefix is spliced from the capturing run's trace exactly the way
-/// runFrom splices original prefixes.
+/// a stored key resumes from the deepest such snapshot -- it reads its
+/// switched prefix from the capturing run's trace exactly the way
+/// runFrom shares original prefixes.
 ///
 /// Determinism (the hard invariant: bit-identical results at any thread
 /// count) shapes the store's API. True LRU admission is arrival-order-
@@ -93,9 +93,10 @@ public:
     bool operator==(const ValidityKey &O) const = default;
   };
 
-  /// One capturing run's contribution: its divergence key, its trace
-  /// trimmed to the deepest snapshot (the resume splice source), and the
-  /// snapshots themselves (ascending by Index; every Divergence == Key).
+  /// One capturing run's contribution: its divergence key, its trace as
+  /// of the deepest snapshot (tracePrefix; the resume splice source), and
+  /// the snapshots themselves (ascending by Index; every Divergence ==
+  /// Key).
   struct Bundle {
     std::vector<SwitchDecision> Key;
     std::shared_ptr<const ExecutionTrace> Prefix;

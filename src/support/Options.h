@@ -6,15 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one configuration surface shared by `LocateConfig`,
-/// `DebugSession::Config`, and `FaultRunner::Options`. Historically each
-/// of those structs re-declared the same Threads / Checkpoint* /
-/// SwitchedCache / Stats / Tracer members and every CLI front end
-/// re-parsed the matching flags by hand; `eoe::Options` is embedded by
-/// value in all three so a knob added here is immediately available
-/// everywhere, and `support::parseCommonOption` is the single flag
-/// parser (used by `eoec` and the benches) so the CLI and the structs
-/// cannot drift.
+/// The one configuration surface shared by `DebugSession::Config` and
+/// `FaultRunner::Options` (and handed to `core::locateFault`).
+/// `eoe::Options` is embedded by value in both, so a knob added here is
+/// immediately available everywhere, and `support::parseCommonOption` is
+/// the single flag parser (used by `eoec` and the benches) so the CLI and
+/// the structs cannot drift.
 ///
 /// The split mirrors what the knobs govern:
 ///  - `ReuseOptions`: everything that only trades re-execution work for
@@ -102,8 +99,8 @@ struct ExecOptions {
   support::EventTracer *Tracer = nullptr;
 };
 
-/// The unified knob bundle embedded in LocateConfig,
-/// DebugSession::Config, and FaultRunner::Options.
+/// The unified knob bundle embedded in DebugSession::Config and
+/// FaultRunner::Options.
 struct Options {
   ReuseOptions Reuse;
   ExecOptions Exec;

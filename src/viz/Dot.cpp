@@ -65,9 +65,9 @@ std::string viz::cfgToDot(const lang::Program &Prog, const analysis::CFG &G,
 }
 
 std::string viz::regionTreeToDot(const lang::Program &Prog,
+                                 const interp::ExecutionTrace &T,
                                  const align::RegionTree &Tree,
                                  size_t MaxNodes) {
-  const interp::ExecutionTrace &T = Tree.trace();
   size_t Limit = std::min<size_t>(T.size(), MaxNodes);
   std::ostringstream OS;
   OS << "digraph regions {\n";

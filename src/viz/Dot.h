@@ -30,9 +30,11 @@ namespace viz {
 std::string cfgToDot(const lang::Program &Prog, const analysis::CFG &G,
                      const lang::Function &F);
 
-/// Renders the region forest of \p Tree (one node per statement
-/// instance). Traces longer than \p MaxNodes are truncated with a note.
+/// Renders the region forest \p Tree of the whole trace \p T (one node
+/// per statement instance). Traces longer than \p MaxNodes are truncated
+/// with a note.
 std::string regionTreeToDot(const lang::Program &Prog,
+                            const interp::ExecutionTrace &T,
                             const align::RegionTree &Tree,
                             size_t MaxNodes = 400);
 

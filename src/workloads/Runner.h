@@ -90,46 +90,8 @@ public:
     /// runner-owned SharedCheckpointStore / SwitchedRunStore between the
     /// phase-A and phase-B sessions (phase B resumes from phase A's
     /// snapshots; the store is sealed between phases), and Opt.Exec
-    /// carries threads and the observability sinks. The flat members
-    /// below are deprecated aliases into it.
+    /// carries threads and the observability sinks.
     eoe::Options Opt;
-
-    /// Deprecated: alias of Opt.Exec.Threads.
-    unsigned &Threads = Opt.Exec.Threads;
-    /// Deprecated: alias of Opt.Reuse.Checkpoints.
-    unsigned &Checkpoints = Opt.Reuse.Checkpoints;
-    /// Deprecated: alias of Opt.Reuse.CheckpointMemBytes.
-    size_t &CheckpointMemBytes = Opt.Reuse.CheckpointMemBytes;
-    /// Deprecated: alias of Opt.Reuse.CheckpointDelta.
-    bool &CheckpointDelta = Opt.Reuse.CheckpointDelta;
-    /// Deprecated: alias of Opt.Reuse.CheckpointShare.
-    bool &ShareCheckpoints = Opt.Reuse.CheckpointShare;
-    /// Deprecated: alias of Opt.Reuse.SwitchedCacheBytes.
-    size_t &SwitchedCacheBytes = Opt.Reuse.SwitchedCacheBytes;
-    /// Deprecated: alias of Opt.Reuse.CheckpointDir.
-    std::string &CheckpointDir = Opt.Reuse.CheckpointDir;
-    /// Deprecated: aliases of Opt.Exec.Stats / Opt.Exec.Tracer.
-    support::StatsRegistry *&Stats = Opt.Exec.Stats;
-    support::EventTracer *&Tracer = Opt.Exec.Tracer;
-
-    // The alias members make the implicit copy operations wrong; copy
-    // the value members and let the aliases rebind to this->Opt.
-    Options() = default;
-    Options(const Options &O)
-        : Backend(O.Backend), VerifyFanout(O.VerifyFanout),
-          OnePerPredicate(O.OnePerPredicate), UsePathCheck(O.UsePathCheck),
-          MeasureTimes(O.MeasureTimes), ComputeSlices(O.ComputeSlices),
-          Opt(O.Opt) {}
-    Options &operator=(const Options &O) {
-      Backend = O.Backend;
-      VerifyFanout = O.VerifyFanout;
-      OnePerPredicate = O.OnePerPredicate;
-      UsePathCheck = O.UsePathCheck;
-      MeasureTimes = O.MeasureTimes;
-      ComputeSlices = O.ComputeSlices;
-      Opt = O.Opt;
-      return *this;
-    }
   };
 
   explicit FaultRunner(const FaultInfo &Fault);

@@ -142,7 +142,7 @@ TEST(ChainSearchTest, VerifyChainDirectlyIsStrong) {
             DepVerdict::StrongImplicit);
 
   // The chained trace is cached and reflects both decisions: x = 1 ran.
-  const ExecutionTrace &EP = Verifier.chainTrace(Q, Chain);
+  const ResumedTrace &EP = Verifier.chainTrace(Q, Chain);
   EXPECT_EQ(EP.outputValues(), (std::vector<int64_t>{1}));
 }
 

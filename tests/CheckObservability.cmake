@@ -39,7 +39,7 @@ endif()
 foreach(Key
     "\"interp\"" "\"align\"" "\"verify\"" "\"locate\"" "\"slicing\""
     "\"verifications\"" "\"reexecutions\"" "\"ckpt.hits\"" "\"ckpt.misses\""
-    "\"splice_time\"" "\"trace_bytes\""
+    "\"splice_time\"" "\"spliced_steps\"" "\"trace_bytes\""
     "\"ckpt.delta_encoded\"" "\"ckpt.keyframes\""
     "\"ckpt.encoded_bytes\"" "\"ckpt.raw_bytes\"" "\"ckpt.shared_hits\""
     "\"ckpt.auto_stride\"" "\"ckpt.disk_hits\"" "\"ckpt.disk_loads\""

@@ -47,24 +47,28 @@ std::vector<TraceIdx> predicateInstances(const ExecutionTrace &T) {
 }
 
 /// EXPECTs byte-identity of a resumed switched run against its
-/// full-replay reference.
-void expectSameTrace(const ExecutionTrace &Full, const ExecutionTrace &Resumed,
+/// full-replay reference, read through the resumed run's accessors over
+/// its whole logical length.
+void expectSameTrace(const ExecutionTrace &Full, const ResumedTrace &Resumed,
                      uint64_t Seed, TraceIdx P) {
-  EXPECT_EQ(Full.Exit, Resumed.Exit) << "seed " << Seed << " pred " << P;
-  EXPECT_EQ(Full.ExitValue, Resumed.ExitValue)
+  EXPECT_EQ(Full.Exit, Resumed.exit()) << "seed " << Seed << " pred " << P;
+  EXPECT_EQ(Full.ExitValue, Resumed.exitValue())
       << "seed " << Seed << " pred " << P;
-  EXPECT_EQ(Full.SwitchedStep, Resumed.SwitchedStep)
+  EXPECT_EQ(Full.SwitchedStep, Resumed.switchedStep())
       << "seed " << Seed << " pred " << P;
-  EXPECT_EQ(Full.FirstInputStep, Resumed.FirstInputStep)
+  EXPECT_EQ(Full.FirstInputStep, Resumed.firstInputStep())
       << "seed " << Seed << " pred " << P;
-  EXPECT_EQ(Full.Outputs, Resumed.Outputs) << "seed " << Seed << " pred " << P;
+  ASSERT_EQ(Full.Outputs.size(), Resumed.outputCount())
+      << "seed " << Seed << " pred " << P;
+  for (size_t K = 0; K < Full.Outputs.size(); ++K)
+    EXPECT_EQ(Full.Outputs[K], Resumed.output(K))
+        << "seed " << Seed << " pred " << P << " output " << K;
   // sameStep compares each step's use and def sequences too, so this
   // covers the dependence edges the verifier derives from the switched
   // run.
-  ASSERT_EQ(Full.Steps.size(), Resumed.Steps.size())
-      << "seed " << Seed << " pred " << P;
-  for (TraceIdx I = 0; I < Full.Steps.size(); ++I)
-    ASSERT_TRUE(Full.sameStep(I, Resumed, I))
+  ASSERT_EQ(Full.size(), Resumed.size()) << "seed " << Seed << " pred " << P;
+  for (TraceIdx I = 0; I < Full.size(); ++I)
+    ASSERT_TRUE(Resumed.sameStep(I, Full, I))
         << "seed " << Seed << " pred " << P << " step " << I;
 }
 
@@ -121,7 +125,7 @@ TEST_P(CheckpointEquivalence, ResumedSwitchedRunsAreBitIdentical) {
     Interpreter::Options ResumeOpts;
     ResumeOpts.MaxSteps = kBudget;
     ResumeOpts.Switch = Spec;
-    ExecutionTrace FromCkpt =
+    ResumedTrace FromCkpt =
         Interp.runFrom(*CP, E, Variant.Input, ResumeOpts, Ctx);
     expectSameTrace(Full, FromCkpt, GetParam(), P);
     ++Resumed;
@@ -204,7 +208,7 @@ TEST(CheckpointTest, DirtyCallSitesAreSkipped) {
     Interpreter::Options ResumeOpts;
     ResumeOpts.MaxSteps = kBudget;
     ResumeOpts.Switch = Spec;
-    ExecutionTrace FromCkpt = S.Interp->runFrom(*CP, E, {}, ResumeOpts, Ctx);
+    ResumedTrace FromCkpt = S.Interp->runFrom(*CP, E, {}, ResumeOpts, Ctx);
     expectSameTrace(Full, FromCkpt, 0, P);
   }
 }
@@ -312,7 +316,7 @@ TEST(CheckpointTest, StoreEvictsUnderMemoryPressure) {
   Interpreter::Options ResumeOpts;
   ResumeOpts.MaxSteps = kBudget;
   ResumeOpts.Switch = Spec;
-  ExecutionTrace FromCkpt =
+  ResumedTrace FromCkpt =
       Interp.runFrom(*CP, E, Variant.Input, ResumeOpts, Ctx);
   expectSameTrace(Full, FromCkpt, 301, Last);
 }
@@ -340,10 +344,10 @@ std::optional<LocateOutcome> locateVariant(const lang::Program &Faulty,
                                            SharedCheckpointStore *Shared = nullptr,
                                            support::StatsRegistry *Stats = nullptr) {
   core::DebugSession::Config C;
-  C.Threads = Threads;
-  C.Locate.Checkpoints = Checkpoints;
+  C.Opt.Exec.Threads = Threads;
+  C.Opt.Reuse.Checkpoints = Checkpoints;
   C.SharedCheckpoints = Shared;
-  C.Stats = Stats;
+  C.Opt.Exec.Stats = Stats;
   core::DebugSession Session(Faulty, Input, Expected, {}, C);
   if (!Session.hasFailure())
     return std::nullopt;
@@ -476,7 +480,7 @@ TEST(CheckpointTest, ConcurrentRestoresAreRaceFreeAndIdentical) {
       ResumeOpts.MaxSteps = kBudget;
       ResumeOpts.Switch = SwitchSpec{Step.Stmt, Step.InstanceNo};
       ExecContext Ctx;
-      ExecutionTrace FromCkpt =
+      ResumedTrace FromCkpt =
           Interp.runFrom(*CP, E, Variant.Input, ResumeOpts, Ctx);
       expectSameTrace(Full[N], FromCkpt, 305, P);
       Restores.fetch_add(1, std::memory_order_relaxed);
@@ -554,7 +558,7 @@ TEST(CheckpointTest, DeltaEncodedSnapshotsRoundTripBitIdentical) {
       ResumeOpts.MaxSteps = kBudget;
       ResumeOpts.Switch = Spec;
       ExecContext Ctx;
-      ExecutionTrace FromCkpt =
+      ResumedTrace FromCkpt =
           Interp.runFrom(*CP, E, Variant.Input, ResumeOpts, Ctx);
       expectSameTrace(Full, FromCkpt, Seed, Preds.back());
     }
@@ -632,7 +636,7 @@ TEST(CheckpointTest, DeltaStoreEvictsByEncodedBytes) {
     ResumeOpts.MaxSteps = kBudget;
     ResumeOpts.Switch = Spec;
     ExecContext Ctx;
-    ExecutionTrace FromCkpt =
+    ResumedTrace FromCkpt =
         Interp.runFrom(*CP, E, Variant.Input, ResumeOpts, Ctx);
     expectSameTrace(Full, FromCkpt, Seed, Last);
     return; // One qualifying seed is enough.
@@ -721,7 +725,7 @@ TEST(CheckpointTest, SharedSnapshotsResumeAcrossInputs) {
       Interpreter::Options ResumeOpts;
       ResumeOpts.MaxSteps = kBudget;
       ResumeOpts.Switch = Spec;
-      ExecutionTrace FromCkpt =
+      ResumedTrace FromCkpt =
           S.Interp->runFrom(*CP, EB, In, ResumeOpts, Ctx);
       expectSameTrace(Full, FromCkpt, 0, SwitchAt);
     }

@@ -53,8 +53,8 @@ LocateOutcome locateWithThreads(const lang::Program &Faulty,
                                 StmtId Root, unsigned Threads,
                                 support::StatsRegistry *Stats = nullptr) {
   core::DebugSession::Config C;
-  C.Threads = Threads;
-  C.Stats = Stats;
+  C.Opt.Exec.Threads = Threads;
+  C.Opt.Exec.Stats = Stats;
   core::DebugSession Session(Faulty, Input, Expected, {}, C);
   EXPECT_TRUE(Session.hasFailure());
   RootOnlyOracle Oracle(Root);
@@ -249,8 +249,8 @@ std::vector<LocateOutcome> locateTwiceCached(const PreparedFault &F,
   std::vector<LocateOutcome> Out;
   for (int Pass = 0; Pass < 2; ++Pass) {
     core::DebugSession::Config C;
-    C.Threads = Threads;
-    C.Locate.SwitchedCacheBytes = CacheBytes;
+    C.Opt.Exec.Threads = Threads;
+    C.Opt.Reuse.SwitchedCacheBytes = CacheBytes;
     if (CacheBytes > 0)
       C.SwitchedRuns = &Store;
     core::DebugSession Session(*F.Faulty, F.Input, F.Expected, {}, C);
@@ -427,8 +427,8 @@ TEST(ParallelStats, SnapshotsDuringParallelLocateAreRaceFree) {
 
   support::StatsRegistry Reg;
   core::DebugSession::Config C;
-  C.Threads = 4;
-  C.Stats = &Reg;
+  C.Opt.Exec.Threads = 4;
+  C.Opt.Exec.Stats = &Reg;
   core::DebugSession Session(*F->Faulty, F->Input, F->Expected, {}, C);
   ASSERT_TRUE(Session.hasFailure());
 

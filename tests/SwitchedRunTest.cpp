@@ -40,19 +40,25 @@ std::vector<TraceIdx> predicateInstances(const ExecutionTrace &T) {
 }
 
 /// EXPECTs byte-identity of two switched runs (same program, input,
-/// switch spec; different execution strategy).
-void expectSameTrace(const ExecutionTrace &Full, const ExecutionTrace &Other,
+/// switch spec; different execution strategy), reading \p Other through
+/// its accessors over its whole logical length.
+void expectSameTrace(const ExecutionTrace &Full, const ResumedTrace &Other,
                      uint64_t Seed, TraceIdx P) {
-  EXPECT_EQ(Full.Exit, Other.Exit) << "seed " << Seed << " pred " << P;
-  EXPECT_EQ(Full.ExitValue, Other.ExitValue)
+  EXPECT_EQ(Full.Exit, Other.exit()) << "seed " << Seed << " pred " << P;
+  EXPECT_EQ(Full.ExitValue, Other.exitValue())
       << "seed " << Seed << " pred " << P;
-  EXPECT_EQ(Full.SwitchedStep, Other.SwitchedStep)
+  EXPECT_EQ(Full.SwitchedStep, Other.switchedStep())
       << "seed " << Seed << " pred " << P;
-  EXPECT_EQ(Full.Outputs, Other.Outputs) << "seed " << Seed << " pred " << P;
-  ASSERT_EQ(Full.Steps.size(), Other.Steps.size())
+  EXPECT_EQ(Full.FirstInputStep, Other.firstInputStep())
       << "seed " << Seed << " pred " << P;
-  for (TraceIdx I = 0; I < Full.Steps.size(); ++I)
-    ASSERT_TRUE(Full.sameStep(I, Other, I))
+  ASSERT_EQ(Full.Outputs.size(), Other.outputCount())
+      << "seed " << Seed << " pred " << P;
+  for (size_t K = 0; K < Full.Outputs.size(); ++K)
+    EXPECT_EQ(Full.Outputs[K], Other.output(K))
+        << "seed " << Seed << " pred " << P << " output " << K;
+  ASSERT_EQ(Full.size(), Other.size()) << "seed " << Seed << " pred " << P;
+  for (TraceIdx I = 0; I < Full.size(); ++I)
+    ASSERT_TRUE(Other.sameStep(I, Full, I))
         << "seed " << Seed << " pred " << P << " step " << I;
 }
 
@@ -153,8 +159,8 @@ TEST_P(SwitchedRunEquivalence, DivergenceKeyedResumeIsBitIdentical) {
     Interpreter::Options ResumeOpts;
     ResumeOpts.MaxSteps = kBudget;
     ResumeOpts.Switch = Spec;
-    ExecutionTrace FromCkpt =
-        S->Interp->runFrom(*Hit->CP, *Hit->Prefix, S->Input, ResumeOpts, Ctx);
+    ResumedTrace FromCkpt =
+        S->Interp->runFrom(*Hit->CP, Hit->Prefix, S->Input, ResumeOpts, Ctx);
     expectSameTrace(Full, FromCkpt, GetParam(), P);
     ++Resumed;
   }
@@ -181,7 +187,7 @@ TEST_P(SwitchedRunEquivalence, CaptureDoesNotPerturbTheRun) {
     Opts.Switch = Spec;
     Opts.SwitchedCapture = &Capture;
     ExecutionTrace Captured = S->Interp->run(S->Input, Opts);
-    expectSameTrace(Plain, Captured, GetParam(), P);
+    expectSameTrace(Plain, ResumedTrace::view(Captured), GetParam(), P);
     // Every snapshot carries the run's divergence key and sits past the
     // switch point (the prefix store covers everything before it).
     for (const auto &CP : Capture.Captured) {

@@ -214,6 +214,42 @@ TEST(VerifyDepTest, Table5bNestedPredicatesExposeUnsoundness) {
          "predicates that share the faulty definition";
 }
 
+TEST(VerifyDepTest, PathCheckFollowsTheReturnOfTheSwitchedCall) {
+  // The switch lies inside f, whose call record in main is still open at
+  // the switch: the record reads f's return value after the switch, and
+  // its definition of x reaches u. The edge check misses it (x's
+  // definition is the call, before the switch); the explicit-path check
+  // follows switch -> r = 1 -> return r -> the call -> u.
+  const char *Src = "fn f(a) {\n"
+                    "var r = 0;\n"
+                    "if (a) {\n"        // 3
+                    "r = 1;\n"
+                    "}\n"
+                    "return r;\n"
+                    "}\n"
+                    "fn main() {\n"
+                    "var x = f(0);\n"
+                    "var w = x;\n"      // 10 (u: the use of x)
+                    "print(w);\n"
+                    "}";
+  Session S(Src);
+  ASSERT_TRUE(S.valid());
+  ExecutionTrace T = S.run({});
+  auto Diff = diffOutputs(T, {99});
+  ASSERT_TRUE(Diff.has_value());
+  TraceIdx P = S.instanceAtLine(T, 3);
+  TraceIdx U = S.instanceAtLine(T, 10);
+  const UseRecord *Use = useOfVar(S, T, U, "x");
+  ASSERT_NE(Use, nullptr);
+  ImplicitDepVerifier Edge(*S.Interp, T, {}, *Diff,
+                           ImplicitDepVerifier::Config());
+  EXPECT_EQ(Edge.verify(P, U, Use->LoadExpr), DepVerdict::NotImplicit);
+  ImplicitDepVerifier::Config C;
+  C.UsePathCheck = true;
+  ImplicitDepVerifier Path(*S.Interp, T, {}, *Diff, C);
+  EXPECT_EQ(Path.verify(P, U, Use->LoadExpr), DepVerdict::Implicit);
+}
+
 TEST(VerifyDepTest, TimedOutSwitchedRunMeansNoDependence) {
   // Switching makes the program loop forever; the step budget expires
   // and verification concludes NOT_ID (the paper's timer policy). The

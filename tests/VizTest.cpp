@@ -44,7 +44,7 @@ TEST(VizTest, RegionTreeDotNestsBodyUnderPredicate) {
   ASSERT_TRUE(S.valid());
   ExecutionTrace T = S.run();
   align::RegionTree Tree(T);
-  std::string Dot = viz::regionTreeToDot(*S.Prog, Tree);
+  std::string Dot = viz::regionTreeToDot(*S.Prog, T, Tree);
   TraceIdx If = S.instanceAtLine(T, 3);
   TraceIdx Print7 = S.instanceAtLine(T, 4);
   std::string Edge = "i";
@@ -63,7 +63,7 @@ TEST(VizTest, RegionTreeDotTruncatesLongTraces) {
   ASSERT_TRUE(S.valid());
   ExecutionTrace T = S.run();
   align::RegionTree Tree(T);
-  std::string Dot = viz::regionTreeToDot(*S.Prog, Tree, /*MaxNodes=*/10);
+  std::string Dot = viz::regionTreeToDot(*S.Prog, T, Tree, /*MaxNodes=*/10);
   EXPECT_NE(Dot.find("more instances"), std::string::npos);
 }
 
@@ -104,7 +104,7 @@ TEST(VizTest, LabelsEscapeQuotes) {
   ASSERT_TRUE(S.valid());
   ExecutionTrace T = S.run();
   align::RegionTree Tree(T);
-  std::string Dot = viz::regionTreeToDot(*S.Prog, Tree);
+  std::string Dot = viz::regionTreeToDot(*S.Prog, T, Tree);
   EXPECT_NE(Dot.find("digraph"), std::string::npos);
 }
 

@@ -10,7 +10,7 @@
 // it, and the demand-driven locator finds it. Any deviation is printed
 // with the offending seed and program for triage.
 //
-//   eoe-fuzz [--fuzz=pipeline|diskstore|switched|chain|prune|resume]
+//   eoe-fuzz [--fuzz=pipeline|diskstore|switched|chain|prune|resume|align]
 //            [--seeds N] [--start S] [--verbose]
 //
 // --fuzz=diskstore targets the persistent checkpoint cache instead:
@@ -50,6 +50,14 @@
 // with full interpretation step by step: every step's fields and its
 // use and def sequences, the outputs, the switch and first-input
 // markers, and the exit.
+//
+// --fuzz=align is the differential oracle of switched-run alignment:
+// each seed switches every predicate instance that has a snapshot at or
+// before it, builds the switched run the way the verifier does (resumed
+// from the original run's snapshot, and once more from its deepest
+// switched snapshot through a bundle prefix), and compares every
+// match() answer and every edge check with Algorithm 1 over the full
+// region trees of a fully interpreted switched run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -313,27 +321,43 @@ struct ResumeTally {
 };
 
 /// The first way \p Got (a resumed run) differs from \p Want (the same
-/// run interpreted in full), or "" when they agree: exit, exit value,
-/// switch and first-input markers, outputs, then every step's fields and
-/// its use and def sequences.
+/// run interpreted in full), or "" when they agree, read through the
+/// accessors over the whole logical length: exit, exit value, switch and
+/// first-input markers, outputs, then every step's fields and its use and
+/// def sequences. Then, that \p Got shares its prefix: its own records
+/// below the resume point \p At are exactly the call records open there
+/// (\p CP's pending ones) -- a silent fall-back to copying fails here.
 std::string traceDifference(const interp::ExecutionTrace &Want,
-                            const interp::ExecutionTrace &Got) {
-  if (Want.Exit != Got.Exit)
+                            const interp::ResumedTrace &Got,
+                            const interp::Checkpoint &CP) {
+  if (Want.Exit != Got.exit())
     return "exit reason";
-  if (Want.ExitValue != Got.ExitValue)
+  if (Want.ExitValue != Got.exitValue())
     return "exit value";
-  if (Want.SwitchedStep != Got.SwitchedStep)
+  if (Want.SwitchedStep != Got.switchedStep())
     return "switched step";
-  if (Want.FirstInputStep != Got.FirstInputStep)
+  if (Want.FirstInputStep != Got.firstInputStep())
     return "first input step";
-  if (Want.Outputs != Got.Outputs)
-    return "outputs";
+  if (Want.Outputs.size() != Got.outputCount())
+    return "output count";
+  for (size_t K = 0; K < Want.Outputs.size(); ++K)
+    if (!(Want.Outputs[K] == Got.output(K)))
+      return "output " + std::to_string(K);
   if (Want.size() != Got.size())
     return "length " + std::to_string(Want.size()) + " vs " +
            std::to_string(Got.size());
   for (TraceIdx I = 0; I < Want.size(); ++I)
-    if (!Want.sameStep(I, Got, I))
+    if (!Got.sameStep(I, Want, I))
       return "step " + std::to_string(I);
+  std::vector<TraceIdx> Pending;
+  for (const interp::CheckpointFrame &CF : CP.Frames)
+    if (CF.PendingRec != InvalidId)
+      Pending.push_back(CF.PendingRec);
+  if (Got.base() != CP.Index || Got.source() == nullptr ||
+      !std::equal(Pending.begin(), Pending.end(), Got.reopened().begin(),
+                  Got.reopened().end()) ||
+      Got.own().Steps.size() != Got.size() - CP.Index + Pending.size())
+    return "own records below the resume point";
   return "";
 }
 
@@ -376,16 +400,16 @@ bool runResumeSeed(uint64_t Seed, bool Verbose, ResumeTally &T) {
   interp::ExecContext Ctx;
   bool Ok = true;
   auto Check = [&](const interp::ExecutionTrace &Want,
-                   const interp::ExecutionTrace &Got, TraceIdx At,
-                   const char *What) {
+                   const interp::ResumedTrace &Got,
+                   const interp::Checkpoint &CP, const char *What) {
     ++T.Resumes;
-    std::string Diff = traceDifference(Want, Got);
+    std::string Diff = traceDifference(Want, Got, CP);
     if (Diff.empty())
       return;
     std::printf("seed %llu: %s RESUME AT STEP %u DIFFERS FROM FULL RUN "
                 "(%s)\n%s\n",
-                static_cast<unsigned long long>(Seed), What, At, Diff.c_str(),
-                Variant.FaultySource.c_str());
+                static_cast<unsigned long long>(Seed), What, CP.Index,
+                Diff.c_str(), Variant.FaultySource.c_str());
     ++T.Failures;
     Ok = false;
   };
@@ -396,7 +420,7 @@ bool runResumeSeed(uint64_t Seed, bool Verbose, ResumeTally &T) {
     ++T.Snapshots;
     if (CP->Frames.size() > 1)
       ++T.PendingCalls;
-    Check(E, Interp.runFrom(*CP, E, Variant.Input, Plain, Ctx), CP->Index,
+    Check(E, Interp.runFrom(*CP, E, Variant.Input, Plain, Ctx), *CP,
           "UNSWITCHED");
 
     // Switch a predicate instance at or after the snapshot.
@@ -405,8 +429,200 @@ bool runResumeSeed(uint64_t Seed, bool Verbose, ResumeTally &T) {
     interp::Interpreter::Options Switched = Plain;
     Switched.Switch = Spec;
     Check(Interp.run(Variant.Input, Switched, Ctx),
-          Interp.runFrom(*CP, E, Variant.Input, Switched, Ctx), CP->Index,
+          Interp.runFrom(*CP, E, Variant.Input, Switched, Ctx), *CP,
           "SWITCHED");
+  }
+  if (Verbose)
+    std::printf("seed %llu: %s (%zu predicate instances)\n",
+                static_cast<unsigned long long>(Seed), Ok ? "ok" : "FAILED",
+                Preds.size());
+  return Ok;
+}
+
+//===----------------------------------------------------------------------===//
+// Alignment fuzzing: the verifier's aligner over a resumed switched run
+// must answer every query exactly as Algorithm 1 over full region trees
+// of two fully interpreted runs.
+//===----------------------------------------------------------------------===//
+
+struct AlignTally {
+  size_t Generated = 0;
+  size_t Switches = 0;
+  size_t BundleResumes = 0;
+  size_t Queries = 0;
+  size_t Failures = 0;
+};
+
+/// The reference aligner: Algorithm 1 over the full region trees of the
+/// original run and of a fully interpreted switched run -- the simple
+/// code the verifier's aligner is compared against.
+class ReferenceAligner {
+public:
+  ReferenceAligner(const interp::ExecutionTrace &E,
+                   const interp::ExecutionTrace &EP)
+      : E(E), EP(EP), TreeE(E), TreeEP(EP), Switch(EP.SwitchedStep) {}
+
+  align::AlignResult match(TraceIdx U) const {
+    if (Switch == InvalidId) {
+      if (U < EP.size() && EP.step(U).Stmt == E.step(U).Stmt)
+        return {U, align::AlignFailure::None};
+      return {InvalidId, align::AlignFailure::SwitchNotApplied};
+    }
+    if (U <= Switch)
+      return {U, align::AlignFailure::None};
+    TraceIdx R = TreeE.parent(Switch);
+    while (R != InvalidId && !TreeE.inRegion(U, R))
+      R = TreeE.parent(R);
+    TraceIdx RP = R;
+    while (true) {
+      if (R != InvalidId && U == R)
+        return {RP, align::AlignFailure::None};
+      std::span<const TraceIdx> Cs = TreeE.children(R);
+      std::span<const TraceIdx> CsP = TreeEP.children(RP);
+      size_t I = 0;
+      for (; I < Cs.size(); ++I) {
+        if (I >= CsP.size())
+          return {InvalidId, align::AlignFailure::RegionEndedEarly};
+        TraceIdx C = Cs[I], CP = CsP[I];
+        if (E.step(C).Stmt != EP.step(CP).Stmt)
+          return {InvalidId, align::AlignFailure::StaticMismatch};
+        if (!TreeE.inRegion(U, C))
+          continue;
+        if (C == U)
+          return {CP, align::AlignFailure::None};
+        if (E.step(C).isPredicateInstance() &&
+            E.step(C).BranchTaken != EP.step(CP).BranchTaken)
+          return {InvalidId, align::AlignFailure::BranchDiverged};
+        R = C;
+        RP = CP;
+        break;
+      }
+      if (I == Cs.size())
+        return {InvalidId, align::AlignFailure::StaticMismatch};
+    }
+  }
+
+  /// The paper's edge check: is \p D inside the switched predicate's
+  /// region of the switched run?
+  bool inSwitchRegion(TraceIdx D) const { return TreeEP.inRegion(D, Switch); }
+
+private:
+  const interp::ExecutionTrace &E;
+  const interp::ExecutionTrace &EP;
+  align::RegionTree TreeE;
+  align::RegionTree TreeEP;
+  TraceIdx Switch;
+};
+
+bool runAlignSeed(uint64_t Seed, bool Verbose, AlignTally &T) {
+  gen::RandomProgramGenerator Gen(Seed);
+  auto Variant = Gen.generateOmission();
+  ++T.Generated;
+
+  DiagnosticEngine Diags;
+  auto Prog = lang::parseAndCheck(Variant.FaultySource, Diags);
+  if (!Prog) {
+    std::printf("seed %llu: GENERATED PROGRAM DOES NOT PARSE\n%s\n",
+                static_cast<unsigned long long>(Seed), Diags.str().c_str());
+    ++T.Failures;
+    return false;
+  }
+  analysis::StaticAnalysis SA(*Prog);
+  interp::Interpreter Interp(*Prog, SA);
+  const uint64_t MaxSteps = 20'000;
+  interp::Interpreter::Options Plain;
+  Plain.MaxSteps = MaxSteps;
+  interp::ExecutionTrace E = Interp.run(Variant.Input, Plain);
+  const align::RegionTree TreeE(E);
+
+  std::vector<TraceIdx> Preds;
+  for (TraceIdx I = 0; I < E.size(); ++I)
+    if (E.step(I).isPredicateInstance())
+      Preds.push_back(I);
+  interp::CheckpointStore Store(interp::DefaultCheckpointMemBytes);
+  interp::CheckpointPlan Plan;
+  Plan.Sites = Preds;
+  Plan.Store = &Store;
+  interp::Interpreter::Options Collect = Plain;
+  Collect.Checkpoints = &Plan;
+  Interp.run(Variant.Input, Collect);
+
+  interp::ExecContext Ctx;
+  bool Ok = true;
+  auto Fail = [&](TraceIdx P, const char *What, TraceIdx At,
+                  const std::string &Detail) {
+    std::printf("seed %llu: switch at %u, %s %u: %s\n%s\n",
+                static_cast<unsigned long long>(Seed), P, What, At,
+                Detail.c_str(), Variant.FaultySource.c_str());
+    ++T.Failures;
+    Ok = false;
+  };
+  // Every query the verifier can ask of one switched run: match() for
+  // each original instance, with the matched step's fields and use and
+  // def sequences the verdict reads, and the edge check for each
+  // switched instance.
+  auto Compare = [&](TraceIdx P, const interp::ResumedTrace &Run,
+                     const interp::ExecutionTrace &Full,
+                     const ReferenceAligner &Ref) {
+    align::ExecutionAligner A(E, Run, TreeE);
+    for (TraceIdx U = 0; U < E.size(); ++U) {
+      ++T.Queries;
+      align::AlignResult Got = A.match(U), Want = Ref.match(U);
+      if (Got.Matched != Want.Matched || Got.Why != Want.Why) {
+        Fail(P, "match of", U,
+             "matched " + std::to_string(Got.Matched) + " vs " +
+                 std::to_string(Want.Matched));
+        return;
+      }
+      if (Got.found() && !Run.sameStep(Got.Matched, Full, Want.Matched)) {
+        Fail(P, "matched step of", U, "fields or uses and defs differ");
+        return;
+      }
+    }
+    if (Run.switchedStep() == InvalidId)
+      return;
+    for (TraceIdx D = 0; D < Full.size(); ++D) {
+      ++T.Queries;
+      if (A.switchedTree().inRegion(D, Run.switchedStep()) !=
+          Ref.inSwitchRegion(D)) {
+        Fail(P, "edge check of", D, "region membership differs");
+        return;
+      }
+    }
+  };
+
+  for (TraceIdx P : Preds) {
+    std::shared_ptr<const interp::Checkpoint> CP = Store.nearest(P);
+    if (!CP)
+      continue;
+    ++T.Switches;
+    interp::Interpreter::Options Switched = Plain;
+    Switched.Switch = interp::SwitchSpec{E.step(P).Stmt, E.step(P).InstanceNo};
+    interp::ExecutionTrace Full = Interp.run(Variant.Input, Switched, Ctx);
+    ReferenceAligner Ref(E, Full);
+
+    // The verifier's path: resume from the original run's snapshot,
+    // capturing divergence-keyed snapshots past the switch.
+    interp::SwitchedCapturePlan Capture;
+    Capture.SpacingSteps = std::min<uint64_t>(
+        Capture.SpacingSteps, std::max<uint64_t>(16, E.size() / 4));
+    interp::Interpreter::Options Capturing = Switched;
+    Capturing.SwitchedCapture = &Capture;
+    interp::ResumedTrace Resumed =
+        Interp.runFrom(*CP, E, Variant.Input, Capturing, Ctx);
+    Compare(P, Resumed, Full, Ref);
+    if (Capture.Captured.empty())
+      continue;
+
+    // A later session's path: resume from the deepest switched snapshot
+    // through the bundle prefix staging would keep.
+    ++T.BundleResumes;
+    auto Prefix = std::make_shared<interp::ExecutionTrace>();
+    interp::tracePrefix(Resumed, *Capture.Captured.back(), *Prefix);
+    interp::ResumedTrace FromBundle =
+        Interp.runFrom(*Capture.Captured.back(), std::move(Prefix),
+                       Variant.Input, Switched, Ctx);
+    Compare(P, FromBundle, Full, Ref);
   }
   if (Verbose)
     std::printf("seed %llu: %s (%zu predicate instances)\n",
@@ -464,10 +680,10 @@ std::string locateTwice(const lang::Program &Faulty,
   for (int Pass = 0; Pass < 2; ++Pass) {
     support::StatsRegistry Stats;
     core::DebugSession::Config C;
-    C.Locate.SwitchedCacheBytes = CacheBytes;
+    C.Opt.Reuse.SwitchedCacheBytes = CacheBytes;
     if (CacheBytes > 0)
       C.SwitchedRuns = &Store;
-    C.Stats = &Stats;
+    C.Opt.Exec.Stats = &Stats;
     core::DebugSession Session(Faulty, Input, Expected, {}, C);
     if (!Session.hasFailure())
       return Sig; // Caller already checked; belt and braces.
@@ -865,7 +1081,7 @@ int main(int Argc, char **Argv) {
       Mode = Argv[I] + 7;
     else {
       std::fprintf(stderr, "usage: eoe-fuzz [--fuzz=pipeline|diskstore|"
-                           "switched|chain|prune|resume] [--seeds N] "
+                           "switched|chain|prune|resume|align] [--seeds N] "
                            "[--start S] "
                            "[--verbose]\n");
       return 2;
@@ -939,6 +1155,24 @@ int main(int Argc, char **Argv) {
                 "inside a call), %zu resumed runs, %zu violations\n",
                 T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
                 T.Snapshots, T.PendingCalls, T.Resumes, T.Failures);
+    return T.Failures == 0 ? 0 : 1;
+  }
+  if (Mode == "align") {
+    AlignTally T;
+    for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
+      runAlignSeed(Seed, Verbose, T);
+    // Bundle resumes are the runs whose switch lies below their resume
+    // point; a run without them skips half the oracle.
+    if (T.Generated > 0 && T.BundleResumes == 0) {
+      std::printf("align fuzzing resumed no run from a bundle prefix -- "
+                  "switches below the resume point are not exercised\n");
+      ++T.Failures;
+    }
+    std::printf("align-fuzzed %zu programs in %s s: %zu switched runs (%zu "
+                "resumed again from a bundle), %zu queries, %zu "
+                "violations\n",
+                T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
+                T.Switches, T.BundleResumes, T.Queries, T.Failures);
     return T.Failures == 0 ? 0 : 1;
   }
   if (Mode == "diskstore") {

@@ -437,7 +437,7 @@ int cmdDot(const CliOptions &Opts, const lang::Program &Prog) {
 
   if (Opts.Command == "dot-regions") {
     align::RegionTree Tree(T);
-    std::printf("%s", viz::regionTreeToDot(Prog, Tree).c_str());
+    std::printf("%s", viz::regionTreeToDot(Prog, T, Tree).c_str());
     return 0;
   }
   // dot-ddg: optionally restricted to the wrong output's slice.
