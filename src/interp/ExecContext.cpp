@@ -43,10 +43,10 @@ void ExecContext::recycleFrame(ExecFrame &&F) {
   FreeFrames.push_back(std::move(F));
 }
 
-void ExecContext::noteTraceSize(const ExecutionTrace &T) {
-  StepsHint = std::max(StepsHint, T.Steps.size());
-  UsesHint = std::max(UsesHint, T.Uses.size());
-  DefsHint = std::max(DefsHint, T.Defs.size());
+void ExecContext::noteTraceSize(size_t Steps, size_t Uses, size_t Defs) {
+  StepsHint = std::max(StepsHint, Steps);
+  UsesHint = std::max(UsesHint, Uses);
+  DefsHint = std::max(DefsHint, Defs);
 }
 
 ExecContextPool::Lease ExecContextPool::acquire() {
