@@ -17,12 +17,11 @@ using namespace eoe::interp;
 ChainSearch::ChainSearch(ImplicitDepVerifier &Verifier,
                          const ExecutionTrace &T, unsigned MaxDepth,
                          unsigned Budget)
-    : Verifier(Verifier), T(T), MaxDepth(MaxDepth), Budget(Budget) {
-  // Registered eagerly so the locate.chain.* keys are part of the stats
-  // surface whenever chains are configured, searches attempted or not.
-  Verifier.stats().counter("locate.chain.searches");
-  Verifier.stats().counter("locate.chain.commits");
-}
+    : Verifier(Verifier), T(T), MaxDepth(MaxDepth), Budget(Budget),
+      // Registered eagerly (as locateFault does locate.chain.commits) so
+      // the locate.chain.* keys are part of the stats surface whenever
+      // chains are configured, searches attempted or not.
+      Searches(Verifier.stats().counter("locate.chain.searches")) {}
 
 std::vector<TraceIdx>
 ChainSearch::extensions(const ResumedTrace &EP,
@@ -84,7 +83,7 @@ ChainSearch::Result ChainSearch::search(const std::vector<TraceIdx> &Candidates,
   Result Fallback;
   if (MaxDepth < 2 || Used >= Budget)
     return Fallback;
-  Verifier.stats().counter("locate.chain.searches").add();
+  Searches.add();
 
   for (TraceIdx P : Candidates) {
     const StepRecord &PS = T.step(P);
@@ -92,9 +91,6 @@ ChainSearch::Result ChainSearch::search(const std::vector<TraceIdx> &Candidates,
     Frontier.push_back({{PS.Stmt, PS.InstanceNo, /*Perturb=*/false,
                          /*Value=*/0}});
     for (unsigned Depth = 2; Depth <= MaxDepth && !Frontier.empty(); ++Depth) {
-      // Make bundles staged by shallower runs visible to this depth's
-      // store lookups: a depth-k run's snapshots seed depth-k+1 resumes.
-      Verifier.sealSwitchedStage();
       std::vector<std::vector<SwitchDecision>> Next;
       for (const std::vector<SwitchDecision> &Chain : Frontier) {
         // Depth-1 traces come from the single-switch cache (computed by

@@ -27,9 +27,8 @@
 /// function of (trace, candidate order, depth, budget), so chain results
 /// -- and the verify.chain.* counters -- are bit-identical at any thread
 /// count. Chained runs are cached by the full decision sequence in the
-/// verifier, and between depth levels the switched-run store is sealed so
-/// a depth-k run's divergence-keyed snapshots seed depth-k+1 resumes
-/// (SwitchedRunStore's longest-matching-prefix lookup).
+/// verifier; each resumes from the original run's snapshots like a
+/// single switch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,6 +91,7 @@ private:
   unsigned MaxDepth;
   unsigned Budget;
   size_t Used = 0;
+  support::StatCounter &Searches;
 };
 
 } // namespace core

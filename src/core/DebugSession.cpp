@@ -7,8 +7,6 @@
 
 #include "core/DebugSession.h"
 
-#include "interp/CheckpointDiskStore.h"
-
 #include <cassert>
 
 using namespace eoe;
@@ -24,32 +22,10 @@ DebugSession::DebugSession(const lang::Program &Prog,
     : Prog(Prog), FailingInput(std::move(FailingInputIn)),
       ExpectedOutputs(std::move(ExpectedOutputsIn)), C(CIn), SA(Prog),
       Interp(Prog, SA, CIn.Opt.Exec.Stats), Prof(Prog.statements().size()) {
-  const bool ShareWired = C.Opt.Reuse.CheckpointShare && C.SharedCheckpoints;
-
-  // Warm start: revive this (program, budget) key's persisted snapshots
-  // into the shared store before anything runs. Best-effort -- a missing
-  // or corrupt cache only costs the warm start (and bumps
-  // verify.ckpt.disk_rejects), never the session.
-  if (ShareWired && !C.Opt.Reuse.CheckpointDir.empty()) {
-    support::EventTracer::Span LoadSpan(C.Opt.Exec.Tracer, "ckpt.disk_load",
-                                        "interp");
-    interp::CheckpointDiskStore Disk(C.Opt.Reuse.CheckpointDir);
-    Disk.load(*C.SharedCheckpoints, Prog, C.Locate.MaxSteps, C.Opt.Exec.Stats);
-  }
-
   {
     support::EventTracer::Span ProfileSpan(C.Opt.Exec.Tracer, "profile",
                                            "interp");
-    ProfileOptions PO;
-    PO.MaxStepsPerRun = C.Opt.Exec.MaxSteps;
-    if (ShareWired) {
-      // The profiler's re-executions double as checkpoint collection for
-      // the shared store (and thus, via the session owner's save, for
-      // the persistent cache).
-      PO.Share = C.SharedCheckpoints;
-      PO.ShareMaxSteps = C.Locate.MaxSteps;
-    }
-    Prof = profileTestSuite(Interp, Prog, TestSuite, PO);
+    Prof = profileTestSuite(Interp, Prog, TestSuite, C.Opt.Exec.MaxSteps);
   }
 
   Interpreter::Options Opts;
@@ -79,16 +55,6 @@ DebugSession::DebugSession(const lang::Program &Prog,
   VC.Threads = C.Opt.Exec.Threads;
   VC.CheckpointStride = C.Opt.Reuse.Checkpoints;
   VC.CheckpointMemBytes = C.Opt.Reuse.CheckpointMemBytes;
-  VC.CheckpointDelta = C.Opt.Reuse.CheckpointDelta;
-  if (C.Opt.Reuse.CheckpointShare && C.SharedCheckpoints) {
-    VC.CheckpointShare = C.SharedCheckpoints;
-    VC.CheckpointShareProgram = &Prog;
-  }
-  VC.SwitchedCacheBytes = C.Opt.Reuse.SwitchedCacheBytes;
-  if (C.SwitchedRuns) {
-    VC.SwitchedRuns = C.SwitchedRuns;
-    VC.SwitchedProgram = &Prog;
-  }
   VC.Stats = C.Opt.Exec.Stats;
   VC.Tracer = C.Opt.Exec.Tracer;
   Verifier = std::make_unique<ImplicitDepVerifier>(Interp, Trace,

@@ -37,6 +37,26 @@
 #include <vector>
 
 namespace eoe {
+
+//===----------------------------------------------------------------------===//
+// Compatibility shims. e2ebench/Bench.cpp constructs a cross-input
+// checkpoint store and a switched-run store per two-phase subject, wires
+// them into DebugSession::Config::{SharedCheckpoints, SwitchedRuns} and
+// seals the latter between the phases (with
+// ReuseOptions::SwitchedCacheBytes as its budget). Both layers are gone:
+// these types hold and do nothing, nothing reads the two Config fields,
+// and no other code uses any of them. They go together with a benchmark
+// edit that drops that wiring.
+//===----------------------------------------------------------------------===//
+namespace interp {
+class SharedCheckpointStore {};
+class SwitchedRunStore {
+public:
+  explicit SwitchedRunStore(size_t) {}
+  void seal() {}
+};
+} // namespace interp
+
 namespace core {
 
 /// A complete debugging session over one failing input.
@@ -47,27 +67,16 @@ public:
     /// profile-union graph, the pure static backend is more conservative.
     slicing::PotentialDepAnalyzer::Backend PDBackend =
         slicing::PotentialDepAnalyzer::Backend::Static;
-    /// Cross-session checkpoint sharing: when set (and
-    /// Opt.Reuse.CheckpointShare is on), input-independent snapshots are
-    /// promoted into this store and later sessions over the same program
-    /// seed their checkpoint stores from it. The store must outlive every
-    /// session using it; the owner is whoever runs multiple sessions over
-    /// one program (FaultRunner, a bench, the CLI).
+    /// Compatibility shims (see above); never read.
     interp::SharedCheckpointStore *SharedCheckpoints = nullptr;
-    /// Switched-run snapshot cache: when set (and
-    /// Opt.Reuse.SwitchedCacheBytes > 0), switched runs stage divergence-
-    /// keyed snapshot bundles here and later sessions over the same
-    /// (program, input, budget) resume from them. Same ownership rules as
-    /// SharedCheckpoints; the owner must seal() the store between
-    /// sessions for staged bundles to become visible.
     interp::SwitchedRunStore *SwitchedRuns = nullptr;
     /// Algorithm 2 tunables.
     LocateConfig Locate;
     /// The unified knob bundle (support/Options.h): Opt.Exec.MaxSteps is
     /// the failing-run step budget, Opt.Exec.Threads the verification
     /// worker count, Opt.Exec.Stats/Tracer the observability sinks wired
-    /// through every pipeline layer, and Opt.Reuse every checkpoint /
-    /// switched-cache / chain knob.
+    /// through every pipeline layer, and Opt.Reuse every checkpoint and
+    /// chain knob.
     eoe::Options Opt;
   };
 

@@ -63,15 +63,26 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
   const size_t VerificationsBefore = Verifier.verificationCount();
   const size_t ReexecutionsBefore = Verifier.reexecutionCount();
   support::StatTimer &PruneTime = Reg.timer("slicing.prune_time");
+  // Handles of the metrics a call may never reach, each resolved on its
+  // first use here (a lookup takes the registry's mutex, and a metric the
+  // call does not reach stays unregistered).
+  support::StatTimer *RoundTime = nullptr;
+  support::StatCounter *Rounds = nullptr;
+  support::StatCounter *CandidateRequests = nullptr;
+  support::StatHistogram *CandidatesPerUse = nullptr;
+  support::StatCounter *FanoutRequestCount = nullptr;
 
   // Multi-switch perturbation chains (docs/chains.md): when every
   // single-switch verdict for a use comes back NOT_ID, the search below
   // extends the decision sequence. One object for the whole procedure:
   // the re-execution budget is global across uses and rounds.
   std::unique_ptr<ChainSearch> Chains;
-  if (Opt.Reuse.ChainDepth >= 2)
+  support::StatCounter *ChainCommits = nullptr;
+  if (Opt.Reuse.ChainDepth >= 2) {
     Chains = std::make_unique<ChainSearch>(Verifier, T, Opt.Reuse.ChainDepth,
                                            Opt.Reuse.ChainBudget);
+    ChainCommits = &Reg.counter("locate.chain.commits");
+  }
 
   support::EventTracer::Span FirstPruneSpan(Tracer, "prune", "slicing");
   support::ScopedTimer FirstPruneTimed(&PruneTime);
@@ -94,7 +105,9 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
   while (!containsRootCause(Ranked, T, O) &&
          Report.Iterations < Config.MaxIterations) {
     support::EventTracer::Span RoundSpan(Tracer, "locate.round", "core");
-    support::ScopedTimer RoundTimed(&Reg.timer("locate.round_time"));
+    if (!RoundTime)
+      RoundTime = &Reg.timer("locate.round_time");
+    support::ScopedTimer RoundTimed(RoundTime);
     // Sweep the pruned slice's uses in rank order, verifying each use's
     // candidate predicates. Strong implicit dependences override plain
     // ones (Algorithm 2 lines 10-11); the sweep commits the first use
@@ -115,8 +128,12 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
           VU.Load = Use.LoadExpr;
           std::vector<TraceIdx> Candidates =
               PD.compute(I, Use, Config.OnePerPredicate);
-          Reg.counter("locate.candidate_requests").add(Candidates.size());
-          Reg.histogram("locate.candidates_per_use").record(Candidates.size());
+          if (!CandidateRequests) {
+            CandidateRequests = &Reg.counter("locate.candidate_requests");
+            CandidatesPerUse = &Reg.histogram("locate.candidates_per_use");
+          }
+          CandidateRequests->add(Candidates.size());
+          CandidatesPerUse->record(Candidates.size());
           // One-shot checkpoint collection over the first non-empty
           // candidate set -- before any verification, and at the same
           // point on the serial and batched paths, so checkpoint state
@@ -161,7 +178,7 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
                 Chains->search(Candidates, I, Use.LoadExpr);
             if (CR.Found) {
               (CR.Strong ? VU.Strong : VU.Plain).push_back(CR.BasePred);
-              Reg.counter("locate.chain.commits").add();
+              ChainCommits->add();
             }
           }
           It = Pool.emplace(Key, std::move(VU)).first;
@@ -183,7 +200,9 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
       break; // No verifiable dependence left: the procedure failed.
 
     ++Report.Iterations;
-    Reg.counter("locate.rounds").add();
+    if (!Rounds)
+      Rounds = &Reg.counter("locate.rounds");
+    Rounds->add();
     Committed.insert({ToCommit->Use, ToCommit->Load});
     bool UseStrong = !ToCommit->Strong.empty();
     const std::vector<TraceIdx> &Winners =
@@ -216,7 +235,9 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
         }
       }
       FanoutBegin.push_back(FanoutRequests.size());
-      Reg.counter("locate.fanout_requests").add(FanoutRequests.size());
+      if (!FanoutRequestCount)
+        FanoutRequestCount = &Reg.counter("locate.fanout_requests");
+      FanoutRequestCount->add(FanoutRequests.size());
     }
     std::vector<DepVerdict> FanoutVerdicts;
     if (Batched) {

@@ -53,32 +53,13 @@ ImplicitDepVerifier::ImplicitDepVerifier(const Interpreter &Interp,
   CCkptBytes = &Reg->counter("verify.ckpt.bytes");
   CCkptEvictions = &Reg->counter("verify.ckpt.evictions");
   CCkptSkippedDirty = &Reg->counter("verify.ckpt.skipped_dirty");
-  CCkptDeltas = &Reg->counter("verify.ckpt.delta_encoded");
-  CCkptKeyframes = &Reg->counter("verify.ckpt.keyframes");
-  CCkptEncodedBytes = &Reg->counter("verify.ckpt.encoded_bytes");
-  CCkptRawBytes = &Reg->counter("verify.ckpt.raw_bytes");
-  CCkptSharedHits = &Reg->counter("verify.ckpt.shared_hits");
   CCkptAutoStride = &Reg->counter("verify.ckpt.auto_stride");
-  CCkptDiskHits = &Reg->counter("verify.ckpt.disk_hits");
-  // Switched-run reuse. interpreted_steps is recorded unconditionally
-  // (cache off included), so the bench's work-count comparison reads the
-  // same key on both sides.
   // Multi-switch chain verification (docs/chains.md). Registered eagerly
   // so the eoe-stats-v1 surface always carries the verify.chain.* keys,
   // chains enabled or not.
   CChainRuns = &Reg->counter("verify.chain.runs");
-  CChainPrefixHits = &Reg->counter("verify.chain.prefix_hits");
   CChainExtSteps = &Reg->counter("verify.chain.extended_steps");
   HChainDepth = &Reg->histogram("verify.chain.depth_hist");
-  CSwHits = &Reg->counter("verify.ckpt.switched_hits");
-  CSwPromotions = &Reg->counter("verify.ckpt.switched_promotions");
-  CSwInterpreted = &Reg->counter("verify.ckpt.switched_interpreted_steps");
-  // Registered eagerly (the disk store bumps them through the registry by
-  // name) so --stats always shows the full verify.ckpt.* key set and the
-  // determinism allowlist can assert them at any thread count.
-  Reg->counter("verify.ckpt.disk_loads");
-  Reg->counter("verify.ckpt.disk_rejects");
-  Reg->counter("verify.ckpt.disk_write_bytes");
   TReexec = &Reg->timer("verify.reexec_time");
   TCkptCollect = &Reg->timer("verify.ckpt.collect_time");
   TLatStrong = &Reg->timer("verify.latency.strong");
@@ -86,13 +67,8 @@ ImplicitDepVerifier::ImplicitDepVerifier(const Interpreter &Interp,
   TLatNot = &Reg->timer("verify.latency.not_implicit");
   HReexecSteps = &Reg->histogram("verify.reexec_steps");
   Arena.bindStats(this->C.Stats);
-  if (this->C.CheckpointStride != CheckpointsOff) {
-    CheckpointStore::Options SO;
-    SO.BudgetBytes = this->C.CheckpointMemBytes;
-    SO.DeltaEncode = this->C.CheckpointDelta;
-    SO.KeyframeInterval = this->C.CheckpointKeyframeEvery;
-    Ckpts = std::make_unique<CheckpointStore>(SO);
-  }
+  if (this->C.CheckpointStride != CheckpointsOff)
+    Ckpts = std::make_unique<CheckpointStore>(this->C.CheckpointMemBytes);
 }
 
 ImplicitDepVerifier::~ImplicitDepVerifier() = default;
@@ -138,8 +114,8 @@ void ImplicitDepVerifier::computeRun(
          E.step(BaseInst).Stmt == Decisions.front().Stmt &&
          E.step(BaseInst).InstanceNo == Decisions.front().InstanceNo &&
          "BaseInst must be the first decision's instance in the original");
-  // Single switches and chains differ only in their bookkeeping: which
-  // counters their hits and work land in.
+  // Single switches and chains differ only in their bookkeeping: chains
+  // also count into verify.chain.*.
   const bool Chained = Decisions.size() > 1;
 
   Interpreter::Options Opts;
@@ -155,52 +131,7 @@ void ImplicitDepVerifier::computeRun(
   std::shared_ptr<const Checkpoint> CP;
   if (Ckpts) {
     CP = Ckpts->nearest(BaseInst);
-    if (!CP) {
-      CCkptMisses->add();
-    } else {
-      CCkptHits->add();
-      if (!Chained) {
-        std::lock_guard<std::mutex> Lock(SharedIdxMutex);
-        if (SharedIdx.count(CP->Index))
-          CCkptSharedHits->add();
-        if (DiskIdx.count(CP->Index))
-          CCkptDiskHits->add();
-      }
-    }
-  }
-
-  // Switched-run reuse (published by maybeCollectCheckpoints): the
-  // deepest sealed bundle whose divergence key prefixes the decisions
-  // wins over the plain prefix snapshot when strictly deeper; its splice
-  // source is then the capturing *switched* run's trimmed trace, not E.
-  // Depth-k chains staged bundles under their own key, so a sealed
-  // depth-k snapshot seeds a depth-k+1 run past the shared divergence.
-  const SwitchedRunStore::ValidityKey *SR =
-      SwitchedPub.load(std::memory_order_acquire);
-  std::shared_ptr<const ExecutionTrace> SwPrefix;
-  if (SR) {
-    if (std::optional<SwitchedRunStore::Hit> H =
-            C.SwitchedRuns->lookup(*SR, Decisions)) {
-      if (!CP || H->CP->Index > CP->Index) {
-        CP = H->CP;
-        SwPrefix = H->Prefix;
-        (Chained ? CChainPrefixHits : CSwHits)->add();
-      }
-    }
-  }
-  // Capture unless the hit already covers every decision (its key --
-  // carried on the snapshot -- is as long): deeper snapshots under this
-  // exact key could only duplicate a prior session's bundle.
-  const bool Exact = SwPrefix && CP->Divergence.size() == Decisions.size();
-  SwitchedCapturePlan Capture;
-  const bool DoCapture = SR && !Exact;
-  if (DoCapture) {
-    // Scale the capture spacing down for short traces (a pure function of
-    // E, so every thread computes the same plan): the default 2048 would
-    // never fire on a trace a few hundred steps long.
-    Capture.SpacingSteps = std::min<uint64_t>(
-        Capture.SpacingSteps, std::max<uint64_t>(16, E.size() / 4));
-    Opts.SwitchedCapture = &Capture;
+    (CP ? CCkptHits : CCkptMisses)->add();
   }
 
   {
@@ -209,47 +140,19 @@ void ImplicitDepVerifier::computeRun(
                                       "interp");
     support::ScopedTimer Timed(TReexec);
     ExecContextPool::Lease Ctx = Arena.acquire();
-    if (!CP)
-      Run.Trace = ResumedTrace(Interp.run(Input, Opts, *Ctx));
-    else if (SwPrefix)
-      Run.Trace = Interp.runFrom(*CP, SwPrefix, Input, Opts, *Ctx);
-    else
-      Run.Trace = Interp.runFrom(*CP, E, Input, Opts, *Ctx);
+    Run.Trace = CP ? Interp.runFrom(*CP, E, Input, Opts, *Ctx)
+                   : ResumedTrace(Interp.run(Input, Opts, *Ctx));
   }
   CReexecutions->add();
   if (Chained) {
     CChainRuns->add();
     HChainDepth->record(Decisions.size());
+    // What the chained run interpreted, net of the prefix it resumed past.
+    CChainExtSteps->add(Run.Trace.size() - (CP ? CP->Index : 0));
   }
   HReexecSteps->record(Run.Trace.size());
   if (Run.Trace.exit() != ExitReason::Finished)
     CReexecAborts->add();
-  // Work accounting: what this run interpreted, net of the prefix it
-  // resumed past. Recorded with the caches off too, so the ratio between
-  // configurations is a pure counter comparison; chains keep theirs out
-  // of the single-switch counter.
-  const TraceIdx PrefixLen = CP ? CP->Index : 0;
-  (Chained ? CChainExtSteps : CSwInterpreted)
-      ->add(Run.Trace.size() - PrefixLen);
-
-  // Promote this run's divergence-keyed snapshots: materialise the trace
-  // it held at the deepest snapshot (the bundle outlives this session) and
-  // stage the bundle. Captures only start once every decision has fired,
-  // so each carries the decisions as its key; a run that never fired its
-  // tail decisions stages nothing. Admission happens at the store's next
-  // seal(), in canonical order, so the sealed set does not depend on
-  // which run stages first.
-  if (DoCapture && !Capture.Captured.empty() &&
-      Capture.Captured.front()->Divergence == Decisions) {
-    auto Prefix = std::make_shared<ExecutionTrace>();
-    tracePrefix(Run.Trace, *Capture.Captured.back(), *Prefix);
-    SwitchedRunStore::Bundle B;
-    B.Key = Decisions;
-    B.Prefix = std::move(Prefix);
-    B.Snapshots = std::move(Capture.Captured);
-    C.SwitchedRuns->stage(*SR, std::move(B));
-    CSwPromotions->add();
-  }
   {
     support::EventTracer::Span Align(C.Tracer, "align", "align");
     std::call_once(OrigTreeOnce,
@@ -265,11 +168,6 @@ static std::vector<SwitchDecision> switchOf(const StepRecord &P) {
   return {{P.Stmt, P.InstanceNo, /*Perturb=*/false, /*Value=*/0}};
 }
 
-void ImplicitDepVerifier::sealSwitchedStage() {
-  if (C.SwitchedRuns)
-    C.SwitchedRuns->seal();
-}
-
 void ImplicitDepVerifier::maybeCollectCheckpoints(
     const std::vector<TraceIdx> &Candidates) {
   if (!Ckpts || Candidates.empty())
@@ -280,33 +178,6 @@ void ImplicitDepVerifier::maybeCollectCheckpoints(
     std::vector<TraceIdx> Sorted(Candidates);
     std::sort(Sorted.begin(), Sorted.end());
     Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
-
-    // Cross-input sharing: seed the session store with the snapshots
-    // earlier sessions promoted for this (program, budget) -- they cover
-    // the common pre-input prefix -- and arrange for this session's own
-    // input-independent captures to be promoted in turn. Seeded indices
-    // are remembered so resumes from them can be attributed
-    // (verify.ckpt.shared_hits).
-    if (C.CheckpointShare && C.CheckpointShareProgram) {
-      Plan.Share = C.CheckpointShare;
-      Plan.ShareHash =
-          SharedCheckpointStore::hashProgram(*C.CheckpointShareProgram);
-      Plan.ShareProgram = C.CheckpointShareProgram;
-      Plan.ShareMaxSteps = C.MaxSteps;
-      std::vector<TraceIdx> FromDisk = C.CheckpointShare->diskIndicesFor(
-          Plan.ShareHash, Plan.ShareProgram, Plan.ShareMaxSteps);
-      std::lock_guard<std::mutex> Lock(SharedIdxMutex);
-      for (const std::shared_ptr<const Checkpoint> &CP :
-           C.CheckpointShare->snapshotsFor(Plan.ShareHash, Plan.ShareProgram,
-                                           Plan.ShareMaxSteps)) {
-        if (CP->Index > E.size())
-          continue; // Defensive: a resume reads E's prefix up to Index.
-        Ckpts->insert(CP);
-        SharedIdx.insert(CP->Index);
-        if (std::binary_search(FromDisk.begin(), FromDisk.end(), CP->Index))
-          DiskIdx.insert(CP->Index);
-      }
-    }
 
     if (C.CheckpointStride == CheckpointStrideAuto) {
       // Hand the engine every candidate plus the tuning inputs; it
@@ -339,26 +210,9 @@ void ImplicitDepVerifier::maybeCollectCheckpoints(
     CCkptBytes->add(Ckpts->bytes());
     CCkptEvictions->add(Ckpts->evictions());
     CCkptSkippedDirty->add(Plan.SkippedDirty);
-    CCkptDeltas->add(Ckpts->deltaCount());
-    CCkptKeyframes->add(Ckpts->keyframes());
-    CCkptEncodedBytes->add(Ckpts->encodedBytes());
-    CCkptRawBytes->add(Ckpts->rawBytes());
     if (Plan.AutoStride)
       CCkptAutoStride->add(Plan.AutoStride);
 
-    // Switched-run reuse rides on checkpointing: the store key binds
-    // staged bundles to this exact (program, input, budget). Published
-    // last via release store; concurrent switched runs either see all of
-    // it or run plain.
-    if (C.SwitchedCacheBytes > 0 && C.SwitchedRuns && C.SwitchedProgram) {
-      SwitchedKey = std::make_unique<SwitchedRunStore::ValidityKey>();
-      SwitchedKey->ProgramHash =
-          SharedCheckpointStore::hashProgram(*C.SwitchedProgram);
-      SwitchedKey->Program = C.SwitchedProgram;
-      SwitchedKey->InputHash = SwitchedRunStore::hashInput(Input);
-      SwitchedKey->MaxSteps = C.MaxSteps;
-      SwitchedPub.store(SwitchedKey.get(), std::memory_order_release);
-    }
   });
 }
 
@@ -391,8 +245,12 @@ void ImplicitDepVerifier::prepareSwitchedRuns(
   // tasks touch early snapshots first, keeping the LRU order aligned
   // with the batch; verdicts are order-independent either way.
   std::sort(Todo.begin(), Todo.end());
-  Reg->counter("verify.prepare_batches").add();
-  Reg->counter("verify.prepared_runs").add(Todo.size());
+  std::call_once(PrepareStatsOnce, [&] {
+    CPrepareBatches = &Reg->counter("verify.prepare_batches");
+    CPreparedRuns = &Reg->counter("verify.prepared_runs");
+  });
+  CPrepareBatches->add();
+  CPreparedRuns->add(Todo.size());
 
   support::ThreadPool *TP = pool();
   if (!TP || Todo.size() == 1) {

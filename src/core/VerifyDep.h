@@ -53,7 +53,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 
 namespace eoe {
 namespace core {
@@ -102,38 +101,6 @@ public:
     /// LRU byte budget for retained checkpoints; overflowing snapshots
     /// are evicted and affected switched runs fall back to full replay.
     size_t CheckpointMemBytes = interp::DefaultCheckpointMemBytes;
-    /// Delta-compress consecutive snapshots against each other, keeping a
-    /// full keyframe every CheckpointKeyframeEvery entries (the budget is
-    /// then charged with encoded bytes, multiplying effective capacity).
-    bool CheckpointDelta = true;
-    unsigned CheckpointKeyframeEvery = interp::DefaultKeyframeInterval;
-    /// Cross-input checkpoint sharing: when both are set, the collection
-    /// pass promotes input-independent snapshots into this store, and the
-    /// session seeds its own store from it before collecting -- so the
-    /// profiler's and the confidence analysis's many-input sessions over
-    /// the same program share the common pre-input prefix. The store must
-    /// outlive the verifier; CheckpointShareProgram must be the very
-    /// Program object this verifier's interpreter executes.
-    interp::SharedCheckpointStore *CheckpointShare = nullptr;
-    const lang::Program *CheckpointShareProgram = nullptr;
-    /// Switched-run reuse (docs/checkpointing.md, "Switched-run reuse").
-    /// Requires checkpointing (CheckpointStride != CheckpointsOff),
-    /// SwitchedCacheBytes > 0 and SwitchedRuns (it must outlive the
-    /// verifier, and SwitchedProgram must be the very Program this
-    /// verifier's interpreter executes): runs past the switch point keep
-    /// checkpointing, tagged with their divergence key, and stage the
-    /// bundles into the store; a later session over the same (program,
-    /// input, budget) resumes new switched runs from the deepest
-    /// staged-and-sealed snapshot whose key prefixes the requested
-    /// switch set.
-    /// Results are byte-identical with the cache on, off, or size-capped,
-    /// at any thread count.
-    interp::SwitchedRunStore *SwitchedRuns = nullptr;
-    const lang::Program *SwitchedProgram = nullptr;
-    /// 0 disables the reuse (the reference behavior). Budget enforcement
-    /// itself lives in the store; this knob only gates the per-run
-    /// capture instrumentation.
-    size_t SwitchedCacheBytes = interp::DefaultSwitchedCacheBytes;
     /// External observability sinks. When Stats is null the verifier
     /// records into a private registry, so the distinct-key counters (and
     /// their accessors) work identically either way; when Tracer is null
@@ -158,12 +125,10 @@ public:
   /// same verdict ladder as verify() against the chained trace, treating
   /// \p Chain's first decision as the dependence source. \p BaseInst must
   /// be that first decision's instance in the original trace. Chained
-  /// runs are cached by the full decision sequence; with a switched-run
-  /// store configured they resume from the deepest sealed snapshot whose
-  /// divergence key prefixes \p Chain (a depth-k run's snapshots seed
-  /// depth-k+1 -- see SwitchedRunStore::lookup). Thread-safe, but chain
-  /// search is deliberately serial (ChainSearch), so the chain counters
-  /// are thread-count invariant.
+  /// runs are cached by the full decision sequence and resume from the
+  /// nearest original-run snapshot at or before \p BaseInst, like single
+  /// switches. Thread-safe, but chain search is deliberately serial
+  /// (ChainSearch), so the chain counters are thread-count invariant.
   DepVerdict verifyChain(TraceIdx BaseInst,
                          const std::vector<interp::SwitchDecision> &Chain,
                          TraceIdx UseInst, ExprId UseLoad);
@@ -174,15 +139,6 @@ public:
   const interp::ResumedTrace &
   chainTrace(TraceIdx BaseInst,
              const std::vector<interp::SwitchDecision> &Chain);
-
-  /// Seals the switched-run store (no-op without one): bundles staged by
-  /// completed runs -- single-switch and shallower chains -- become
-  /// visible to later lookups. ChainSearch calls this between depth
-  /// levels so depth-k chain snapshots seed depth-k+1 resumes within one
-  /// session. Safe mid-session: already-computed runs are cached by
-  /// once-cells and never re-resolved, and a single-decision request can
-  /// only hit its own run's bundle.
-  void sealSwitchedStage();
 
   /// Warm-up for a batch: runs the switched re-executions (and builds the
   /// alignments) for every predicate instance in \p Preds that has no
@@ -242,7 +198,7 @@ private:
   struct SwitchedRun {
     std::once_flag Computed;
     std::atomic<bool> Ready{false};
-    /// Shares its prefix with E or with a switched-run bundle prefix.
+    /// Shares its prefix with E.
     interp::ResumedTrace Trace;
     std::unique_ptr<align::ExecutionAligner> Aligner;
     /// Instances explicitly (data/control) reachable from the switched
@@ -259,7 +215,7 @@ private:
                            const std::vector<interp::SwitchDecision> &Chain);
   /// Runs the re-execution applying \p Decisions (one switch, or a chain
   /// whose first decision is BaseInst's) and builds its alignment: the
-  /// snapshot lookup, resume, capture and staging both kinds share.
+  /// snapshot lookup and resume both kinds share.
   void computeRun(TraceIdx BaseInst,
                   const std::vector<interp::SwitchDecision> &Decisions,
                   SwitchedRun &Run);
@@ -305,20 +261,10 @@ private:
   support::StatCounter *CCkptBytes = nullptr;
   support::StatCounter *CCkptEvictions = nullptr;
   support::StatCounter *CCkptSkippedDirty = nullptr;
-  support::StatCounter *CCkptDeltas = nullptr;
-  support::StatCounter *CCkptKeyframes = nullptr;
-  support::StatCounter *CCkptEncodedBytes = nullptr;
-  support::StatCounter *CCkptRawBytes = nullptr;
-  support::StatCounter *CCkptSharedHits = nullptr;
   support::StatCounter *CCkptAutoStride = nullptr;
-  support::StatCounter *CCkptDiskHits = nullptr;
   support::StatCounter *CChainRuns = nullptr;
-  support::StatCounter *CChainPrefixHits = nullptr;
   support::StatCounter *CChainExtSteps = nullptr;
   support::StatHistogram *HChainDepth = nullptr;
-  support::StatCounter *CSwHits = nullptr;
-  support::StatCounter *CSwPromotions = nullptr;
-  support::StatCounter *CSwInterpreted = nullptr;
   support::StatTimer *TReexec = nullptr;
   support::StatTimer *TCkptCollect = nullptr;
   support::StatTimer *TLatStrong = nullptr;
@@ -334,26 +280,17 @@ private:
   /// by maybeCollectCheckpoints (guarded by CkptOnce).
   std::unique_ptr<interp::CheckpointStore> Ckpts;
   std::once_flag CkptOnce;
-  /// Trace indices of snapshots seeded from Config::CheckpointShare;
-  /// switched runs resuming from one count as verify.ckpt.shared_hits.
-  std::mutex SharedIdxMutex;
-  std::set<TraceIdx> SharedIdx;
-  /// Subset of SharedIdx whose snapshots the shared store revived from
-  /// the persistent cache; resumes count as verify.ckpt.disk_hits.
-  std::set<TraceIdx> DiskIdx;
+
+  /// prepareSwitchedRuns' metric handles, resolved by its first call
+  /// with work to do (until then the keys stay unregistered).
+  std::once_flag PrepareStatsOnce;
+  support::StatCounter *CPrepareBatches = nullptr;
+  support::StatCounter *CPreparedRuns = nullptr;
 
   /// The original trace's region tree, built once and shared by every
   /// aligner (it is identical across all switched runs).
   std::once_flag OrigTreeOnce;
   std::unique_ptr<align::RegionTree> OrigTree;
-
-  /// Switched-run reuse: the store key of this verifier's (program,
-  /// input, budget), built at the end of the checkpoint collection pass
-  /// and published to concurrent computeSwitchedRun calls via an
-  /// acquire/release pointer: a run either sees the complete key or none.
-  std::unique_ptr<interp::SwitchedRunStore::ValidityKey> SwitchedKey;
-  std::atomic<const interp::SwitchedRunStore::ValidityKey *> SwitchedPub{
-      nullptr};
 
   std::once_flag PoolOnce;
   std::unique_ptr<support::ThreadPool> Pool;

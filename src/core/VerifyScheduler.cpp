@@ -12,11 +12,16 @@ using namespace eoe::core;
 
 std::vector<DepVerdict>
 VerifyScheduler::verifyBatch(const std::vector<VerifyRequest> &Batch) {
-  support::StatsRegistry &Reg = Verifier.stats();
   if (!Batch.empty()) {
-    Reg.counter("verify.batches").add();
-    Reg.counter("verify.batch_requests").add(Batch.size());
-    Reg.histogram("verify.batch_size").record(Batch.size());
+    if (!CBatches) {
+      support::StatsRegistry &Reg = Verifier.stats();
+      CBatches = &Reg.counter("verify.batches");
+      CBatchRequests = &Reg.counter("verify.batch_requests");
+      HBatchSize = &Reg.histogram("verify.batch_size");
+    }
+    CBatches->add();
+    CBatchRequests->add(Batch.size());
+    HBatchSize->record(Batch.size());
   }
   support::EventTracer::Span BatchSpan(
       Batch.empty() ? nullptr : Verifier.tracer(), "verify.batch", "verify");

@@ -63,10 +63,6 @@ struct ExecFrame {
   /// Most recent instance of each predicate executed in this invocation,
   /// used to resolve dynamic control-dependence parents.
   std::unordered_map<StmtId, TraceIdx> LastPredInstance;
-
-  /// Value equality (delta-encoded checkpoints must decode to exactly the
-  /// state they were captured from; see interp/Checkpoint.h).
-  bool operator==(const ExecFrame &O) const = default;
 };
 
 /// Reusable buffers for one interpreter run. Not thread-safe; lease one

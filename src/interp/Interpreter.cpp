@@ -45,7 +45,7 @@ enum class Flow { Normal, Break, Continue, Return, Halt };
 
 /// Autotuned checkpoint strides never place snapshots closer together
 /// than this many executed steps on average: below that the resume
-/// savings cannot amortize even a delta-encoded snapshot's cost.
+/// savings cannot amortize a snapshot's cost.
 constexpr size_t MinSpacingSteps = 64;
 
 /// One activation record: interp::ExecFrame, pooled by the run's
@@ -66,11 +66,7 @@ public:
         GlobalMem(Ctx.GlobalMem), GlobalLastDef(Ctx.GlobalLastDef),
         InstCount(Ctx.InstCount), Tracing(Opts.Trace),
         Collecting(Opts.Trace && Opts.Checkpoints && Opts.Checkpoints->Store &&
-                   !Opts.Checkpoints->Sites.empty()),
-        Capturing(Opts.Trace && Opts.SwitchedCapture != nullptr),
-        Mirror(Collecting || Capturing),
-        RequiredDecisions((Opts.Switch ? 1u : 0u) + (Opts.Perturb ? 1u : 0u) +
-                          static_cast<unsigned>(Opts.Decisions.size())) {
+                   !Opts.Checkpoints->Sites.empty()) {
     Ctx.beginRun(Prog.statements().size(), Prog.globalSlots());
   }
 
@@ -81,10 +77,10 @@ public:
     initGlobals();
     if (Trace.Exit == ExitReason::Finished) {
       Frame Main = makeFrame(*Prog.function(Prog.mainFunction()), InvalidId);
-      if (Mirror)
+      if (Collecting)
         Cont.push_back({&Main, InvalidId, 0});
       Flow F = execBody(Prog.function(Prog.mainFunction())->body(), Main);
-      if (Mirror)
+      if (Collecting)
         Cont.pop_back();
       if (F == Flow::Return || F == Flow::Normal)
         Trace.ExitValue = Main.RetVal;
@@ -115,11 +111,7 @@ public:
 
     // Each frame is restored as the resumed run re-enters it.
     Frame Main = CP.Frames.front().State;
-    if (Mirror)
-      Cont.push_back({&Main, InvalidId, 0});
     Flow F = resumeFrame(CP, /*Level=*/0, Main);
-    if (Mirror)
-      Cont.pop_back();
     if (F == Flow::Return || F == Flow::Normal)
       Trace.ExitValue = Main.RetVal;
     Ctx.recycleFrame(std::move(Main));
@@ -166,11 +158,14 @@ private:
       if (CF.PendingRec != InvalidId)
         hold(CF.PendingRec, CF.PendingSnapshot.Uses, CF.PendingSnapshot.Defs);
     SrcOutputs = CP.OutputCount;
-    // The markers below the capture are From's (determinism).
+    // The markers below the capture are From's (determinism); the prefix
+    // read input iff From's first read lies in it.
     if (From.SwitchedStep != InvalidId && From.SwitchedStep < CP.Index)
       Trace.SwitchedStep = From.SwitchedStep;
-    if (From.FirstInputStep != InvalidId && From.FirstInputStep < CP.Index)
+    if (From.FirstInputStep != InvalidId && From.FirstInputStep < CP.Index) {
       Trace.FirstInputStep = From.FirstInputStep;
+      InputSeen = true;
+    }
 
     // Restore the interpreter state (beginRun() reset it in the ctor).
     GlobalMem = CP.GlobalMem;
@@ -179,15 +174,6 @@ private:
     InputCursor = CP.InputCursor;
     StepCount = CP.StepCount;
     FrameCounter = CP.FrameCounter;
-    // Input-independence watermark: the prefix read input iff the capture
-    // was not input-independent (its first-read marker is From's then).
-    InputSeen = !CP.InputIndependent;
-    // Divergence-keyed resumes: the snapshot already applied these forced
-    // decisions (their instance counters have passed, so they cannot
-    // re-fire), and the capturing run's divergence record lies in the
-    // prefix.
-    Applied.assign(CP.Divergence.begin(), CP.Divergence.end());
-    LastCaptureStep = StepCount;
   }
 
   const Program &Prog;
@@ -210,10 +196,9 @@ private:
   std::vector<uint32_t> &InstCount;
   size_t InputCursor = 0;
   /// True once any input() expression has been evaluated (even one that
-  /// read past the end of the input vector): everything before that
-  /// instant is a function of the program alone. InputCursor == 0 is not
-  /// equivalent -- an exhausted read returns -1 without moving the cursor
-  /// yet still makes the execution input-dependent.
+  /// read past the end of the input vector), so the first one sets
+  /// ExecutionTrace::FirstInputStep. InputCursor == 0 is not equivalent
+  /// -- an exhausted read returns -1 without moving the cursor.
   bool InputSeen = false;
   uint64_t FrameCounter = 0;
   uint64_t StepCount = 0;
@@ -236,24 +221,9 @@ private:
     size_t PathStart;
   };
 
+  /// True when this run collects checkpoints; it then maintains the
+  /// continuation mirror (Cont/Path/DirtyCalls) a capture describes.
   const bool Collecting;
-  /// Switched-run reuse (SwitchedRunStore.h): capture divergence-keyed
-  /// snapshots on this run. Implies the continuation mirror below is
-  /// maintained.
-  const bool Capturing;
-  /// Maintain Cont/Path/DirtyCalls: any feature that needs to describe
-  /// the live continuation.
-  const bool Mirror;
-  /// Forced alterations this run must apply (switch and/or perturbation);
-  /// switched captures only engage once all have fired.
-  const unsigned RequiredDecisions;
-  /// The decisions applied so far, in order (the divergence key of any
-  /// snapshot captured now). Pre-seeded from Checkpoint::Divergence on
-  /// divergence-keyed resumes.
-  std::vector<SwitchDecision> Applied;
-  /// StepCount at the last applied decision or switched capture; paces
-  /// SwitchedCapturePlan::SpacingSteps.
-  uint64_t LastCaptureStep = 0;
   size_t NextSite = 0;
   /// Stride autotuning (CheckpointPlan::AutoBudgetBytes): chosen after
   /// the first successful capture, then applied by skipping
@@ -326,11 +296,11 @@ private:
     std::shared_ptr<Checkpoint> CP = makeSnapshot();
     if (Plan.AutoBudgetBytes && AutoStride == 0) {
       // First successful capture: size the stride so that roughly
-      // 2x AutoBudgetBytes of raw snapshots get attempted (the LRU and
-      // the delta encoder keep the resident set under the real budget
-      // while switched runs lean on nearest-dominating resume), capped
-      // below by a minimum average step spacing between snapshots.
-      // Deterministic: depends only on (program, input, plan).
+      // 2x AutoBudgetBytes of snapshots get attempted (the LRU keeps the
+      // resident set under the real budget while switched runs lean on
+      // nearest-dominating resume), capped below by a minimum average
+      // step spacing between snapshots. Deterministic: depends only on
+      // (program, input, plan).
       const size_t PerSnap = std::max<size_t>(1, CP->bytes());
       const size_t Target =
           std::max<size_t>(1, 2 * Plan.AutoBudgetBytes / PerSnap);
@@ -345,17 +315,13 @@ private:
       Plan.AutoStride = AutoStride;
       AutoCountdown = AutoStride - 1;
     }
-    if (Plan.Share && CP->InputIndependent &&
-        Plan.Share->promote(CP, Plan.ShareHash, Plan.ShareProgram,
-                            Plan.ShareMaxSteps))
-      ++Plan.Promoted;
     Plan.Store->insert(std::move(CP));
     ++Plan.Collected;
   }
 
   /// Snapshots the full interpreter state at the current (clean)
-  /// beginStep instant -- shared by original-run collection and switched-
-  /// run capture. Requires DirtyCalls == 0 and the Cont/Path mirror.
+  /// beginStep instant. Requires DirtyCalls == 0 and the Cont/Path
+  /// mirror.
   std::shared_ptr<Checkpoint> makeSnapshot() const {
     auto CP = std::make_shared<Checkpoint>();
     CP->Index = nextIndex();
@@ -363,7 +329,6 @@ private:
     CP->StepCount = StepCount;
     CP->FrameCounter = FrameCounter;
     CP->OutputCount = SrcOutputs + Trace.Outputs.size();
-    CP->InputIndependent = !InputSeen;
     CP->GlobalMem = GlobalMem;
     CP->GlobalLastDef = GlobalLastDef;
     CP->InstCount = InstCount;
@@ -383,34 +348,12 @@ private:
     return CP;
   }
 
-  /// Switched-run capture hook: once every forced decision has fired,
-  /// snapshot at paced predicate instances, tagging each snapshot with
-  /// the run's divergence key.
-  void maybeCaptureSwitched(const Stmt *S) {
-    SwitchedCapturePlan &Plan = *Opts.SwitchedCapture;
-    if (Applied.size() < RequiredDecisions ||
-        Plan.Captured.size() >= Plan.MaxSnapshots || !S->isPredicate())
-      return;
-    if (StepCount < LastCaptureStep + Plan.SpacingSteps)
-      return;
-    if (DirtyCalls > 0) {
-      ++Plan.SkippedDirty;
-      return;
-    }
-    std::shared_ptr<Checkpoint> CP = makeSnapshot();
-    CP->Divergence = Applied;
-    Plan.Captured.push_back(std::move(CP));
-    LastCaptureStep = StepCount;
-  }
-
   /// Starts a StepRecord for one execution of \p S in \p F, resolving the
   /// dynamic control-dependence parent. Returns the record's index, or
   /// InvalidId in non-tracing runs (which only count steps).
   TraceIdx beginStep(const Stmt *S, Frame &F) {
     if (Collecting)
       maybeCapture(S);
-    if (Capturing)
-      maybeCaptureSwitched(S);
     ++InstCount[S->id()];
     if (++StepCount > Opts.MaxSteps)
       halt(ExitReason::StepLimit);
@@ -526,8 +469,6 @@ private:
         Opts.Perturb->InstanceNo == InstCount[Sid]) {
       if (Trace.SwitchedStep == InvalidId)
         Trace.SwitchedStep = Rec;
-      noteDecision({Sid, InstCount[Sid], /*Perturb=*/true,
-                    Opts.Perturb->Value});
       return Opts.Perturb->Value;
     }
     for (const SwitchDecision &Want : Opts.Decisions)
@@ -535,21 +476,9 @@ private:
           Want.InstanceNo == InstCount[Sid]) {
         if (Trace.SwitchedStep == InvalidId)
           Trace.SwitchedStep = Rec;
-        noteDecision(Want);
         return Want.Value;
       }
     return Value;
-  }
-
-  /// Records a forced decision the run just applied (feeds the divergence
-  /// key and gates captures on "all decisions applied"). Resumed
-  /// runs pre-seed Applied from the snapshot, so a decision inherited
-  /// that way is not re-recorded.
-  void noteDecision(SwitchDecision D) {
-    if (std::find(Applied.begin(), Applied.end(), D) == Applied.end()) {
-      Applied.push_back(D);
-      LastCaptureStep = StepCount;
-    }
   }
 
   void halt(ExitReason Reason) {
@@ -750,7 +679,7 @@ private:
 
   int64_t evalCall(const CallExpr *Call, Frame &F, TraceIdx Rec) {
     bool Clean = false;
-    if (Mirror) {
+    if (Collecting) {
       // Consume the flag here so calls nested in the arguments see false.
       Clean = NextCallClean && Rec != InvalidId;
       NextCallClean = false;
@@ -773,7 +702,7 @@ private:
       storeFrame(Inner, Info.Slot, Param, ArgValues[I], Rec);
     }
 
-    if (Mirror) {
+    if (Collecting) {
       if (!Clean)
         ++DirtyCalls;
       Cont.push_back({&Inner, Rec, Path.size()});
@@ -783,7 +712,7 @@ private:
     execBody(Callee.body(), Inner);
     if (Rec != InvalidId)
       reopen(Rec);
-    if (Mirror) {
+    if (Collecting) {
       Cont.pop_back();
       if (!Clean)
         --DirtyCalls;
@@ -808,7 +737,7 @@ private:
 
   Flow execBody(const std::vector<Stmt *> &Body, Frame &F,
                 ResumeEntry::Body In = ResumeEntry::Body::Func) {
-    if (!Mirror) {
+    if (!Collecting) {
       for (Stmt *S : Body) {
         Flow Result = execStmt(S, F);
         if (Result != Flow::Normal)
@@ -816,8 +745,8 @@ private:
       }
       return Flow::Normal;
     }
-    // Mirror runs track the descent in Path so a capture can record the
-    // continuation: one entry per live body, updated per statement.
+    // Collecting runs track the descent in Path so a capture can record
+    // the continuation: one entry per live body, updated per statement.
     size_t Slot = Path.size();
     Path.push_back({In, 0});
     Flow Result = Flow::Normal;
@@ -835,27 +764,18 @@ private:
   /// requested switch when this is the targeted instance.
   bool evalPredicate(const Expr *Cond, Frame &F, TraceIdx Rec, StmtId Sid) {
     bool Taken = evalExpr(Cond, F, Rec) != 0;
-    bool Fire = false;
-    SwitchDecision D{Sid, InstCount[Sid], /*Perturb=*/false, /*Value=*/0};
-    if (Opts.Switch && Opts.Switch->Pred == Sid &&
-        Opts.Switch->InstanceNo == InstCount[Sid]) {
-      Fire = true;
-    } else {
-      for (const SwitchDecision &Want : Opts.Decisions)
-        if (!Want.Perturb && Want.Stmt == Sid &&
-            Want.InstanceNo == InstCount[Sid]) {
-          Fire = true;
-          D = Want;
-          break;
-        }
-    }
+    bool Fire = Opts.Switch && Opts.Switch->Pred == Sid &&
+                Opts.Switch->InstanceNo == InstCount[Sid];
+    for (const SwitchDecision &Want : Opts.Decisions)
+      if (!Fire && !Want.Perturb && Want.Stmt == Sid &&
+          Want.InstanceNo == InstCount[Sid])
+        Fire = true;
     if (Fire) {
       Taken = !Taken;
       // First decision wins: the trace's switch marker is the chain's
       // divergence point, where alignment with the original run starts.
       if (Trace.SwitchedStep == InvalidId)
         Trace.SwitchedStep = Rec;
-      noteDecision(D);
     }
     if (Rec != InvalidId) {
       StepRecord &Step = rec(Rec);
@@ -875,7 +795,7 @@ private:
       const VarInfo &Info = Prog.variable(Decl->var());
       if (Info.isArray())
         return Halted ? Flow::Halt : Flow::Normal;
-      if (Mirror && Decl->init() && Decl->init()->kind() == Expr::Kind::Call)
+      if (Collecting && Decl->init() && Decl->init()->kind() == Expr::Kind::Call)
         NextCallClean = true;
       int64_t Value = Decl->init() ? evalExpr(Decl->init(), F, Rec) : 0;
       if (Halted)
@@ -892,7 +812,7 @@ private:
     case Stmt::Kind::Assign: {
       const auto *A = cast<AssignStmt>(S);
       TraceIdx Rec = beginStep(S, F);
-      if (Mirror && A->value()->kind() == Expr::Kind::Call)
+      if (Collecting && A->value()->kind() == Expr::Kind::Call)
         NextCallClean = true;
       int64_t Value = evalExpr(A->value(), F, Rec);
       if (Halted)
@@ -950,7 +870,7 @@ private:
     case Stmt::Kind::Return: {
       const auto *R = cast<ReturnStmt>(S);
       TraceIdx Rec = beginStep(S, F);
-      if (Mirror && R->value() && R->value()->kind() == Expr::Kind::Call)
+      if (Collecting && R->value() && R->value()->kind() == Expr::Kind::Call)
         NextCallClean = true;
       int64_t Value = R->value() ? evalExpr(R->value(), F, Rec) : 0;
       if (Halted)
@@ -980,7 +900,7 @@ private:
     }
     case Stmt::Kind::CallStmt: {
       TraceIdx Rec = beginStep(S, F);
-      if (Mirror)
+      if (Collecting)
         NextCallClean = true;
       evalCall(cast<CallStmtNode>(S)->call(), F, Rec);
       return Halted ? Flow::Halt : Flow::Normal;
@@ -1044,13 +964,6 @@ private:
     Stmt *S = Body[E.Index];
     const bool Terminal = Depth + 1 == CF.Path.size();
 
-    // Mirror runs rebuild the descent Path exactly as execBody would have
-    // it at this point of a full run (captures on resumed runs depend on
-    // it).
-    size_t Slot = Path.size();
-    if (Mirror)
-      Path.push_back({E.In, E.Index});
-
     Flow Result;
     if (Terminal && Level + 1 == CP.Frames.size()) {
       // The statement whose beginStep captured the snapshot: re-execute
@@ -1090,15 +1003,11 @@ private:
 
     if (Result == Flow::Normal) {
       for (size_t I = E.Index + 1; I < Body.size(); ++I) {
-        if (Mirror)
-          Path[Slot].Index = static_cast<uint32_t>(I);
         Result = execStmt(Body[I], F);
         if (Result != Flow::Normal)
           break;
       }
     }
-    if (Mirror)
-      Path.resize(Slot);
     return Result;
   }
 
@@ -1111,15 +1020,9 @@ private:
     assert(Call && "pending call on a non-call-rooted statement");
 
     Frame Inner = CP.Frames[Level + 1].State;
-    // Suspended checkpoint calls are statement-root (clean) calls, so the
-    // rebuilt level adds no dirty call.
-    if (Mirror)
-      Cont.push_back({&Inner, Rec, Path.size()});
     resumeFrame(CP, Level + 1, Inner);
     if (Rec != InvalidId)
       reopen(Rec);
-    if (Mirror)
-      Cont.pop_back();
     if (Halted) {
       Ctx.recycleFrame(std::move(Inner));
       return Flow::Halt;
@@ -1251,16 +1154,6 @@ ResumedTrace Interpreter::runFrom(const Checkpoint &CP,
   record(R.size(), R.recordBytes(), R.outputCount(), R.exit(),
          Local.Switch.has_value() || !Local.Decisions.empty(),
          /*Resumed=*/true, CP.Index);
-  return R;
-}
-
-ResumedTrace
-Interpreter::runFrom(const Checkpoint &CP,
-                     std::shared_ptr<const ExecutionTrace> SpliceFrom,
-                     const std::vector<int64_t> &Input, const Options &Opts,
-                     ExecContext &Ctx) const {
-  ResumedTrace R = runFrom(CP, *SpliceFrom, Input, Opts, Ctx);
-  R.KeepSrc = std::move(SpliceFrom);
   return R;
 }
 

@@ -24,13 +24,11 @@
 #include "analysis/StaticAnalysis.h"
 #include "interp/Checkpoint.h"
 #include "interp/ExecContext.h"
-#include "interp/SwitchedRunStore.h"
 #include "interp/Trace.h"
 #include "lang/AST.h"
 #include "support/Stats.h"
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -70,10 +68,6 @@ public:
     /// non-statement-root call (see Checkpoint.h). The plan's Collected /
     /// SkippedDirty out-params are written back. Ignored by runFrom.
     CheckpointPlan *Checkpoints = nullptr;
-    /// When set on a switched/perturbed tracing run, the engine captures
-    /// divergence-keyed snapshots past the last applied decision (see
-    /// SwitchedRunStore.h). Owned by the caller, one plan per run.
-    SwitchedCapturePlan *SwitchedCapture = nullptr;
   };
 
   /// \p Analysis must have been built for \p Prog. When \p Stats is
@@ -120,25 +114,13 @@ public:
   /// Resumes execution from \p CP, reading the prefix from \p SpliceFrom
   /// (the trace of the run that captured \p CP, or any trace holding its
   /// first CP.Index steps) instead of re-executing it. \p Input must be
-  /// the input of the capturing run -- except when CP.InputIndependent,
-  /// in which case the prefix read no input and \p Input may be *any*
-  /// input vector, provided \p SpliceFrom is an unswitched trace of the
-  /// same program (its prefix up to CP.Index is then input-invariant too);
-  /// this is what makes cross-input checkpoint sharing sound (see
-  /// SharedCheckpointStore). Read through its accessors, the result is
-  /// byte-identical to run(Input, Opts) for any Opts whose
+  /// the input of the capturing run. Read through its accessors, the
+  /// result is byte-identical to run(Input, Opts) for any Opts whose
   /// switch/perturbation targets lie at or after CP.Index and whose
   /// MaxSteps is no lower than the capturing run's budget at capture
   /// time. It records only the steps from CP.Index on and the call
   /// records open at the capture, and reads the rest from \p SpliceFrom,
   /// which must outlive it.
-  ///
-  /// Divergence-keyed resumes (SwitchedRunStore): when CP.Divergence is
-  /// non-empty, \p SpliceFrom must be the capturing *switched* run's
-  /// trace and Opts must request exactly the decisions CP.Divergence
-  /// starts with -- decisions the snapshot already applied are marked
-  /// applied and can never re-fire (their instance counters have passed);
-  /// the result is byte-identical to the full switched run.
   ///
   /// Opts.Trace must be true; Opts.Checkpoints is ignored. Executes on
   /// \p Ctx's recycled buffers, like run().
@@ -150,13 +132,6 @@ public:
   ResumedTrace runFrom(const Checkpoint &CP, const ExecutionTrace &&SpliceFrom,
                        const std::vector<int64_t> &Input, const Options &Opts,
                        ExecContext &Ctx) const = delete;
-
-  /// Same, with the result keeping \p SpliceFrom alive (a switched-run
-  /// bundle prefix, which a store may drop while the run is in use).
-  ResumedTrace runFrom(const Checkpoint &CP,
-                       std::shared_ptr<const ExecutionTrace> SpliceFrom,
-                       const std::vector<int64_t> &Input, const Options &Opts,
-                       ExecContext &Ctx) const;
 
 private:
   const lang::Program &Prog;

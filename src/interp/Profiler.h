@@ -20,7 +20,6 @@
 #ifndef EOE_INTERP_PROFILER_H
 #define EOE_INTERP_PROFILER_H
 
-#include "interp/Checkpoint.h"
 #include "interp/Interpreter.h"
 #include "interp/Trace.h"
 
@@ -87,36 +86,8 @@ struct Profile {
   explicit Profile(size_t StmtCount) : Values(StmtCount) {}
 };
 
-/// Knobs for profileTestSuite beyond the per-run step budget.
-struct ProfileOptions {
-  uint64_t MaxStepsPerRun = 5'000'000;
-
-  /// Checkpoint warming: when set (with ShareMaxSteps, the switched-run
-  /// step budget forming the shared store's validity key), the profiling
-  /// pass doubles as a snapshot collector. All runs of the same program
-  /// execute an identical prefix up to the first input() read, so the
-  /// predicate instances of the first run's pre-input prefix are valid
-  /// capture sites on the second run; the second run is re-executed with
-  /// collection instrumentation (no extra executions) and every capture
-  /// -- input-independent by construction -- is promoted into Share.
-  /// Suites with fewer than two inputs skip collection: there is no
-  /// second run to instrument.
-  SharedCheckpointStore *Share = nullptr;
-  uint64_t ShareMaxSteps = 0;
-  /// Autotuning budget for the collection stride (the same 2x-
-  /// oversubscription rule the verifier's collection pass uses).
-  size_t ShareBudgetBytes = DefaultCheckpointMemBytes / 4;
-};
-
 /// Runs \p Interp over every input vector in \p Suite and accumulates the
-/// union dependence graph and value profile; optionally warms a shared
-/// checkpoint store on the way (ProfileOptions::Share).
-Profile profileTestSuite(const Interpreter &Interp,
-                         const lang::Program &Prog,
-                         const std::vector<std::vector<int64_t>> &Suite,
-                         const ProfileOptions &PO);
-
-/// Convenience overload: profile only, no checkpoint warming.
+/// union dependence graph and value profile.
 Profile profileTestSuite(const Interpreter &Interp,
                          const lang::Program &Prog,
                          const std::vector<std::vector<int64_t>> &Suite,

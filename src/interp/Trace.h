@@ -17,12 +17,11 @@
 /// uses and definitions live in two trace-wide arrays, and a step names
 /// its contiguous range in each (read through ExecutionTrace::uses() /
 /// defs()). Recording a step allocates nothing once the arrays have
-/// grown, and a prefix of a trace is three contiguous array prefixes
-/// (see interp/Checkpoint.h, tracePrefix). The arrays hold ranges in the
-/// order the steps *completed*, not the order they began: a call
-/// statement's record gains its return-value use and its own definitions
-/// after the callee's steps, so the interpreter holds such an open record
-/// aside until its statement completes.
+/// grown. The arrays hold ranges in the order the steps *completed*, not
+/// the order they began: a call statement's record gains its return-value
+/// use and its own definitions after the callee's steps, so the
+/// interpreter holds such an open record aside until its statement
+/// completes.
 ///
 /// A run resumed from a checkpoint is a ResumedTrace: it owns only the
 /// records it made and reads its prefix from the trace it resumed from.
@@ -36,7 +35,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -148,8 +146,6 @@ struct OpenStep {
   StepRecord Step;
   std::vector<UseRecord> Uses;
   std::vector<DefRecord> Defs;
-
-  bool operator==(const OpenStep &O) const = default;
 };
 
 /// One value printed by a print statement.
@@ -194,9 +190,7 @@ struct ExecutionTrace {
   TraceIdx SwitchedStep = InvalidId;
   /// The first step during which an input() expression was evaluated, or
   /// InvalidId if the run never read input. Every step before this index
-  /// -- and any checkpoint captured there -- is a function of the program
-  /// alone, valid for any input (the cross-input sharing watermark; see
-  /// interp/Checkpoint.h).
+  /// is a function of the program alone.
   TraceIdx FirstInputStep = InvalidId;
 
   size_t size() const { return Steps.size(); }
@@ -235,10 +229,9 @@ struct ExecutionTrace {
 /// run records only what it executed itself -- the steps from base() on,
 /// plus the call records still open at the capture, which it completed
 /// (reopened()) -- and reads every other step, use, def, output and
-/// marker below base() from the source, which must outlive it (a
-/// resumed run can also own its source; see Interpreter::runFrom).
-/// Read through the accessors, it is exactly the trace full
-/// interpretation produces.
+/// marker below base() from the source, which must outlive it. Read
+/// through the accessors, it is exactly the trace full interpretation
+/// produces.
 ///
 /// A ResumedTrace made from a whole ExecutionTrace owns every step (a run
 /// resumed at step 0); view() shares every step of one instead.
@@ -337,9 +330,6 @@ private:
   /// run's.
   ExecutionTrace Own;
   const ExecutionTrace *Src = nullptr;
-  /// Set when the run keeps its source alive (a switched-run bundle
-  /// prefix, see Interpreter::runFrom).
-  std::shared_ptr<const ExecutionTrace> KeepSrc;
   TraceIdx Base = 0;
   /// Outputs read from the source: those emitted before the capture.
   size_t SrcOutputs = 0;
@@ -364,18 +354,14 @@ struct PerturbSpec {
   int64_t Value = 0;
 };
 
-/// One forced control- or value-alteration the interpreter has applied
-/// to a run so far. The ordered sequence of decisions applied by a
-/// switched/perturbed run is its *divergence key*: two runs of the same
-/// program on the same input with the same applied-decision sequence are
-/// in identical states from the last application onward, so snapshots
-/// captured past that point are interchangeable between them (see
-/// interp/SwitchedRunStore.h).
+/// One forced control- or value-alteration to apply in a re-execution:
+/// an entry of a multi-decision perturbation chain
+/// (Interpreter::Options::Decisions).
 struct SwitchDecision {
   /// The altered statement (the switched predicate, or the perturbed
   /// definition).
   StmtId Stmt = InvalidId;
-  /// Its instance number at application time.
+  /// Its instance number.
   uint32_t InstanceNo = 0;
   /// False = branch switch (SwitchSpec), true = value perturbation.
   bool Perturb = false;

@@ -81,38 +81,6 @@ ParseResult parseCommonOption(int Argc, char **Argv, int &I, Options &O,
     O.Reuse.CheckpointMemBytes = Mebibytes();
     return ParseResult::Ok;
   }
-  if (Take("--checkpoint-delta")) {
-    if (Err)
-      return ParseResult::Error;
-    O.Reuse.CheckpointDelta = V != "off";
-    return ParseResult::Ok;
-  }
-  if (Take("--checkpoint-share")) {
-    if (Err)
-      return ParseResult::Error;
-    O.Reuse.CheckpointShare = V != "off";
-    return ParseResult::Ok;
-  }
-  if (Take("--switched-cache")) {
-    if (Err)
-      return ParseResult::Error;
-    O.Reuse.SwitchedCacheBytes = V == "off" ? 0 : Mebibytes();
-    return ParseResult::Ok;
-  }
-  // --checkpoint-dir-cap before --checkpoint-dir: distinct names, but
-  // keeping the longer one first makes the intent obvious.
-  if (Take("--checkpoint-dir-cap")) {
-    if (Err)
-      return ParseResult::Error;
-    O.Reuse.CheckpointDirCapBytes = Mebibytes();
-    return ParseResult::Ok;
-  }
-  if (Take("--checkpoint-dir")) {
-    if (Err)
-      return ParseResult::Error;
-    O.Reuse.CheckpointDir = V;
-    return ParseResult::Ok;
-  }
   if (Take("--chain-depth")) {
     if (Err)
       return ParseResult::Error;
@@ -159,7 +127,7 @@ const char *commonOptionsHelp() {
       "  --trace-out=FILE      write a Chrome trace_event JSON timeline\n"
       "                        (open in chrome://tracing or Perfetto)\n"
       "checkpoint options (locate; every knob yields bit-identical\n"
-      "reports -- they only trade re-execution work for memory/disk):\n"
+      "reports -- they only trade re-execution work for memory):\n"
       "  --checkpoints=N|auto|off\n"
       "                        checkpoint stride for switched runs:\n"
       "                        snapshot every Nth candidate predicate\n"
@@ -170,38 +138,13 @@ const char *commonOptionsHelp() {
       "                        replay\n"
       "  --checkpoint-mem MB   checkpoint LRU memory budget in MiB\n"
       "                        (default 256)\n"
-      "  --checkpoint-delta=on|off\n"
-      "                        delta-compress consecutive snapshots,\n"
-      "                        charging the budget with encoded bytes\n"
-      "                        (default on)\n"
-      "  --checkpoint-share=on|off\n"
-      "                        promote input-independent snapshots into a\n"
-      "                        cross-session store (default on)\n"
-      "  --switched-cache=MB|off\n"
-      "                        switched-run snapshot cache: capture\n"
-      "                        divergence-keyed snapshots past the switch\n"
-      "                        point and resume deeper switched runs\n"
-      "                        from them (default 64 MiB; off = always\n"
-      "                        interpret the full switched run)\n"
-      "  --checkpoint-dir=DIR  persistent checkpoint cache: load\n"
-      "                        input-independent snapshots for this\n"
-      "                        program from DIR on start and write them\n"
-      "                        back atomically on exit, warm-starting\n"
-      "                        later invocations (requires\n"
-      "                        --checkpoint-share=on)\n"
-      "  --checkpoint-dir-cap=MB\n"
-      "                        after saving, cap DIR at MB MiB: delete\n"
-      "                        stale writer temp files, then evict cache\n"
-      "                        files oldest-first until under the cap\n"
-      "                        (default: unlimited)\n"
       "chain options (locate; multi-switch perturbation chains --\n"
       "bit-identical at any thread count):\n"
       "  --chain-depth=N       maximum decisions per perturbation chain:\n"
       "                        1 (default) issues only single-switch\n"
       "                        runs, N>=2 lets the locator extend\n"
       "                        inconclusive single-switch verdicts with\n"
-      "                        follow-up switches that resume from the\n"
-      "                        shorter chain's divergence snapshots\n"
+      "                        follow-up switches\n"
       "  --chain-budget=N      total chained re-executions allowed per\n"
       "                        locate call (default 32)\n";
 }

@@ -14,10 +14,9 @@
 /// the structs cannot drift.
 ///
 /// The split mirrors what the knobs govern:
-///  - `ReuseOptions`: everything that only trades re-execution work for
-///    memory/disk -- checkpoint stride/budget, the switched-run cache,
-///    the persistent cache directory, and the perturbation-chain
-///    depth/budget. Every combination yields bit-identical reports.
+///  - `ReuseOptions`: the checkpoint stride and budget, which only trade
+///    re-execution work for memory (every combination yields
+///    bit-identical reports), and the perturbation-chain depth/budget.
 ///  - `ExecOptions`: execution-shape knobs -- step budget, worker
 ///    threads, and the observability sinks.
 ///
@@ -27,7 +26,6 @@
 #define EOE_SUPPORT_OPTIONS_H
 
 #include "interp/Checkpoint.h"
-#include "interp/SwitchedRunStore.h"
 
 #include <cstdint>
 #include <string>
@@ -51,8 +49,8 @@ inline constexpr unsigned DefaultChainDepth = 1;
 /// any value is thread-count invariant.
 inline constexpr unsigned DefaultChainBudget = 32;
 
-/// Reuse/caching knobs. Every field only trades re-execution work for
-/// memory or disk: all combinations produce bit-identical locate
+/// Re-execution knobs. The checkpoint fields only trade re-execution
+/// work for memory: all their combinations produce bit-identical locate
 /// reports at any thread count.
 struct ReuseOptions {
   /// Checkpoint stride for switched runs: snapshot every Nth candidate
@@ -63,27 +61,15 @@ struct ReuseOptions {
   unsigned Checkpoints = interp::CheckpointStrideAuto;
   /// Checkpoint LRU memory budget in bytes.
   size_t CheckpointMemBytes = interp::DefaultCheckpointMemBytes;
-  /// Delta-compress consecutive snapshots, charging the budget with
-  /// encoded bytes.
-  bool CheckpointDelta = true;
-  /// Promote input-independent snapshots into a cross-session store.
-  bool CheckpointShare = true;
-  /// Persistent checkpoint cache directory: load input-independent
-  /// snapshots on start, write them back atomically on exit. Empty =
-  /// no persistence. Requires CheckpointShare.
-  std::string CheckpointDir;
-  /// After saving, cap CheckpointDir at this many bytes (stale-tmp
-  /// age-out, then oldest-mtime eviction). 0 = unlimited.
-  size_t CheckpointDirCapBytes = 0;
-  /// Switched-run snapshot cache budget in bytes: capture
-  /// divergence-keyed snapshots past the switch point and resume deeper
-  /// switched runs from them. 0 = always interpret the full switched
-  /// run.
-  size_t SwitchedCacheBytes = interp::DefaultSwitchedCacheBytes;
   /// Maximum decisions per perturbation chain (1 = chaining off).
   unsigned ChainDepth = DefaultChainDepth;
   /// Total chained re-executions allowed per locate call.
   unsigned ChainBudget = DefaultChainBudget;
+
+  /// Compatibility shim (see the block in core/DebugSession.h): the
+  /// switched-run cache is gone, and e2ebench still reads its budget
+  /// here. Not settable.
+  static constexpr size_t SwitchedCacheBytes = 0;
 };
 
 /// Execution-shape knobs: budgets, parallelism, observability.
@@ -126,10 +112,8 @@ struct CommonCliState {
 
 /// Offers Argv[I] to the shared flag parser. Handles every
 /// ReuseOptions/ExecOptions field (--max-steps, --threads,
-/// --checkpoints, --checkpoint-mem, --checkpoint-delta,
-/// --checkpoint-share, --switched-cache, --checkpoint-dir,
-/// --checkpoint-dir-cap, --chain-depth, --chain-budget) in both
-/// "--flag=value" and "--flag value" forms, plus --stats[=json] /
+/// --checkpoints, --checkpoint-mem, --chain-depth, --chain-budget) in
+/// both "--flag=value" and "--flag value" forms, plus --stats[=json] /
 /// --trace-out when \p Cli is given. Advances \p I past a consumed
 /// value token.
 ParseResult parseCommonOption(int Argc, char **Argv, int &I, Options &O,

@@ -7,7 +7,6 @@
 
 #include "workloads/Runner.h"
 
-#include "interp/CheckpointDiskStore.h"
 #include "lang/Parser.h"
 #include "support/Diagnostic.h"
 #include "support/Timer.h"
@@ -45,9 +44,7 @@ FaultRunner::FaultRunner(const FaultInfo &Fault) : Fault(Fault) {
 }
 
 std::unique_ptr<DebugSession>
-FaultRunner::makeSession(const Options &Opts,
-                         interp::SharedCheckpointStore *Shared,
-                         interp::SwitchedRunStore *SwitchedRuns) const {
+FaultRunner::makeSession(const Options &Opts) const {
   DebugSession::Config C;
   C.PDBackend = Opts.Backend;
   C.Locate.VerifyFanout = Opts.VerifyFanout;
@@ -57,8 +54,6 @@ FaultRunner::makeSession(const Options &Opts,
   // session-budget field is runner-owned (the default failing-run
   // budget), so a caller's Opt.Exec.MaxSteps passes through too.
   C.Opt = Opts.Opt;
-  C.SharedCheckpoints = Shared;
-  C.SwitchedRuns = SwitchedRuns;
   return std::make_unique<DebugSession>(*Faulty, Fault.FailingInput, Expected,
                                         Fault.TestSuite, C);
 }
@@ -69,36 +64,17 @@ ExperimentResult FaultRunner::run(const Options &Opts) {
   if (!Valid)
     return R;
 
-  // Both phases run the same program: share the input-independent
-  // snapshots so phase B seeds its checkpoint store from phase A's
-  // collection pass. The store outlives both sessions (scope of run()).
-  interp::SharedCheckpointStore Shared;
-  interp::SharedCheckpointStore *SharedPtr =
-      Opts.Opt.Reuse.CheckpointShare ? &Shared : nullptr;
-
-  // Both phases also re-execute the same switched runs: phase A stages
-  // divergence-keyed snapshot bundles into this store, the seal between
-  // the phases makes them visible (deterministic admission -- see
-  // SwitchedRunStore.h), and phase B's switched runs resume from them.
-  interp::SwitchedRunStore SwitchedRuns(Opts.Opt.Reuse.SwitchedCacheBytes);
-  interp::SwitchedRunStore *SwitchedPtr =
-      Opts.Opt.Reuse.SwitchedCacheBytes > 0 ? &SwitchedRuns : nullptr;
-
   // Phase A: discover the implicit edges with a root-only oracle, then
   // derive OS from the expanded dependence graph.
-  std::unique_ptr<DebugSession> PhaseA =
-      makeSession(Opts, SharedPtr, SwitchedPtr);
+  std::unique_ptr<DebugSession> PhaseA = makeSession(Opts);
   assert(PhaseA->hasFailure());
   ProtocolOracle RootOnly(Root, nullptr);
   LocateReport ReportA = PhaseA->locate(RootOnly);
   std::vector<bool> Chain = PhaseA->failureChain(Root);
   R.OS = PhaseA->graph().stats(Chain);
-  if (SwitchedPtr)
-    SwitchedPtr->seal();
 
   // Phase B: the measured run, with the paper's OS-based oracle.
-  std::unique_ptr<DebugSession> PhaseB =
-      makeSession(Opts, SharedPtr, SwitchedPtr);
+  std::unique_ptr<DebugSession> PhaseB = makeSession(Opts);
   assert(PhaseB->hasFailure());
   R.TraceLength = PhaseB->trace().size();
 
@@ -126,15 +102,6 @@ ExperimentResult FaultRunner::run(const Options &Opts) {
   Timer VerifyTimer;
   R.Report = PhaseB->locate(ChainOracle);
   R.VerifySeconds = VerifyTimer.seconds();
-
-  // Persist the shared store for the next process over this fault. The
-  // sessions load under LocateConfig::MaxSteps (the default -- the
-  // runner never overrides it), so save under the same key.
-  if (SharedPtr && !Opts.Opt.Reuse.CheckpointDir.empty()) {
-    interp::CheckpointDiskStore Disk(Opts.Opt.Reuse.CheckpointDir);
-    Disk.save(*SharedPtr, *Faulty, core::LocateConfig().MaxSteps,
-              Opts.Opt.Exec.Stats);
-  }
 
   if (Opts.MeasureTimes) {
     analysis::StaticAnalysis SA(*Faulty);

@@ -86,11 +86,9 @@ public:
     bool ComputeSlices = true;
 
     /// The unified knob bundle (support/Options.h), forwarded wholesale
-    /// into every DebugSession the protocol creates. Opt.Reuse wires the
-    /// runner-owned SharedCheckpointStore / SwitchedRunStore between the
-    /// phase-A and phase-B sessions (phase B resumes from phase A's
-    /// snapshots; the store is sealed between phases), and Opt.Exec
-    /// carries threads and the observability sinks.
+    /// into both DebugSessions the protocol creates: Opt.Reuse carries the
+    /// checkpoint and chain knobs, Opt.Exec threads and the observability
+    /// sinks.
     eoe::Options Opt;
   };
 
@@ -112,10 +110,7 @@ public:
   const lang::Program &faultyProgram() const { return *Faulty; }
 
 private:
-  std::unique_ptr<core::DebugSession>
-  makeSession(const Options &Opts,
-              interp::SharedCheckpointStore *Shared = nullptr,
-              interp::SwitchedRunStore *SwitchedRuns = nullptr) const;
+  std::unique_ptr<core::DebugSession> makeSession(const Options &Opts) const;
 
   const FaultInfo &Fault;
   std::unique_ptr<lang::Program> Faulty;

@@ -40,13 +40,8 @@ foreach(Key
     "\"interp\"" "\"align\"" "\"verify\"" "\"locate\"" "\"slicing\""
     "\"verifications\"" "\"reexecutions\"" "\"ckpt.hits\"" "\"ckpt.misses\""
     "\"splice_time\"" "\"spliced_steps\"" "\"trace_bytes\""
-    "\"ckpt.delta_encoded\"" "\"ckpt.keyframes\""
-    "\"ckpt.encoded_bytes\"" "\"ckpt.raw_bytes\"" "\"ckpt.shared_hits\""
-    "\"ckpt.auto_stride\"" "\"ckpt.disk_hits\"" "\"ckpt.disk_loads\""
-    "\"ckpt.disk_rejects\"" "\"ckpt.disk_write_bytes\""
-    "\"ckpt.switched_hits\"" "\"ckpt.switched_promotions\""
-    "\"ckpt.switched_interpreted_steps\""
-    "\"chain.runs\"" "\"chain.prefix_hits\"" "\"chain.extended_steps\""
+    "\"ckpt.auto_stride\""
+    "\"chain.runs\"" "\"chain.extended_steps\""
     "\"prune_time\"" "\"recompute_time\"" "\"prune_rounds\""
     "\"counters\"" "\"timers\""
     "\"histograms\"")

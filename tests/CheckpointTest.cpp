@@ -340,14 +340,10 @@ std::optional<LocateOutcome> locateVariant(const lang::Program &Faulty,
                                            const std::vector<int64_t> &Input,
                                            const std::vector<int64_t> &Expected,
                                            StmtId Root, unsigned Threads,
-                                           unsigned Checkpoints,
-                                           SharedCheckpointStore *Shared = nullptr,
-                                           support::StatsRegistry *Stats = nullptr) {
+                                           unsigned Checkpoints) {
   core::DebugSession::Config C;
   C.Opt.Exec.Threads = Threads;
   C.Opt.Reuse.Checkpoints = Checkpoints;
-  C.SharedCheckpoints = Shared;
-  C.Opt.Exec.Stats = Stats;
   core::DebugSession Session(Faulty, Input, Expected, {}, C);
   if (!Session.hasFailure())
     return std::nullopt;
@@ -414,17 +410,12 @@ TEST(CheckpointTest, LocateIsIdenticalWithAndWithoutCheckpoints) {
       ASSERT_TRUE(Ckpt);
       expectSameOutcome(*Reference, *Ckpt, Seed, Threads);
 
-      // Auto stride + delta encoding + cross-session sharing: run twice
-      // against one shared store so the second session resumes from
-      // seeded input-independent snapshots (the warm path).
-      SharedCheckpointStore Shared;
-      for (int Round = 0; Round < 2; ++Round) {
-        std::optional<LocateOutcome> Auto =
-            locateVariant(*Faulty, Variant.Input, Expected, Root, Threads,
-                          CheckpointStrideAuto, &Shared);
-        ASSERT_TRUE(Auto);
-        expectSameOutcome(*Reference, *Auto, Seed, Threads);
-      }
+      // Auto stride, the default.
+      std::optional<LocateOutcome> Auto =
+          locateVariant(*Faulty, Variant.Input, Expected, Root, Threads,
+                        CheckpointStrideAuto);
+      ASSERT_TRUE(Auto);
+      expectSameOutcome(*Reference, *Auto, Seed, Threads);
     }
     ++Checked;
   }
@@ -487,352 +478,6 @@ TEST(CheckpointTest, ConcurrentRestoresAreRaceFreeAndIdentical) {
     });
   Pool.runAll(std::move(Tasks));
   EXPECT_GT(Restores.load(), 0u);
-}
-
-// The delta round-trip property: a store that delta-encodes must hand
-// back, for every lookup, exactly the checkpoint a plain store hands
-// back -- full state equality via Checkpoint::operator== -- while the
-// budget is charged fewer (encoded) bytes.
-TEST(CheckpointTest, DeltaEncodedSnapshotsRoundTripBitIdentical) {
-  size_t DeltasSeen = 0, Compared = 0;
-  for (uint64_t Seed = 300; Seed < 312; ++Seed) {
-    RandomProgramGenerator Gen(Seed);
-    auto Variant = Gen.generateOmission();
-    DiagnosticEngine Diags;
-    auto Prog = lang::parseAndCheck(Variant.FaultySource, Diags);
-    ASSERT_TRUE(Prog) << Diags.str();
-    analysis::StaticAnalysis SA(*Prog);
-    Interpreter Interp(*Prog, SA);
-    ExecutionTrace E = Interp.run(Variant.Input);
-    std::vector<TraceIdx> Preds = predicateInstances(E);
-    if (Preds.empty())
-      continue;
-
-    CheckpointStore Plain(1ull << 30);
-    CheckpointPlan PlainPlan;
-    PlainPlan.Store = &Plain;
-    PlainPlan.Sites = Preds;
-    Interpreter::Options Opts;
-    Opts.MaxSteps = kBudget;
-    Opts.Checkpoints = &PlainPlan;
-    Interp.run(Variant.Input, Opts);
-
-    CheckpointStore::Options DeltaOpts;
-    DeltaOpts.BudgetBytes = 1ull << 30;
-    DeltaOpts.DeltaEncode = true;
-    DeltaOpts.KeyframeInterval = 4; // Short chains, many segments.
-    CheckpointStore Delta(DeltaOpts);
-    CheckpointPlan DeltaPlan;
-    DeltaPlan.Store = &Delta;
-    DeltaPlan.Sites = Preds;
-    Opts.Checkpoints = &DeltaPlan;
-    Interp.run(Variant.Input, Opts);
-
-    // Collection is deterministic, so both stores saw identical snapshots.
-    ASSERT_EQ(PlainPlan.Collected, DeltaPlan.Collected) << "seed " << Seed;
-    ASSERT_EQ(Plain.count(), Delta.count()) << "seed " << Seed;
-    EXPECT_EQ(Delta.rawBytes(), Plain.bytes()) << "seed " << Seed;
-    EXPECT_LE(Delta.encodedBytes(), Delta.rawBytes()) << "seed " << Seed;
-    if (Delta.deltaCount() > 0) {
-      EXPECT_LT(Delta.encodedBytes(), Delta.rawBytes()) << "seed " << Seed;
-    }
-    DeltasSeen += Delta.deltaCount();
-
-    for (TraceIdx P : Preds) {
-      std::shared_ptr<const Checkpoint> Want = Plain.nearest(P);
-      std::shared_ptr<const Checkpoint> Got = Delta.nearest(P);
-      ASSERT_EQ(static_cast<bool>(Want), static_cast<bool>(Got))
-          << "seed " << Seed << " pred " << P;
-      if (!Want)
-        continue;
-      EXPECT_TRUE(*Want == *Got) << "seed " << Seed << " pred " << P;
-      ++Compared;
-    }
-
-    // A decoded delta entry is also a usable resume point.
-    if (std::shared_ptr<const Checkpoint> CP = Delta.nearest(Preds.back())) {
-      const StepRecord &Step = E.step(Preds.back());
-      SwitchSpec Spec{Step.Stmt, Step.InstanceNo};
-      ExecutionTrace Full = Interp.runSwitched(Variant.Input, Spec, kBudget);
-      Interpreter::Options ResumeOpts;
-      ResumeOpts.MaxSteps = kBudget;
-      ResumeOpts.Switch = Spec;
-      ExecContext Ctx;
-      ResumedTrace FromCkpt =
-          Interp.runFrom(*CP, E, Variant.Input, ResumeOpts, Ctx);
-      expectSameTrace(Full, FromCkpt, Seed, Preds.back());
-    }
-  }
-  EXPECT_GT(DeltasSeen, 0u) << "no seed produced a delta-encoded snapshot";
-  EXPECT_GT(Compared, 0u);
-}
-
-// With delta encoding on, the LRU budget is charged with *encoded*
-// bytes: under the same tight budget the delta store retains at least as
-// many snapshots as the raw store, evicts whole segments, and every
-// survivor still resumes bit-identically.
-TEST(CheckpointTest, DeltaStoreEvictsByEncodedBytes) {
-  for (uint64_t Seed : {301, 303, 305, 307, 309}) {
-    RandomProgramGenerator Gen(Seed);
-    auto Variant = Gen.generateOmission();
-    DiagnosticEngine Diags;
-    auto Prog = lang::parseAndCheck(Variant.FaultySource, Diags);
-    ASSERT_TRUE(Prog) << Diags.str();
-    analysis::StaticAnalysis SA(*Prog);
-    Interpreter Interp(*Prog, SA);
-    ExecutionTrace E = Interp.run(Variant.Input);
-    std::vector<TraceIdx> Preds = predicateInstances(E);
-
-    // Probe with everything retained to learn the encoded footprint.
-    CheckpointStore::Options ProbeOpts;
-    ProbeOpts.BudgetBytes = 1ull << 30;
-    ProbeOpts.DeltaEncode = true;
-    CheckpointStore Probe(ProbeOpts);
-    CheckpointPlan ProbePlan;
-    ProbePlan.Store = &Probe;
-    ProbePlan.Sites = Preds;
-    Interpreter::Options Opts;
-    Opts.MaxSteps = kBudget;
-    Opts.Checkpoints = &ProbePlan;
-    Interp.run(Variant.Input, Opts);
-    // Need enough material for several segments under pressure.
-    if (ProbePlan.Collected < 12 || Probe.keyframes() < 3 ||
-        Probe.deltaCount() == 0)
-      continue;
-    size_t TightBudget = Probe.bytes() / 2;
-
-    CheckpointStore::Options TightOpts;
-    TightOpts.BudgetBytes = TightBudget;
-    TightOpts.DeltaEncode = true;
-    CheckpointStore Tight(TightOpts);
-    CheckpointPlan TightPlan;
-    TightPlan.Store = &Tight;
-    TightPlan.Sites = Preds;
-    Opts.Checkpoints = &TightPlan;
-    Interp.run(Variant.Input, Opts);
-    EXPECT_GT(Tight.evictions(), 0u) << "seed " << Seed;
-    EXPECT_LE(Tight.bytes(), TightBudget) << "seed " << Seed;
-    EXPECT_GE(Tight.rawBytes(), Tight.bytes()) << "seed " << Seed;
-    EXPECT_LT(Tight.count(), TightPlan.Collected) << "seed " << Seed;
-
-    // Same byte budget charged with raw bytes retains no more snapshots
-    // than encoded accounting does.
-    CheckpointStore RawTight(TightBudget);
-    CheckpointPlan RawPlan;
-    RawPlan.Store = &RawTight;
-    RawPlan.Sites = Preds;
-    Opts.Checkpoints = &RawPlan;
-    Interp.run(Variant.Input, Opts);
-    EXPECT_GE(Tight.count(), RawTight.count()) << "seed " << Seed;
-
-    // Whatever survived still resumes correctly.
-    TraceIdx Last = Preds.back();
-    std::shared_ptr<const Checkpoint> CP = Tight.nearest(Last);
-    ASSERT_TRUE(CP) << "seed " << Seed;
-    const StepRecord &Step = E.step(Last);
-    SwitchSpec Spec{Step.Stmt, Step.InstanceNo};
-    ExecutionTrace Full = Interp.runSwitched(Variant.Input, Spec, kBudget);
-    Interpreter::Options ResumeOpts;
-    ResumeOpts.MaxSteps = kBudget;
-    ResumeOpts.Switch = Spec;
-    ExecContext Ctx;
-    ResumedTrace FromCkpt =
-        Interp.runFrom(*CP, E, Variant.Input, ResumeOpts, Ctx);
-    expectSameTrace(Full, FromCkpt, Seed, Last);
-    return; // One qualifying seed is enough.
-  }
-  GTEST_SKIP() << "no probe seed produced enough delta segments";
-}
-
-// A program whose long prefix reads no input: snapshots promoted while
-// running input A are valid resume points on entirely different inputs.
-constexpr const char *kSharedPrefixSrc =
-    "fn main() {\n"                 // 1
-    "  var i = 0;\n"                // 2
-    "  var acc = 0;\n"              // 3
-    "  while (i < 40) {\n"          // 4
-    "    if (i % 3 > 0) {\n"        // 5
-    "      acc = acc + 2;\n"        // 6
-    "    }\n"                       // 7
-    "    i = i + 1;\n"              // 8
-    "  }\n"                         // 9
-    "  var x = input();\n"          // 10
-    "  var flag = 0;\n"             // 11
-    "  if (flag > 0) {\n"           // 12
-    "    acc = acc + 100;\n"        // 13
-    "  }\n"                         // 14
-    "  print(acc + x);\n"           // 15
-    "}\n";                          // 16
-
-TEST(CheckpointTest, SharedSnapshotsResumeAcrossInputs) {
-  Session S(kSharedPrefixSrc);
-  ASSERT_TRUE(S.valid());
-
-  std::vector<int64_t> InputA{7};
-  ExecutionTrace EA = S.Interp->run(InputA);
-  ASSERT_EQ(EA.Exit, ExitReason::Finished);
-  ASSERT_NE(EA.FirstInputStep, InvalidId);
-
-  CheckpointStore Store(64ull << 20);
-  SharedCheckpointStore Shared;
-  CheckpointPlan Plan;
-  Plan.Store = &Store;
-  Plan.Sites = predicateInstances(EA);
-  Plan.Share = &Shared;
-  Plan.ShareHash = SharedCheckpointStore::hashProgram(*S.Prog);
-  Plan.ShareProgram = S.Prog.get();
-  Plan.ShareMaxSteps = kBudget;
-  Interpreter::Options Opts;
-  Opts.MaxSteps = kBudget;
-  Opts.Checkpoints = &Plan;
-  S.Interp->run(InputA, Opts);
-  ASSERT_GT(Plan.Promoted, 0u);
-  EXPECT_EQ(Shared.count(), Plan.Promoted);
-
-  // Everything promoted precedes the first input() read.
-  std::vector<std::shared_ptr<const Checkpoint>> Snaps =
-      Shared.snapshotsFor(Plan.ShareHash, Plan.ShareProgram, kBudget);
-  ASSERT_EQ(Snaps.size(), Shared.count());
-  for (const auto &CP : Snaps) {
-    EXPECT_TRUE(CP->InputIndependent);
-    EXPECT_LT(CP->Index, EA.FirstInputStep);
-  }
-  // A different validity key sees nothing.
-  EXPECT_TRUE(Shared.snapshotsFor(Plan.ShareHash, S.Prog.get(), kBudget + 1)
-                  .empty());
-
-  StmtId FlagIf = S.stmtAtLine(12);
-  for (const std::vector<int64_t> &In :
-       {std::vector<int64_t>{11}, std::vector<int64_t>{-3},
-        std::vector<int64_t>{0}}) {
-    ExecutionTrace EB = S.Interp->run(In);
-    ASSERT_EQ(EB.Exit, ExitReason::Finished);
-    // Identical pre-input prefix: the watermark lands on the same step.
-    ASSERT_EQ(EB.FirstInputStep, EA.FirstInputStep);
-
-    // Switch the post-input predicate and resume from every shared
-    // snapshot, each taken while running a *different* input.
-    TraceIdx SwitchAt = InvalidId;
-    for (TraceIdx I = 0; I < EB.size(); ++I)
-      if (EB.step(I).Stmt == FlagIf)
-        SwitchAt = I;
-    ASSERT_NE(SwitchAt, InvalidId);
-    const StepRecord &Step = EB.step(SwitchAt);
-    SwitchSpec Spec{Step.Stmt, Step.InstanceNo};
-    ExecutionTrace Full = S.Interp->runSwitched(In, Spec, kBudget);
-    ExecContext Ctx;
-    for (const auto &CP : Snaps) {
-      Interpreter::Options ResumeOpts;
-      ResumeOpts.MaxSteps = kBudget;
-      ResumeOpts.Switch = Spec;
-      ResumedTrace FromCkpt =
-          S.Interp->runFrom(*CP, EB, In, ResumeOpts, Ctx);
-      expectSameTrace(Full, FromCkpt, 0, SwitchAt);
-    }
-  }
-}
-
-// End to end: verifier sessions over the same program on *different*
-// failing inputs reuse shared snapshots -- the first session seeds the
-// store, later sessions resume from the seeded entries (counted by
-// verify.ckpt.shared_hits) -- and every session's locate outcome stays
-// identical to full replay.
-TEST(CheckpointTest, VerifierSessionsReuseSharedSnapshots) {
-  constexpr const char *FixedSrc =
-      "fn main() {\n"                 // 1
-      "  var i = 0;\n"                // 2
-      "  var acc = 0;\n"              // 3
-      "  while (i < 40) {\n"          // 4
-      "    if (i % 3 > 0) {\n"        // 5
-      "      acc = acc + 2;\n"        // 6
-      "    }\n"                       // 7
-      "    i = i + 1;\n"              // 8
-      "  }\n"                         // 9
-      "  var x = input();\n"          // 10
-      "  var flag = 1;\n"             // 11
-      "  if (flag > 0) {\n"           // 12
-      "    acc = acc + 100;\n"        // 13
-      "  }\n"                         // 14
-      "  print(acc + x);\n"           // 15
-      "}\n";                          // 16
-  DiagnosticEngine Diags;
-  auto Faulty = lang::parseAndCheck(kSharedPrefixSrc, Diags);
-  auto Fixed = lang::parseAndCheck(FixedSrc, Diags);
-  ASSERT_TRUE(Faulty && Fixed) << Diags.str();
-  StmtId Root = Faulty->statementAtLine(11);
-  ASSERT_TRUE(isValidId(Root));
-  analysis::StaticAnalysis FixedSA(*Fixed);
-  Interpreter FixedInterp(*Fixed, FixedSA);
-
-  SharedCheckpointStore Shared;
-  int SessionNo = 0;
-  for (const std::vector<int64_t> &In :
-       {std::vector<int64_t>{7}, std::vector<int64_t>{11},
-        std::vector<int64_t>{-3}}) {
-    std::vector<int64_t> Expected = FixedInterp.run(In).outputValues();
-    std::optional<LocateOutcome> Reference =
-        locateVariant(*Faulty, In, Expected, Root, 1, CheckpointsOff);
-    ASSERT_TRUE(Reference) << "input " << In[0] << " did not fail";
-    support::StatsRegistry Stats;
-    std::optional<LocateOutcome> SharedRun =
-        locateVariant(*Faulty, In, Expected, Root, 1, CheckpointStrideAuto,
-                      &Shared, &Stats);
-    ASSERT_TRUE(SharedRun);
-    expectSameOutcome(*Reference, *SharedRun, /*Seed=*/0, /*Threads=*/1);
-    EXPECT_TRUE(SharedRun->Report.RootCauseFound) << "input " << In[0];
-    uint64_t Hits = Stats.counter("verify.ckpt.shared_hits").get();
-    if (SessionNo == 0) {
-      EXPECT_EQ(Hits, 0u) << "first session has nothing to reuse";
-      EXPECT_GT(Shared.count(), 0u) << "first session must seed the store";
-    } else {
-      EXPECT_GT(Hits, 0u)
-          << "session " << SessionNo << " resumed nothing from the store";
-    }
-    ++SessionNo;
-  }
-}
-
-// Promote / snapshotsFor from many threads at once, with overlapping
-// indices and two interleaved validity keys: the shared store must stay
-// consistent (the TSan job runs this via the parallel label).
-TEST(CheckpointTest, ConcurrentSharedStoreIsRaceFree) {
-  SharedCheckpointStore Shared(64ull << 20);
-  const uint64_t Hash = 0x9e3779b97f4a7c15ull;
-  static int KeyA, KeyB;
-  const void *ProgA = &KeyA;
-  const void *ProgB = &KeyB;
-
-  support::ThreadPool Pool(8);
-  std::vector<std::function<void()>> Tasks;
-  std::atomic<size_t> Promoted{0};
-  std::atomic<size_t> Lookups{0};
-  for (unsigned T = 0; T < 8; ++T)
-    Tasks.push_back([&, T] {
-      for (unsigned I = 0; I < 64; ++I) {
-        auto CP = std::make_shared<Checkpoint>();
-        CP->Index = (T * 64 + I) % 96; // Contended duplicates.
-        CP->InputIndependent = true;
-        CP->GlobalMem.assign(16, static_cast<int64_t>(CP->Index));
-        const void *Prog = (I % 2) ? ProgA : ProgB;
-        if (Shared.promote(CP, Hash, Prog, kBudget))
-          Promoted.fetch_add(1, std::memory_order_relaxed);
-        Lookups.fetch_add(Shared.snapshotsFor(Hash, Prog, kBudget).size(),
-                          std::memory_order_relaxed);
-        (void)Shared.bytes();
-      }
-    });
-  Pool.runAll(std::move(Tasks));
-  EXPECT_EQ(Shared.count(), Promoted.load());
-  // Each (key, index) pair admitted exactly once: the odd residues mod 96
-  // land under one key, the even ones under the other.
-  EXPECT_EQ(Shared.count(), 96u);
-  EXPECT_GT(Lookups.load(), 0u);
-
-  // Input-dependent snapshots are always refused.
-  auto Dep = std::make_shared<Checkpoint>();
-  Dep->Index = 1000;
-  EXPECT_FALSE(Shared.promote(Dep, Hash, ProgA, kBudget));
-  EXPECT_EQ(Shared.count(), 96u);
 }
 
 } // namespace

@@ -196,24 +196,9 @@ const char *const InvariantCounterKeys[] = {
     "interp.resumed_runs", "interp.spliced_steps", "verify.ckpt.hits",
     "verify.ckpt.misses", "verify.ckpt.stored", "verify.ckpt.bytes",
     "verify.ckpt.evictions", "verify.ckpt.skipped_dirty",
-    // The adaptive-storage counters are functions of the collection run
-    // alone (single-threaded, deterministic): what got delta-encoded,
-    // the segment keyframes, the encoded/raw footprint, the autotuned
-    // stride, and (with no shared store wired here) zero shared hits.
-    "verify.ckpt.delta_encoded", "verify.ckpt.keyframes",
-    "verify.ckpt.encoded_bytes", "verify.ckpt.raw_bytes",
-    "verify.ckpt.shared_hits", "verify.ckpt.auto_stride",
-    // The persistent-cache counters: loads/rejects/write_bytes are
-    // functions of the cache file alone, and disk-hit attribution
-    // resolves once per distinct predicate like ckpt.hits (zero here,
-    // with no cache directory wired).
-    "verify.ckpt.disk_hits", "verify.ckpt.disk_loads",
-    "verify.ckpt.disk_rejects", "verify.ckpt.disk_write_bytes",
-    // The switched-run cache resolves once per distinct predicate under
-    // the run cell's call_once, and capture/splice work is a pure
-    // function of each (session, predicate) -- invariant like ckpt.hits.
-    "verify.ckpt.switched_hits", "verify.ckpt.switched_promotions",
-    "verify.ckpt.switched_interpreted_steps",
+    // The autotuned stride is a function of the collection run alone
+    // (single-threaded, deterministic).
+    "verify.ckpt.auto_stride",
     // Element counts of every traced run's step, use and def arrays: a
     // function of the runs alone, whichever thread executes them.
     "interp.trace_bytes",
@@ -233,38 +218,9 @@ const char *const InvariantCounterKeys[] = {
     // trigger is a pure function of thread-invariant verdicts, so every
     // chain counter is invariant too (zero at the default ChainDepth=1;
     // ChainDeterminism below exercises them at depth 2).
-    "verify.chain.runs", "verify.chain.prefix_hits",
-    "verify.chain.extended_steps", "locate.chain.searches",
-    "locate.chain.commits",
+    "verify.chain.runs", "verify.chain.extended_steps",
+    "locate.chain.searches", "locate.chain.commits",
 };
-
-/// Two locate sessions around a SwitchedRunStore seal(), so the second
-/// session's switched runs actually resume from staged snapshots.
-/// Returns both outcomes. CacheBytes 0 is
-/// the reference configuration (no store wired, full interpretation).
-std::vector<LocateOutcome> locateTwiceCached(const PreparedFault &F,
-                                             unsigned Threads,
-                                             size_t CacheBytes) {
-  SwitchedRunStore Store(CacheBytes);
-  std::vector<LocateOutcome> Out;
-  for (int Pass = 0; Pass < 2; ++Pass) {
-    core::DebugSession::Config C;
-    C.Opt.Exec.Threads = Threads;
-    C.Opt.Reuse.SwitchedCacheBytes = CacheBytes;
-    if (CacheBytes > 0)
-      C.SwitchedRuns = &Store;
-    core::DebugSession Session(*F.Faulty, F.Input, F.Expected, {}, C);
-    EXPECT_TRUE(Session.hasFailure());
-    RootOnlyOracle Oracle(F.Root);
-    LocateOutcome O;
-    O.Report = Session.locate(Oracle);
-    O.Edges = Session.graph().implicitEdges();
-    O.Chain = Session.failureChain(F.Root);
-    Out.push_back(std::move(O));
-    Store.seal();
-  }
-  return Out;
-}
 
 void expectSameOutcome(const LocateOutcome &A, const LocateOutcome &B,
                        uint64_t Seed, const char *What) {
@@ -293,33 +249,6 @@ void expectSameOutcome(const LocateOutcome &A, const LocateOutcome &B,
   }
   EXPECT_EQ(A.Chain, B.Chain) << What << " seed " << Seed;
 }
-
-class SwitchedCacheDeterminism : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SwitchedCacheDeterminism, CacheOnOffAndThreadCountAreInvisible) {
-  // The switched-run snapshot cache's contract: cache on, off, or
-  // size-capped, serial or parallel, every locate outcome is
-  // bit-identical -- only re-execution work may change.
-  std::optional<PreparedFault> F = prepareFault(GetParam());
-  if (!F)
-    GTEST_SKIP() << "fault masked by later definitions";
-
-  std::vector<LocateOutcome> Ref = locateTwiceCached(*F, 1, 0);
-  expectSameOutcome(Ref[0], Ref[1], GetParam(), "off@1 pass0 vs pass1");
-  for (auto [Threads, Bytes, What] :
-       {std::tuple<unsigned, size_t, const char *>{4, 0, "off@4"},
-        {1, DefaultSwitchedCacheBytes, "on@1"},
-        {4, DefaultSwitchedCacheBytes, "on@4"},
-        {1, size_t(64) << 10, "capped@1"},
-        {4, size_t(64) << 10, "capped@4"}}) {
-    std::vector<LocateOutcome> Got = locateTwiceCached(*F, Threads, Bytes);
-    expectSameOutcome(Ref[0], Got[0], GetParam(), What);
-    expectSameOutcome(Ref[1], Got[1], GetParam(), What);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SwitchedCacheDeterminism,
-                         ::testing::Range<uint64_t>(200, 210));
 
 class ChainDeterminism : public ::testing::TestWithParam<uint64_t> {};
 
@@ -354,9 +283,8 @@ TEST_P(ChainDeterminism, ChainSearchIsThreadCountInvariant) {
   expectSameOutcome(Serial, Pooled, GetParam(), "chain@1 vs chain@4");
 
   for (const char *Key :
-       {"verify.chain.runs", "verify.chain.prefix_hits",
-        "verify.chain.extended_steps", "locate.chain.searches",
-        "locate.chain.commits"})
+       {"verify.chain.runs", "verify.chain.extended_steps",
+        "locate.chain.searches", "locate.chain.commits"})
     EXPECT_EQ(SerialReg.counter(Key).get(), PooledReg.counter(Key).get())
         << "seed " << GetParam() << " counter " << Key;
 }

@@ -10,22 +10,8 @@
 // it, and the demand-driven locator finds it. Any deviation is printed
 // with the offending seed and program for triage.
 //
-//   eoe-fuzz [--fuzz=pipeline|diskstore|switched|chain|prune|resume|align]
-//            [--seeds N] [--start S] [--verbose]
-//
-// --fuzz=diskstore targets the persistent checkpoint cache instead:
-// each seed serializes a random program's snapshots, round-trips them,
-// then mutates the byte image (bit flips, truncation, length-field
-// corruption, version skew) and asserts the hardened loader either
-// rejects cleanly or decodes the original state exactly -- never
-// crashes, never fabricates a snapshot.
-//
-// --fuzz=switched targets the switched-run snapshot cache: each
-// reproducing seed runs the locator three times -- cache off, cache on
-// (two sessions around a seal(), so the second actually resumes from
-// divergence-keyed snapshots), and cache size-capped -- and asserts the
-// critical predicates, counters, and final pruned slice are
-// bit-identical across all three.
+//   eoe-fuzz [--fuzz=pipeline|chain|prune|resume|align] [--seeds N]
+//            [--start S] [--verbose]
 //
 // --fuzz=chain targets the multi-switch chain search: each reproducing
 // seed runs the locator chain-off (depth 1) and chain-on (depth 2, at 1
@@ -54,16 +40,14 @@
 // --fuzz=align is the differential oracle of switched-run alignment:
 // each seed switches every predicate instance that has a snapshot at or
 // before it, builds the switched run the way the verifier does (resumed
-// from the original run's snapshot, and once more from its deepest
-// switched snapshot through a bundle prefix), and compares every
-// match() answer and every edge check with Algorithm 1 over the full
-// region trees of a fully interpreted switched run.
+// from the original run's snapshot), and compares every match() answer
+// and every edge check with Algorithm 1 over the full region trees of a
+// fully interpreted switched run.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/DebugSession.h"
 #include "gen/RandomProgram.h"
-#include "interp/CheckpointDiskStore.h"
 #include "lang/Parser.h"
 #include "slicing/Pruning.h"
 #include "support/Diagnostic.h"
@@ -153,156 +137,6 @@ bool runSeed(uint64_t Seed, bool Verbose, Tally &T) {
                 static_cast<unsigned long long>(Seed), R.Verifications,
                 R.ExpandedEdges, Session.trace().size());
   }
-  return Ok;
-}
-
-//===----------------------------------------------------------------------===//
-// Disk-store fuzzing: the loader must reject every corrupted cache image
-// cleanly (or prove it decodes the original exactly -- a mutation the
-// checksums cannot see must at least be harmless).
-//===----------------------------------------------------------------------===//
-
-struct DiskTally {
-  size_t Generated = 0;
-  size_t Snapshots = 0;
-  size_t Mutations = 0;
-  size_t Rejected = 0;
-  size_t Harmless = 0;
-  size_t Failures = 0;
-};
-
-using SnapshotList = std::vector<std::shared_ptr<const interp::Checkpoint>>;
-
-bool sameSnapshots(const SnapshotList &A, const SnapshotList &B) {
-  return A.size() == B.size() &&
-         std::equal(A.begin(), A.end(), B.begin(),
-                    [](const auto &X, const auto &Y) { return *X == *Y; });
-}
-
-bool runDiskstoreSeed(uint64_t Seed, bool Verbose, DiskTally &T) {
-  gen::RandomProgramGenerator Gen(Seed);
-  auto Variant = Gen.generateOmission();
-  ++T.Generated;
-
-  DiagnosticEngine Diags;
-  auto Prog = lang::parseAndCheck(Variant.FaultySource, Diags);
-  if (!Prog) {
-    std::printf("seed %llu: GENERATED PROGRAM DOES NOT PARSE\n%s\n",
-                static_cast<unsigned long long>(Seed), Diags.str().c_str());
-    ++T.Failures;
-    return false;
-  }
-  analysis::StaticAnalysis SA(*Prog);
-  interp::Interpreter Interp(*Prog, SA);
-  interp::ExecutionTrace Trace = Interp.run(Variant.Input);
-
-  // Snapshot up to 24 predicate instances spread over the trace, the
-  // same way a collection pass would.
-  std::vector<TraceIdx> Sites;
-  for (TraceIdx I = 0; I < Trace.size(); ++I)
-    if (Trace.step(I).isPredicateInstance())
-      Sites.push_back(I);
-  if (Sites.size() > 24) {
-    std::vector<TraceIdx> Thinned;
-    size_t Stride = Sites.size() / 24;
-    for (size_t I = 0; I < Sites.size(); I += Stride)
-      Thinned.push_back(Sites[I]);
-    Sites = std::move(Thinned);
-  }
-  interp::CheckpointStore Store(interp::DefaultCheckpointMemBytes);
-  interp::CheckpointPlan Plan;
-  Plan.Sites = Sites;
-  Plan.Store = &Store;
-  interp::Interpreter::Options Opts;
-  Opts.Checkpoints = &Plan;
-  Interp.run(Variant.Input, Opts);
-
-  SnapshotList Snaps;
-  for (TraceIdx S : Sites)
-    if (auto CP = Store.nearest(S))
-      if (Snaps.empty() || Snaps.back()->Index < CP->Index)
-        Snaps.push_back(CP);
-  T.Snapshots += Snaps.size();
-
-  const uint64_t MaxSteps = 1'000'000;
-  const uint64_t Hash = interp::SharedCheckpointStore::hashProgram(*Prog);
-  std::string Bytes =
-      interp::serializeCheckpoints(Snaps, *Prog, Hash, MaxSteps);
-  if (Bytes.empty()) {
-    std::printf("seed %llu: SERIALIZATION FAILED\n",
-                static_cast<unsigned long long>(Seed));
-    ++T.Failures;
-    return false;
-  }
-
-  std::string Err;
-  auto Back =
-      interp::deserializeCheckpoints(Bytes, *Prog, Hash, MaxSteps, &Err);
-  if (!Back || !sameSnapshots(Snaps, *Back)) {
-    std::printf("seed %llu: CLEAN ROUND-TRIP FAILED (%s)\n",
-                static_cast<unsigned long long>(Seed),
-                Back ? "decoded state differs" : Err.c_str());
-    ++T.Failures;
-    return false;
-  }
-
-  // Seeded mutations. Every decode attempt must come back as a clean
-  // reject or as the exact original snapshots; anything else (crash, UB,
-  // silently different state) is a loader bug.
-  std::mt19937_64 Rng(Seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
-  bool Ok = true;
-  for (int Trial = 0; Trial < 8; ++Trial) {
-    std::string M = Bytes;
-    const char *What = "";
-    switch (Rng() % 4) {
-    case 0: { // Bit flips.
-      What = "bit flip";
-      int Flips = 1 + static_cast<int>(Rng() % 4);
-      for (int F = 0; F < Flips; ++F)
-        M[Rng() % M.size()] ^= static_cast<char>(1u << (Rng() % 8));
-      break;
-    }
-    case 1: // Truncation (always strictly shorter).
-      What = "truncation";
-      M.resize(Rng() % M.size());
-      break;
-    case 2: { // 4-byte stomp: length fields, CRCs, counts, anything.
-      What = "length-field corruption";
-      size_t At = Rng() % (M.size() - 3);
-      uint32_t V = static_cast<uint32_t>(Rng());
-      for (int B = 0; B < 4; ++B)
-        M[At + B] = static_cast<char>((V >> (8 * B)) & 0xFF);
-      break;
-    }
-    case 3: { // Version skew: any version but the current one.
-      What = "version skew";
-      uint32_t V = 2 + static_cast<uint32_t>(Rng() % 1000);
-      for (int B = 0; B < 4; ++B)
-        M[8 + B] = static_cast<char>((V >> (8 * B)) & 0xFF);
-      break;
-    }
-    }
-    if (M == Bytes)
-      continue; // Mutation was a no-op (flip landed on the same bit twice).
-    ++T.Mutations;
-    auto R = interp::deserializeCheckpoints(M, *Prog, Hash, MaxSteps);
-    if (!R) {
-      ++T.Rejected;
-    } else if (sameSnapshots(Snaps, *R)) {
-      ++T.Harmless;
-    } else {
-      std::printf("seed %llu trial %d: LOADER ACCEPTED CORRUPTED CACHE "
-                  "(%s, %zu -> %zu bytes)\n",
-                  static_cast<unsigned long long>(Seed), Trial, What,
-                  Bytes.size(), M.size());
-      ++T.Failures;
-      Ok = false;
-    }
-  }
-  if (Verbose)
-    std::printf("seed %llu: ok (%zu snapshots, %zu bytes)\n",
-                static_cast<unsigned long long>(Seed), Snaps.size(),
-                Bytes.size());
   return Ok;
 }
 
@@ -448,7 +282,6 @@ bool runResumeSeed(uint64_t Seed, bool Verbose, ResumeTally &T) {
 struct AlignTally {
   size_t Generated = 0;
   size_t Switches = 0;
-  size_t BundleResumes = 0;
   size_t Queries = 0;
   size_t Failures = 0;
 };
@@ -601,28 +434,9 @@ bool runAlignSeed(uint64_t Seed, bool Verbose, AlignTally &T) {
     interp::ExecutionTrace Full = Interp.run(Variant.Input, Switched, Ctx);
     ReferenceAligner Ref(E, Full);
 
-    // The verifier's path: resume from the original run's snapshot,
-    // capturing divergence-keyed snapshots past the switch.
-    interp::SwitchedCapturePlan Capture;
-    Capture.SpacingSteps = std::min<uint64_t>(
-        Capture.SpacingSteps, std::max<uint64_t>(16, E.size() / 4));
-    interp::Interpreter::Options Capturing = Switched;
-    Capturing.SwitchedCapture = &Capture;
-    interp::ResumedTrace Resumed =
-        Interp.runFrom(*CP, E, Variant.Input, Capturing, Ctx);
-    Compare(P, Resumed, Full, Ref);
-    if (Capture.Captured.empty())
-      continue;
-
-    // A later session's path: resume from the deepest switched snapshot
-    // through the bundle prefix staging would keep.
-    ++T.BundleResumes;
-    auto Prefix = std::make_shared<interp::ExecutionTrace>();
-    interp::tracePrefix(Resumed, *Capture.Captured.back(), *Prefix);
-    interp::ResumedTrace FromBundle =
-        Interp.runFrom(*Capture.Captured.back(), std::move(Prefix),
-                       Variant.Input, Switched, Ctx);
-    Compare(P, FromBundle, Full, Ref);
+    // The verifier's path: resume from the original run's snapshot.
+    Compare(P, Interp.runFrom(*CP, E, Variant.Input, Switched, Ctx), Full,
+            Ref);
   }
   if (Verbose)
     std::printf("seed %llu: %s (%zu predicate instances)\n",
@@ -632,16 +446,11 @@ bool runAlignSeed(uint64_t Seed, bool Verbose, AlignTally &T) {
 }
 
 //===----------------------------------------------------------------------===//
-// Switched-cache fuzzing: the divergence-keyed snapshot cache must be
-// invisible in every result -- only the re-execution work may change.
+// Chain fuzzing: depth-2 perturbation chains may only add information.
+// The chain search fires when both single-switch verdict pools come up
+// empty, so a chained locator must find every root the single-switch
+// locator finds; its extra work must also be thread-count invariant.
 //===----------------------------------------------------------------------===//
-
-struct SwitchedTally {
-  size_t Generated = 0;
-  size_t Masked = 0;
-  size_t Hits = 0;
-  size_t Failures = 0;
-};
 
 /// Everything the locator decides, canonicalized for comparison: the
 /// verified implicit edges (the "critical predicates"), the Table 3
@@ -665,96 +474,6 @@ std::string locateSignature(core::DebugSession &Session,
   }
   return Sig;
 }
-
-/// Locates twice (two sessions around a seal(), so the second session's
-/// switched runs actually resume from the first's staged snapshots) and
-/// returns the concatenated signatures. \p CacheBytes 0 = reference.
-/// Each pass gets a fresh registry (report counters read absolute
-/// registry values); cache activity is summed into \p Tally when given.
-std::string locateTwice(const lang::Program &Faulty,
-                        const std::vector<int64_t> &Input,
-                        const std::vector<int64_t> &Expected, StmtId Root,
-                        size_t CacheBytes, SwitchedTally *Tally) {
-  interp::SwitchedRunStore Store(CacheBytes);
-  std::string Sig;
-  for (int Pass = 0; Pass < 2; ++Pass) {
-    support::StatsRegistry Stats;
-    core::DebugSession::Config C;
-    C.Opt.Reuse.SwitchedCacheBytes = CacheBytes;
-    if (CacheBytes > 0)
-      C.SwitchedRuns = &Store;
-    C.Opt.Exec.Stats = &Stats;
-    core::DebugSession Session(Faulty, Input, Expected, {}, C);
-    if (!Session.hasFailure())
-      return Sig; // Caller already checked; belt and braces.
-    RootOnlyOracle Oracle(Root);
-    core::LocateReport R = Session.locate(Oracle);
-    Sig += locateSignature(Session, R);
-    Store.seal();
-    if (Tally)
-      Tally->Hits += static_cast<size_t>(
-          Stats.counter("verify.ckpt.switched_hits").get());
-  }
-  return Sig;
-}
-
-bool runSwitchedSeed(uint64_t Seed, bool Verbose, SwitchedTally &T) {
-  gen::RandomProgramGenerator Gen(Seed);
-  auto Variant = Gen.generateOmission();
-  ++T.Generated;
-
-  DiagnosticEngine Diags;
-  auto Fixed = lang::parseAndCheck(Variant.FixedSource, Diags);
-  auto Faulty = lang::parseAndCheck(Variant.FaultySource, Diags);
-  if (!Fixed || !Faulty) {
-    std::printf("seed %llu: GENERATED PROGRAM DOES NOT PARSE\n%s\n",
-                static_cast<unsigned long long>(Seed), Diags.str().c_str());
-    ++T.Failures;
-    return false;
-  }
-  analysis::StaticAnalysis FixedSA(*Fixed);
-  interp::Interpreter FixedInterp(*Fixed, FixedSA);
-  std::vector<int64_t> Expected =
-      FixedInterp.run(Variant.Input).outputValues();
-  {
-    core::DebugSession Probe(*Faulty, Variant.Input, Expected, {});
-    if (!Probe.hasFailure()) {
-      ++T.Masked;
-      return true;
-    }
-  }
-  StmtId Root = Faulty->statementAtLine(Variant.RootCauseLine);
-
-  std::string Off = locateTwice(*Faulty, Variant.Input, Expected, Root,
-                                /*CacheBytes=*/0, nullptr);
-  std::string On = locateTwice(*Faulty, Variant.Input, Expected, Root,
-                               interp::DefaultSwitchedCacheBytes, &T);
-  // A tight cap forces the LRU admission path; 64 KiB keeps a bundle or
-  // two while evicting the rest.
-  std::string Capped = locateTwice(*Faulty, Variant.Input, Expected, Root,
-                                   /*CacheBytes=*/64 << 10, nullptr);
-
-  bool Ok = On == Off && Capped == Off;
-  if (!Ok) {
-    std::printf("seed %llu: SWITCHED CACHE CHANGED THE RESULT (on %s, "
-                "capped %s)\n--- off ---\n%s--- on ---\n%s%s\n",
-                static_cast<unsigned long long>(Seed),
-                On == Off ? "ok" : "DIFFERS",
-                Capped == Off ? "ok" : "DIFFERS", Off.c_str(), On.c_str(),
-                Variant.FaultySource.c_str());
-    ++T.Failures;
-  } else if (Verbose) {
-    std::printf("seed %llu: ok\n", static_cast<unsigned long long>(Seed));
-  }
-  return Ok;
-}
-
-//===----------------------------------------------------------------------===//
-// Chain fuzzing: depth-2 perturbation chains may only add information.
-// The chain search fires when both single-switch verdict pools come up
-// empty, so a chained locator must find every root the single-switch
-// locator finds; its extra work must also be thread-count invariant.
-//===----------------------------------------------------------------------===//
 
 struct ChainTally {
   size_t Generated = 0;
@@ -1080,25 +799,14 @@ int main(int Argc, char **Argv) {
     else if (std::strncmp(Argv[I], "--fuzz=", 7) == 0)
       Mode = Argv[I] + 7;
     else {
-      std::fprintf(stderr, "usage: eoe-fuzz [--fuzz=pipeline|diskstore|"
-                           "switched|chain|prune|resume|align] [--seeds N] "
-                           "[--start S] "
+      std::fprintf(stderr, "usage: eoe-fuzz [--fuzz=pipeline|chain|prune|"
+                           "resume|align] [--seeds N] [--start S] "
                            "[--verbose]\n");
       return 2;
     }
   }
 
   Timer Clock;
-  if (Mode == "switched") {
-    SwitchedTally T;
-    for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
-      runSwitchedSeed(Seed, Verbose, T);
-    std::printf("switched-fuzzed %zu programs in %s s: %zu masked, %zu "
-                "snapshot hits, %zu violations\n",
-                T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
-                T.Masked, T.Hits, T.Failures);
-    return T.Failures == 0 ? 0 : 1;
-  }
   if (Mode == "chain") {
     ChainTally T;
     for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
@@ -1161,30 +869,10 @@ int main(int Argc, char **Argv) {
     AlignTally T;
     for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
       runAlignSeed(Seed, Verbose, T);
-    // Bundle resumes are the runs whose switch lies below their resume
-    // point; a run without them skips half the oracle.
-    if (T.Generated > 0 && T.BundleResumes == 0) {
-      std::printf("align fuzzing resumed no run from a bundle prefix -- "
-                  "switches below the resume point are not exercised\n");
-      ++T.Failures;
-    }
-    std::printf("align-fuzzed %zu programs in %s s: %zu switched runs (%zu "
-                "resumed again from a bundle), %zu queries, %zu "
-                "violations\n",
+    std::printf("align-fuzzed %zu programs in %s s: %zu switched runs, %zu "
+                "queries, %zu violations\n",
                 T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
-                T.Switches, T.BundleResumes, T.Queries, T.Failures);
-    return T.Failures == 0 ? 0 : 1;
-  }
-  if (Mode == "diskstore") {
-    DiskTally T;
-    for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
-      runDiskstoreSeed(Seed, Verbose, T);
-    std::printf("diskstore-fuzzed %zu programs in %s s: %zu snapshots, "
-                "%zu mutations (%zu rejected, %zu harmless), %zu "
-                "violations\n",
-                T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
-                T.Snapshots, T.Mutations, T.Rejected, T.Harmless,
-                T.Failures);
+                T.Switches, T.Queries, T.Failures);
     return T.Failures == 0 ? 0 : 1;
   }
   if (Mode != "pipeline") {

@@ -22,7 +22,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/DebugSession.h"
-#include "interp/CheckpointDiskStore.h"
 #include "lang/Parser.h"
 #include "lang/PrettyPrinter.h"
 #include "support/Diagnostic.h"
@@ -50,8 +49,8 @@ struct CliOptions {
   std::string File;
   std::vector<int64_t> Input;
   std::vector<int64_t> Expected;
-  /// Every shared knob (budgets, threads, checkpoint / switched-cache /
-  /// chain options) lives in the unified bundle, parsed by
+  /// Every shared knob (budgets, threads, checkpoint and chain options)
+  /// lives in the unified bundle, parsed by
   /// support::parseCommonOption so the CLI cannot drift from the
   /// structs. Opt.Exec.Stats/Tracer are wired by main() when Cli asks
   /// for them.
@@ -107,8 +106,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   Opts.Command = Argv[1];
   Opts.File = Argv[2];
   for (int I = 3; I < Argc; ++I) {
-    // The shared knobs (budgets, threads, checkpoint / switched-cache /
-    // chain flags, observability) are handled by the one parser every
+    // The shared knobs (budgets, threads, checkpoint and chain flags,
+    // observability) are handled by the one parser every
     // front end uses; only command-specific flags remain below.
     switch (support::parseCommonOption(Argc, Argv, I, Opts.Opt, &Opts.Cli)) {
     case support::ParseResult::Ok:
@@ -361,14 +360,6 @@ int cmdLocate(const CliOptions &Opts, const lang::Program &Prog) {
   // The whole unified knob bundle forwards in one assignment; the
   // parser already filled every budget/thread/reuse/observability field.
   Config.Opt = Opts.Opt;
-  // One CLI invocation is one session, but wiring the stores keeps the
-  // promotion paths (and their counters) live for --stats users.
-  interp::SharedCheckpointStore Shared;
-  if (Opts.Opt.Reuse.CheckpointShare)
-    Config.SharedCheckpoints = &Shared;
-  interp::SwitchedRunStore SwitchedRuns(Opts.Opt.Reuse.SwitchedCacheBytes);
-  if (Opts.Opt.Reuse.SwitchedCacheBytes > 0)
-    Config.SwitchedRuns = &SwitchedRuns;
   core::DebugSession Session(Prog, Opts.Input, Opts.Expected, {}, Config);
   if (!Session.hasFailure()) {
     std::printf("no failure: outputs match the expected sequence\n");
@@ -376,21 +367,6 @@ int cmdLocate(const CliOptions &Opts, const lang::Program &Prog) {
   }
   CliOracle Oracle(Root);
   core::LocateReport R = Session.locate(Oracle);
-  // Write-on-exit half of the warm start: persist whatever this session
-  // loaded plus newly promoted under the same (program, budget) key the
-  // session loaded with. Atomic (temp file + rename); best-effort.
-  if (!Opts.Opt.Reuse.CheckpointDir.empty() &&
-      Opts.Opt.Reuse.CheckpointShare) {
-    interp::CheckpointDiskStore Disk(Opts.Opt.Reuse.CheckpointDir);
-    if (!Disk.save(Shared, Prog, Config.Locate.MaxSteps, Opts.Opt.Exec.Stats))
-      std::fprintf(stderr, "warning: could not write checkpoint cache in %s\n",
-                   Opts.Opt.Reuse.CheckpointDir.c_str());
-    // Cap the directory after the save so this invocation's own file
-    // competes for the budget on equal (freshest-mtime) footing.
-    if (Opts.Opt.Reuse.CheckpointDirCapBytes > 0)
-      Disk.sweep(Opts.Opt.Reuse.CheckpointDirCapBytes, std::chrono::hours(1),
-                 Opts.Opt.Exec.Stats);
-  }
   std::printf("located: %s\n", R.RootCauseFound ? "yes" : "no");
   std::printf("iterations=%zu verifications=%zu re-executions=%zu "
               "edges=%zu (%zu strong)\n",
