@@ -12,7 +12,7 @@
 //
 // Two claims are asserted, on any machine:
 //  - determinism: reports and verified implicit edges are bit-identical
-//    across {off, stride 1, auto} x {1, 4 threads};
+//    across {off, stride 1, auto};
 //  - work: with checkpoints on, every switched run resumes from a
 //    snapshot and reads at least half of its steps from the recorded
 //    prefix instead of interpreting them.
@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace eoe;
@@ -96,7 +95,6 @@ const char *modeName(unsigned Checkpoints) {
 }
 
 struct RunResult {
-  unsigned Threads = 0;
   unsigned Checkpoints = 0;
   double LocateMs = 0;
   LocateReport Report;
@@ -155,83 +153,76 @@ int main() {
     return 1;
   }
 
-  const unsigned Hardware = std::thread::hardware_concurrency();
-  const double Effective = bench::effectiveParallelism(4);
   std::vector<RunResult> Runs;
   size_t TraceLen = 0;
-  for (unsigned Threads : {1u, 4u}) {
-    for (unsigned Checkpoints :
-         {interp::CheckpointsOff, 1u, interp::CheckpointStrideAuto}) {
-      // The container this smoke runs on is shared and noisy (single-run
-      // baselines here have been observed to swing by 1.8x). Time the
-      // 1-thread rows -- the ones the speedup gate reads -- as the min of
-      // three runs; the 4-thread rows are informational only.
-      const int Reps = Threads == 1 ? 3 : 1;
-      RunResult R;
-      R.Threads = Threads;
-      R.Checkpoints = Checkpoints;
-      for (int Rep = 0; Rep < Reps; ++Rep) {
-        support::StatsRegistry Stats;
-        DebugSession::Config C;
-        C.Opt.Exec.Threads = Threads;
-        C.Opt.Reuse.Checkpoints = Checkpoints;
-        C.Opt.Exec.Stats = &Stats;
-        DebugSession Session(*Faulty, {}, Expected, {}, C);
-        if (!Session.hasFailure()) {
-          std::fprintf(stderr, "fault did not reproduce\n");
-          return 1;
-        }
-        TraceLen = Session.trace().size();
-        RootOnlyOracle Oracle(Root);
-
-        Timer LocateTimer;
-        LocateReport Out = Session.locate(Oracle);
-        double Ms = LocateTimer.seconds() * 1000;
-        if (!Out.RootCauseFound) {
-          std::fprintf(stderr, "root cause not found (threads=%u ckpt=%s)\n",
-                       Threads, modeName(Checkpoints));
-          return 1;
-        }
-        if (Rep > 0 && Ms >= R.LocateMs)
-          continue;
-        R.LocateMs = Ms;
-        R.Report = std::move(Out);
-        R.Edges = Session.graph().implicitEdges();
-        support::StatsSnapshot S = Stats.snapshot();
-        auto Counter = [&](const char *Key) {
-          auto It = S.Counters.find(Key);
-          return It == S.Counters.end() ? uint64_t(0) : It->second;
-        };
-        auto TimerMs = [&](const char *Key) {
-          auto It = S.Timers.find(Key);
-          return It == S.Timers.end() ? 0.0 : It->second.Seconds * 1000;
-        };
-        R.CkptHits = Counter("verify.ckpt.hits");
-        R.CkptMisses = Counter("verify.ckpt.misses");
-        R.CkptStored = Counter("verify.ckpt.stored");
-        R.SplicedSteps = Counter("interp.spliced_steps");
-        R.AutoStride = Counter("verify.ckpt.auto_stride");
-        // The state restore inside the resumed runs.
-        R.RestoreMs = TimerMs("interp.splice_time");
-        R.CollectMs = TimerMs("verify.ckpt.collect_time");
+  for (unsigned Checkpoints :
+       {interp::CheckpointsOff, 1u, interp::CheckpointStrideAuto}) {
+    // The container this smoke runs on is shared and noisy (single-run
+    // baselines here have been observed to swing by 1.8x). Time each
+    // row as the min of three runs.
+    constexpr int Reps = 3;
+    RunResult R;
+    R.Checkpoints = Checkpoints;
+    for (int Rep = 0; Rep < Reps; ++Rep) {
+      support::StatsRegistry Stats;
+      DebugSession::Config C;
+      C.Opt.Reuse.Checkpoints = Checkpoints;
+      C.Opt.Exec.Stats = &Stats;
+      DebugSession Session(*Faulty, {}, Expected, {}, C);
+      if (!Session.hasFailure()) {
+        std::fprintf(stderr, "fault did not reproduce\n");
+        return 1;
       }
-      Runs.push_back(std::move(R));
+      TraceLen = Session.trace().size();
+      RootOnlyOracle Oracle(Root);
+
+      Timer LocateTimer;
+      LocateReport Out = Session.locate(Oracle);
+      double Ms = LocateTimer.seconds() * 1000;
+      if (!Out.RootCauseFound) {
+        std::fprintf(stderr, "root cause not found (ckpt=%s)\n",
+                     modeName(Checkpoints));
+        return 1;
+      }
+      if (Rep > 0 && Ms >= R.LocateMs)
+        continue;
+      R.LocateMs = Ms;
+      R.Report = std::move(Out);
+      R.Edges = Session.graph().implicitEdges();
+      support::StatsSnapshot S = Stats.snapshot();
+      auto Counter = [&](const char *Key) {
+        auto It = S.Counters.find(Key);
+        return It == S.Counters.end() ? uint64_t(0) : It->second;
+      };
+      auto TimerMs = [&](const char *Key) {
+        auto It = S.Timers.find(Key);
+        return It == S.Timers.end() ? 0.0 : It->second.Seconds * 1000;
+      };
+      R.CkptHits = Counter("verify.ckpt.hits");
+      R.CkptMisses = Counter("verify.ckpt.misses");
+      R.CkptStored = Counter("verify.ckpt.stored");
+      R.SplicedSteps = Counter("interp.spliced_steps");
+      R.AutoStride = Counter("verify.ckpt.auto_stride");
+      // The state restore inside the resumed runs.
+      R.RestoreMs = TimerMs("interp.splice_time");
+      R.CollectMs = TimerMs("verify.ckpt.collect_time");
     }
+    Runs.push_back(std::move(R));
   }
 
-  // Determinism first: every mode must reproduce the full-replay serial
-  // outcome exactly. This is the hard claim; it holds on any machine.
-  const RunResult &Baseline = Runs.front(); // threads=1, checkpoints off
+  // Determinism first: every mode must reproduce the full-replay outcome
+  // exactly. This is the hard claim; it holds on any machine.
+  const RunResult &Baseline = Runs.front(); // checkpoints off
   bool Identical = true;
   for (const RunResult &R : Runs)
     Identical = Identical && sameOutcome(Baseline, R);
 
-  Table T({"threads", "ckpt", "locate (ms)", "speedup", "hits", "misses",
+  Table T({"ckpt", "locate (ms)", "speedup", "hits", "misses",
            "spliced steps", "stride", "restore (ms)", "collect (ms)",
            "identical"});
   for (const RunResult &R : Runs) {
     double Speedup = R.LocateMs > 0 ? Baseline.LocateMs / R.LocateMs : 0;
-    T.addRow({std::to_string(R.Threads), modeName(R.Checkpoints),
+    T.addRow({modeName(R.Checkpoints),
               formatDouble(R.LocateMs, 2), formatDouble(Speedup, 2),
               std::to_string(R.CkptHits), std::to_string(R.CkptMisses),
               std::to_string(R.SplicedSteps),
@@ -241,10 +232,8 @@ int main() {
   }
   std::printf("%s", T.str().c_str());
   std::printf("\nsubject: %d candidate predicates past a %d-iteration crc "
-              "prefix, trace length %zu, hardware_concurrency %u, effective "
-              "parallelism (4 threads) %s\n",
-              GuardCount, LoopIters, TraceLen, Hardware,
-              formatDouble(Effective, 2).c_str());
+              "prefix, trace length %zu\n",
+              GuardCount, LoopIters, TraceLen);
 
   // Wall-clock speedup (stride 1 vs off) is reported but not asserted:
   // on a loaded single-core container the off-baseline swings by 1.8x
@@ -255,18 +244,10 @@ int main() {
   // switched run resumes from a snapshot (no misses), and resuming
   // skips at least half of each switched run's interpretation (the
   // subject puts every candidate past 50% of the trace).
-  double Speedup1 = 0, Speedup4 = 0;
-  double Base4 = 0, Ckpt4 = 0;
-  for (const RunResult &R : Runs) {
-    if (R.Threads == 1 && R.Checkpoints == 1u && R.LocateMs > 0)
-      Speedup1 = Baseline.LocateMs / R.LocateMs;
-    if (R.Threads == 4 && R.Checkpoints == interp::CheckpointsOff)
-      Base4 = R.LocateMs;
-    if (R.Threads == 4 && R.Checkpoints == 1u)
-      Ckpt4 = R.LocateMs;
-  }
-  if (Ckpt4 > 0)
-    Speedup4 = Base4 / Ckpt4;
+  double Speedup = 0;
+  for (const RunResult &R : Runs)
+    if (R.Checkpoints == 1u && R.LocateMs > 0)
+      Speedup = Baseline.LocateMs / R.LocateMs;
   bool WorkOk = true;
   for (const RunResult &R : Runs) {
     if (R.Checkpoints == interp::CheckpointsOff)
@@ -277,26 +258,23 @@ int main() {
         R.CkptHits != static_cast<uint64_t>(GuardCount) ||
         R.SplicedSteps < MinSpliced) {
       WorkOk = false;
-      std::printf("work assertion FAILED (threads=%u ckpt=%s): hits=%llu "
-                  "(want %d) misses=%llu (want 0) spliced=%llu (want >= "
-                  "%llu)\n",
-                  R.Threads, modeName(R.Checkpoints),
+      std::printf("work assertion FAILED (ckpt=%s): hits=%llu (want %d) "
+                  "misses=%llu (want 0) spliced=%llu (want >= %llu)\n",
+                  modeName(R.Checkpoints),
                   static_cast<unsigned long long>(R.CkptHits), GuardCount,
                   static_cast<unsigned long long>(R.CkptMisses),
                   static_cast<unsigned long long>(R.SplicedSteps),
                   static_cast<unsigned long long>(MinSpliced));
     }
   }
-  std::printf("speedup at 1 thread (ckpt on vs off, min of 3): %sx "
-              "(reported, not asserted)\n",
-              formatDouble(Speedup1, 2).c_str());
-  std::printf("speedup at 4 threads (ckpt on vs off): %sx\n",
-              formatDouble(Speedup4, 2).c_str());
+  std::printf("speedup (ckpt on vs off, min of 3): %sx (reported, not "
+              "asserted)\n",
+              formatDouble(Speedup, 2).c_str());
   std::printf("re-execution work avoided: %d/%d switched runs resumed from "
               "snapshots, >= 50%% of each spliced instead of "
               "re-interpreted: %s\n",
               GuardCount, GuardCount, WorkOk ? "PASS" : "FAIL");
-  std::printf("determinism across modes and thread counts: %s\n",
+  std::printf("determinism across modes: %s\n",
               Identical ? "BIT-IDENTICAL" : "MISMATCH (bug!)");
 
   // Machine-readable results.
@@ -304,8 +282,6 @@ int main() {
   if (std::FILE *F = std::fopen(JsonPath, "w")) {
     std::fprintf(F, "{\n");
     std::fprintf(F, "  \"bench\": \"bench_checkpoint\",\n");
-    std::fprintf(F, "  \"hardware_concurrency\": %u,\n", Hardware);
-    std::fprintf(F, "  \"effective_parallelism\": %.3f,\n", Effective);
     std::fprintf(F,
                  "  \"subject\": {\"candidate_predicates\": %d, "
                  "\"loop_iters\": %d, \"trace_len\": %zu},\n",
@@ -314,7 +290,7 @@ int main() {
     for (size_t I = 0; I < Runs.size(); ++I) {
       const RunResult &R = Runs[I];
       std::fprintf(F,
-                   "    {\"threads\": %u, \"mode\": \"%s\", "
+                   "    {\"mode\": \"%s\", "
                    "\"checkpoints\": %s, "
                    "\"locate_ms\": %.3f, \"reexecutions\": %zu, "
                    "\"ckpt_hits\": %llu, \"ckpt_misses\": %llu, "
@@ -322,7 +298,7 @@ int main() {
                    "\"auto_stride\": %llu, "
                    "\"restore_ms\": %.3f, \"collect_ms\": %.3f, "
                    "\"identical_to_baseline\": %s}%s\n",
-                   R.Threads, modeName(R.Checkpoints),
+                   modeName(R.Checkpoints),
                    R.Checkpoints != interp::CheckpointsOff ? "true" : "false",
                    R.LocateMs, R.Report.Reexecutions,
                    static_cast<unsigned long long>(R.CkptHits),
@@ -335,8 +311,7 @@ int main() {
                    I + 1 < Runs.size() ? "," : "");
     }
     std::fprintf(F, "  ],\n");
-    std::fprintf(F, "  \"speedup_1t\": %.3f,\n", Speedup1);
-    std::fprintf(F, "  \"speedup_4t\": %.3f,\n", Speedup4);
+    std::fprintf(F, "  \"speedup\": %.3f,\n", Speedup);
     std::fprintf(F, "  \"speedup_check\": \"reported only\",\n");
     std::fprintf(F, "  \"work_check\": \"%s\",\n", WorkOk ? "pass" : "fail");
     std::fprintf(F, "  \"deterministic\": %s\n", Identical ? "true" : "false");

@@ -23,12 +23,11 @@
 /// evidence that p's outcome (together with downstream outcomes it
 /// gates) implicitly affects the use.
 ///
-/// The search is deliberately serial and its exploration order is a pure
-/// function of (trace, candidate order, depth, budget), so chain results
-/// -- and the verify.chain.* counters -- are bit-identical at any thread
-/// count. Chained runs are cached by the full decision sequence in the
-/// verifier; each resumes from the original run's snapshots like a
-/// single switch.
+/// The search is serial and its exploration order is a pure function of
+/// (trace, candidate order, depth, budget), so chain results -- and the
+/// verify.chain.* counters -- are deterministic. Chained runs are cached
+/// by the full decision sequence in the verifier; each resumes from the
+/// original run's snapshots like a single switch.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -52,7 +52,6 @@ DebugSession::DebugSession(const lang::Program &Prog,
   ImplicitDepVerifier::Config VC;
   VC.MaxSteps = C.Locate.MaxSteps;
   VC.UsePathCheck = C.Locate.UsePathCheck;
-  VC.Threads = C.Opt.Exec.Threads;
   VC.CheckpointStride = C.Opt.Reuse.Checkpoints;
   VC.CheckpointMemBytes = C.Opt.Reuse.CheckpointMemBytes;
   VC.Stats = C.Opt.Exec.Stats;
@@ -102,9 +101,6 @@ std::vector<TraceIdx> DebugSession::prunedSlice() const {
 
 LocateReport DebugSession::locate(Oracle &O) {
   assert(hasFailure() && "no failure to locate");
-  // The thread knob the verifier was built with is the one locateFault
-  // schedules by: at Threads == 1 it takes the original one-at-a-time
-  // serial path, not batches of size one.
   return locateFault(Prog, *Graph, *PD, *Verifier, &Prof.Values, *Verdicts, O,
                      C.Locate, C.Opt);
 }

@@ -45,8 +45,10 @@ namespace eoe {
 // seals the latter between the phases (with
 // ReuseOptions::SwitchedCacheBytes as its budget). Both layers are gone:
 // these types hold and do nothing, nothing reads the two Config fields,
-// and no other code uses any of them. They go together with a benchmark
-// edit that drops that wiring.
+// and no other code uses any of them. e2ebench also sets
+// ExecOptions::Threads to 1; verification always runs on the calling
+// thread, and nothing reads that field either. They go together with a
+// benchmark edit that drops that wiring.
 //===----------------------------------------------------------------------===//
 namespace interp {
 class SharedCheckpointStore {};
@@ -73,10 +75,9 @@ public:
     /// Algorithm 2 tunables.
     LocateConfig Locate;
     /// The unified knob bundle (support/Options.h): Opt.Exec.MaxSteps is
-    /// the failing-run step budget, Opt.Exec.Threads the verification
-    /// worker count, Opt.Exec.Stats/Tracer the observability sinks wired
-    /// through every pipeline layer, and Opt.Reuse every checkpoint and
-    /// chain knob.
+    /// the failing-run step budget, Opt.Exec.Stats/Tracer the
+    /// observability sinks wired through every pipeline layer, and
+    /// Opt.Reuse every checkpoint and chain knob.
     eoe::Options Opt;
   };
 

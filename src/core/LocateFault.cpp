@@ -43,15 +43,6 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
   const ExecutionTrace &T = G.trace();
   LocateReport Report;
 
-  // Batched scheduling: the candidate set of the selected use and the
-  // fan-out set of a winning predicate are collected into batches whose
-  // switched re-executions run concurrently on the verifier's pool.
-  // Verdicts are pure and joined in request order, so the batched path
-  // is bit-identical to the serial one; Threads == 1 keeps the original
-  // one-at-a-time reference loop.
-  VerifyScheduler Scheduler(Verifier);
-  const bool Batched = Opt.Exec.Threads != 1;
-
   // One registry serves the whole locate pipeline: the verifier's
   // configured registry (or its private fallback), so Table 3 counters
   // and the per-round breakdown land next to each other.
@@ -135,43 +126,24 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
           CandidateRequests->add(Candidates.size());
           CandidatesPerUse->record(Candidates.size());
           // One-shot checkpoint collection over the first non-empty
-          // candidate set -- before any verification, and at the same
-          // point on the serial and batched paths, so checkpoint state
-          // is invariant across thread counts.
+          // candidate set, before any verification.
           Verifier.maybeCollectCheckpoints(Candidates);
-          std::vector<DepVerdict> Verdicts;
-          if (Batched) {
-            // The whole candidate set PD(u) as one batch: its switched
-            // runs are independent and fan out onto the pool.
-            std::vector<VerifyRequest> Requests;
-            Requests.reserve(Candidates.size());
-            for (TraceIdx P : Candidates)
-              Requests.push_back({P, I, Use.LoadExpr});
-            Verdicts = Scheduler.verifyBatch(Requests);
-          } else {
-            Verdicts.reserve(Candidates.size());
-            for (TraceIdx P : Candidates)
-              Verdicts.push_back(Verifier.verify(P, I, Use.LoadExpr));
-          }
-          for (size_t N = 0; N < Candidates.size(); ++N) {
-            switch (Verdicts[N]) {
+          for (TraceIdx P : Candidates) {
+            switch (Verifier.verify(P, I, Use.LoadExpr)) {
             case DepVerdict::StrongImplicit:
-              VU.Strong.push_back(Candidates[N]);
+              VU.Strong.push_back(P);
               break;
             case DepVerdict::Implicit:
-              VU.Plain.push_back(Candidates[N]);
+              VU.Plain.push_back(P);
               break;
             case DepVerdict::NotImplicit:
               break;
             }
           }
           // Single-switch evidence exhausted: extend into multi-switch
-          // chains. The trigger is a pure function of the verdicts --
-          // which are thread-count invariant -- and the search itself is
-          // serial, so the batched path reaches the same chains in the
-          // same order as the serial one. A winning chain commits its
-          // base predicate: the chain is evidence that the base's
-          // outcome implicitly affects the use.
+          // chains. A winning chain commits its base predicate: the
+          // chain is evidence that the base's outcome implicitly affects
+          // the use.
           if (Chains && VU.Strong.empty() && VU.Plain.empty() &&
               !Candidates.empty()) {
             ChainSearch::Result CR =
@@ -212,62 +184,41 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
     // additionally verifies p -> t for other potential dependents t of
     // each winning predicate; per Figure 5 its purpose is to let
     // *verified-correct* dependents sanitize p during re-pruning, so only
-    // those targets are considered.
-    //
-    // The fanout target sets depend only on the trace, the potential-
-    // dependence analysis, and the confidence state -- all fixed until
-    // the re-prune below -- so the whole round's requests can be
-    // collected up front and batched; edges are then committed in the
-    // same order the serial loop would have produced.
-    std::vector<VerifyRequest> FanoutRequests;
-    std::vector<size_t> FanoutBegin; // per winner, index into requests
-    if (Config.VerifyFanout) {
-      const std::vector<bool> &Slice = CA.wrongOutputSlice();
-      for (TraceIdx P : Winners) {
-        FanoutBegin.push_back(FanoutRequests.size());
-        for (TraceIdx TInst = 0; TInst < T.size(); ++TInst) {
-          if (TInst == ToCommit->Use || !Slice[TInst] ||
-              !CA.inferredCorrect(TInst))
-            continue;
-          for (const UseRecord &Use : T.uses(TInst))
-            if (PD.isPotentialDep(P, TInst, Use))
-              FanoutRequests.push_back({P, TInst, Use.LoadExpr});
-        }
-      }
-      FanoutBegin.push_back(FanoutRequests.size());
-      if (!FanoutRequestCount)
-        FanoutRequestCount = &Reg.counter("locate.fanout_requests");
-      FanoutRequestCount->add(FanoutRequests.size());
-    }
-    std::vector<DepVerdict> FanoutVerdicts;
-    if (Batched) {
-      FanoutVerdicts = Scheduler.verifyBatch(FanoutRequests);
-    } else {
-      FanoutVerdicts.reserve(FanoutRequests.size());
-      for (const VerifyRequest &R : FanoutRequests)
-        FanoutVerdicts.push_back(
-            Verifier.verify(R.PredInst, R.UseInst, R.UseLoad));
-    }
-
-    for (size_t W = 0; W < Winners.size(); ++W) {
-      TraceIdx P = Winners[W];
+    // those targets are considered. The slice and the verdicts of the
+    // confidence analysis stay fixed until the re-prune below, so the
+    // edges added here do not change which targets are tested.
+    const std::vector<bool> &Slice = CA.wrongOutputSlice();
+    size_t FanoutRequests = 0;
+    for (TraceIdx P : Winners) {
       G.addImplicitEdge(ToCommit->Use, P, UseStrong);
       ++Report.ExpandedEdges;
       if (UseStrong)
         ++Report.StrongEdges;
       if (!Config.VerifyFanout)
         continue;
-      for (size_t R = FanoutBegin[W]; R < FanoutBegin[W + 1]; ++R) {
-        DepVerdict Verdict = FanoutVerdicts[R];
-        bool Matches = UseStrong ? Verdict == DepVerdict::StrongImplicit
-                                 : Verdict == DepVerdict::Implicit;
-        if (Matches) {
-          G.addImplicitEdge(FanoutRequests[R].UseInst, P, UseStrong);
-          ++Report.ExpandedEdges;
-          if (UseStrong)
-            ++Report.StrongEdges;
+      for (TraceIdx TInst = 0; TInst < T.size(); ++TInst) {
+        if (TInst == ToCommit->Use || !Slice[TInst] ||
+            !CA.inferredCorrect(TInst))
+          continue;
+        for (const UseRecord &Use : T.uses(TInst)) {
+          if (!PD.isPotentialDep(P, TInst, Use))
+            continue;
+          ++FanoutRequests;
+          DepVerdict Verdict = Verifier.verify(P, TInst, Use.LoadExpr);
+          if (UseStrong ? Verdict == DepVerdict::StrongImplicit
+                        : Verdict == DepVerdict::Implicit) {
+            G.addImplicitEdge(TInst, P, UseStrong);
+            ++Report.ExpandedEdges;
+            if (UseStrong)
+              ++Report.StrongEdges;
+          }
         }
       }
+    }
+    if (Config.VerifyFanout) {
+      if (!FanoutRequestCount)
+        FanoutRequestCount = &Reg.counter("locate.fanout_requests");
+      FanoutRequestCount->add(FanoutRequests);
     }
 
     // Re-prune with the expanded graph (Algorithm 2 line 19).

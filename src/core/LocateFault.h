@@ -29,7 +29,6 @@
 #define EOE_CORE_LOCATEFAULT_H
 
 #include "core/VerifyDep.h"
-#include "core/VerifyScheduler.h"
 #include "ddg/DepGraph.h"
 #include "slicing/Confidence.h"
 #include "slicing/PotentialDeps.h"
@@ -83,9 +82,8 @@ struct LocateReport {
 /// \param G the failing run's dependence graph; verified implicit edges
 ///        are added to it (so OS can be derived from it afterwards).
 /// \param O the programmer in the loop (experiments: the OS protocol).
-/// \param Opt the session's knob bundle: Opt.Exec.Threads == 1 selects
-///        the serial reference loop, Opt.Reuse.ChainDepth/ChainBudget
-///        the perturbation chains.
+/// \param Opt the session's knob bundle: Opt.Reuse.ChainDepth/ChainBudget
+///        select the perturbation chains.
 LocateReport locateFault(const lang::Program &Prog, ddg::DepGraph &G,
                          const slicing::PotentialDepAnalyzer &PD,
                          ImplicitDepVerifier &Verifier,

@@ -10,8 +10,6 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <functional>
-#include <set>
 
 using namespace eoe;
 using namespace eoe::core;
@@ -72,21 +70,6 @@ ImplicitDepVerifier::ImplicitDepVerifier(const Interpreter &Interp,
 }
 
 ImplicitDepVerifier::~ImplicitDepVerifier() = default;
-
-unsigned ImplicitDepVerifier::effectiveThreads() const {
-  return C.Threads == 0 ? support::ThreadPool::defaultThreadCount()
-                        : C.Threads;
-}
-
-support::ThreadPool *ImplicitDepVerifier::pool() {
-  unsigned Threads = effectiveThreads();
-  if (Threads <= 1)
-    return nullptr;
-  std::call_once(PoolOnce, [&] {
-    Pool = std::make_unique<support::ThreadPool>(Threads);
-  });
-  return Pool.get();
-}
 
 ImplicitDepVerifier::SwitchedRun &
 ImplicitDepVerifier::cellFor(TraceIdx PredInst) {
@@ -223,46 +206,6 @@ ImplicitDepVerifier::switchedRunFor(TraceIdx PredInst) {
     computeRun(PredInst, switchOf(E.step(PredInst)), Run);
   });
   return Run;
-}
-
-bool ImplicitDepVerifier::hasSwitchedRun(TraceIdx PredInst) const {
-  std::lock_guard<std::mutex> Lock(RunsMutex);
-  auto It = Runs.find(PredInst);
-  return It != Runs.end() && It->second->Ready.load(std::memory_order_acquire);
-}
-
-void ImplicitDepVerifier::prepareSwitchedRuns(
-    const std::vector<TraceIdx> &Preds) {
-  // Dedup; cached runs need no task at all.
-  std::vector<TraceIdx> Todo;
-  std::set<TraceIdx> Seen;
-  for (TraceIdx P : Preds)
-    if (!hasSwitchedRun(P) && Seen.insert(P).second)
-      Todo.push_back(P);
-  if (Todo.empty())
-    return;
-  // Dispatch in ascending switch position: with checkpointing on, early
-  // tasks touch early snapshots first, keeping the LRU order aligned
-  // with the batch; verdicts are order-independent either way.
-  std::sort(Todo.begin(), Todo.end());
-  std::call_once(PrepareStatsOnce, [&] {
-    CPrepareBatches = &Reg->counter("verify.prepare_batches");
-    CPreparedRuns = &Reg->counter("verify.prepared_runs");
-  });
-  CPrepareBatches->add();
-  CPreparedRuns->add(Todo.size());
-
-  support::ThreadPool *TP = pool();
-  if (!TP || Todo.size() == 1) {
-    for (TraceIdx P : Todo)
-      switchedRunFor(P);
-    return;
-  }
-  std::vector<std::function<void()>> Tasks;
-  Tasks.reserve(Todo.size());
-  for (TraceIdx P : Todo)
-    Tasks.push_back([this, P] { switchedRunFor(P); });
-  TP->runAll(std::move(Tasks));
 }
 
 const ResumedTrace *

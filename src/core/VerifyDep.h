@@ -25,16 +25,17 @@
 /// A switched run that exhausts its step budget or crashes simply fails
 /// to produce matches, which the paper treats as "verification fails".
 ///
-/// Concurrency: the verifier is safe to call from multiple threads. The
-/// switched-run cache is a mutex-guarded map of once-initialized cells,
-/// so one re-execution serves every use verified against the same
+/// Concurrency: locateFault verifies on its calling thread, one request
+/// at a time, but the verifier stays safe to call from multiple threads.
+/// The switched-run cache is a mutex-guarded map of once-initialized
+/// cells, so one re-execution serves every use verified against the same
 /// predicate instance even under concurrent demand; verdicts are
 /// memoized under a second mutex. Each re-execution leases recycled
 /// interpreter state from an internal ExecContextPool. Verdicts are pure
 /// functions of (program, input, switched predicate instance, use), so
 /// results -- and the Verifications / Reexecutions counters, which count
-/// distinct keys -- are bit-identical regardless of thread count or
-/// verification order.
+/// distinct keys -- do not depend on which thread asks, or in which
+/// order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +48,6 @@
 #include "slicing/OutputVerdicts.h"
 #include "support/EventTracer.h"
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <map>
@@ -79,12 +79,6 @@ public:
     /// candidates per step (section 3.2). Enable this to use the safe
     /// path check instead.
     bool UsePathCheck = false;
-    /// Worker threads for batched verification (VerifyScheduler /
-    /// prepareSwitchedRuns). 0 = hardware_concurrency. 1 disables the
-    /// pool entirely: every re-execution happens on the calling thread,
-    /// which is the serial reference path. The pool is created lazily,
-    /// so plain verify()-only users never spawn threads.
-    unsigned Threads = 0;
     /// Checkpointed re-execution (docs/checkpointing.md). When enabled,
     /// the first non-empty candidate set passed to
     /// maybeCollectCheckpoints triggers one instrumented pass over the
@@ -127,8 +121,7 @@ public:
   /// be that first decision's instance in the original trace. Chained
   /// runs are cached by the full decision sequence and resume from the
   /// nearest original-run snapshot at or before \p BaseInst, like single
-  /// switches. Thread-safe, but chain search is deliberately serial
-  /// (ChainSearch), so the chain counters are thread-count invariant.
+  /// switches. Thread-safe.
   DepVerdict verifyChain(TraceIdx BaseInst,
                          const std::vector<interp::SwitchDecision> &Chain,
                          TraceIdx UseInst, ExprId UseLoad);
@@ -140,34 +133,14 @@ public:
   chainTrace(TraceIdx BaseInst,
              const std::vector<interp::SwitchDecision> &Chain);
 
-  /// Warm-up for a batch: runs the switched re-executions (and builds the
-  /// alignments) for every predicate instance in \p Preds that has no
-  /// cached run yet, concurrently on the pool when one is configured.
-  /// After this, verify() against those predicates is re-execution-free.
-  /// Exceptions from worker tasks propagate to the caller.
-  void prepareSwitchedRuns(const std::vector<TraceIdx> &Preds);
-
-  /// True once \p PredInst's switched run is cached (no re-execution
-  /// would be needed to verify against it).
-  bool hasSwitchedRun(TraceIdx PredInst) const;
-
   /// Checkpoint collection hook (no-op when Config::CheckpointStride is
   /// 0 or \p Candidates is empty). The first non-empty call runs one
   /// instrumented re-execution of the unswitched input, snapshotting at
   /// every CheckpointStride-th of the (sorted, deduplicated) candidate
   /// predicate instances; later calls return immediately. locateFault
   /// invokes this right after computing each candidate set, before any
-  /// verification -- the same point on the serial and batched paths, so
-  /// checkpoint state (and the verify.ckpt.* counters) is thread-count
-  /// invariant. Thread-safe.
+  /// verification. Thread-safe.
   void maybeCollectCheckpoints(const std::vector<TraceIdx> &Candidates);
-
-  /// The pool used for batched verification; nullptr when the effective
-  /// thread count is 1 (serial mode). Created on first use.
-  support::ThreadPool *pool();
-
-  /// The configured thread count with the 0 = hardware default resolved.
-  unsigned effectiveThreads() const;
 
   /// Number of distinct (p, u) verifications performed (Table 3). A thin
   /// view over the registry's verify.verifications counter: one atomic
@@ -281,19 +254,10 @@ private:
   std::unique_ptr<interp::CheckpointStore> Ckpts;
   std::once_flag CkptOnce;
 
-  /// prepareSwitchedRuns' metric handles, resolved by its first call
-  /// with work to do (until then the keys stay unregistered).
-  std::once_flag PrepareStatsOnce;
-  support::StatCounter *CPrepareBatches = nullptr;
-  support::StatCounter *CPreparedRuns = nullptr;
-
   /// The original trace's region tree, built once and shared by every
   /// aligner (it is identical across all switched runs).
   std::once_flag OrigTreeOnce;
   std::unique_ptr<align::RegionTree> OrigTree;
-
-  std::once_flag PoolOnce;
-  std::unique_ptr<support::ThreadPool> Pool;
 };
 
 } // namespace core

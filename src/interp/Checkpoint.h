@@ -131,10 +131,10 @@ struct Checkpoint {
 
 /// Thread-safe LRU-bounded container of checkpoints keyed by trace
 /// index. Inserts happen during the single-threaded collection pass;
-/// lookups (nearest dominating snapshot) come from concurrent
-/// verification tasks. Checkpoints are handed out as shared_ptr<const>:
-/// resuming only reads, so concurrent restores from one snapshot are
-/// race-free.
+/// lookups (nearest dominating snapshot) come from the verifier, which
+/// may be called from several threads. Checkpoints are handed out as
+/// shared_ptr<const>: resuming only reads, so concurrent restores from
+/// one snapshot are race-free.
 class CheckpointStore {
 public:
   explicit CheckpointStore(size_t BudgetBytes) : Budget(BudgetBytes) {}

@@ -16,9 +16,10 @@
 /// buffer clears.
 ///
 /// ExecContext is single-threaded: one context serves one run at a time.
-/// ExecContextPool is the thread-safe arena handing contexts to parallel
-/// verification tasks (acquire returns an RAII lease; releasing returns
-/// the context, with its grown buffers, to the freelist).
+/// ExecContextPool is the thread-safe arena handing contexts to the
+/// verifier's re-executions, from whichever thread asks (acquire returns
+/// an RAII lease; releasing returns the context, with its grown buffers,
+/// to the freelist).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,9 +112,9 @@ private:
 };
 
 /// Thread-safe arena of ExecContexts. Contexts are created on demand and
-/// recycled on release, so steady-state parallel verification runs with
-/// at most pool-width contexts and no per-run allocation of the shadow
-/// state.
+/// recycled on release, so steady-state verification runs with at most
+/// one context per concurrent run (one, under locateFault) and no per-run
+/// allocation of the shadow state.
 class ExecContextPool {
 public:
   /// RAII lease; returns the context to the pool on destruction.

@@ -85,8 +85,8 @@ public:
 
   /// Same, executing on \p Ctx's recycled buffers. The interpreter itself
   /// is immutable, so concurrent runs are safe as long as each supplies
-  /// its own context (the parallel verification engine leases one per
-  /// task from an ExecContextPool).
+  /// its own context (the verifier leases one per re-execution from an
+  /// ExecContextPool).
   ExecutionTrace run(const std::vector<int64_t> &Input, const Options &Opts,
                      ExecContext &Ctx) const;
 

@@ -12,7 +12,7 @@
 ///
 /// Spans are RAII: construct at phase entry, the destructor records one
 /// complete ("ph":"X") event with the span's wall-clock duration. The
-/// tracer is safe to use from ThreadPool workers: events append under a
+/// tracer is safe to use from several threads: events append under a
 /// mutex (tracing granularity is per re-execution, not per interpreter
 /// step, so the lock is nowhere near any hot path), and each native
 /// thread is mapped to a stable small tid on first use.

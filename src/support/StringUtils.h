@@ -13,9 +13,14 @@
 #ifndef EOE_SUPPORT_STRINGUTILS_H
 #define EOE_SUPPORT_STRINGUTILS_H
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace eoe {
@@ -33,6 +38,23 @@ std::string joinStrings(const std::vector<std::string> &Parts,
 /// Formats \p Value with at most \p Digits fractional digits, trimming
 /// trailing zeros ("1.50" -> "1.5", "2.00" -> "2").
 std::string formatDouble(double Value, int Digits);
+
+/// Parses \p Text as a whole decimal number of type \p T no larger than
+/// \p Max: digits, with one leading '-' only when \p T is signed, and
+/// nothing else -- no '+', whitespace, exponent or suffix. Returns
+/// nullopt for any other text and for a number outside [min(T), Max].
+/// The command-line front ends parse every numeric flag with it.
+template <typename T>
+std::optional<T> parseDecimal(std::string_view Text,
+                              T Max = std::numeric_limits<T>::max()) {
+  static_assert(std::is_integral_v<T>, "parseDecimal parses integers");
+  T Value{};
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Ec != std::errc() || Ptr != End || Value > Max)
+    return std::nullopt;
+  return Value;
+}
 
 /// Escapes \p Text for embedding in a JSON string literal (quotes,
 /// backslashes, and control characters; no surrounding quotes added).

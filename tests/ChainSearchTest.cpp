@@ -58,14 +58,12 @@ struct ChainFixture {
   support::StatsRegistry Reg;
   std::unique_ptr<DebugSession> D;
 
-  explicit ChainFixture(unsigned ChainDepth, unsigned ChainBudget = 32,
-                        unsigned Threads = 1)
+  explicit ChainFixture(unsigned ChainDepth, unsigned ChainBudget = 32)
       : S(ChainSrc) {
     EXPECT_TRUE(S.valid());
     DebugSession::Config C;
     C.Opt.Reuse.ChainDepth = ChainDepth;
     C.Opt.Reuse.ChainBudget = ChainBudget;
-    C.Opt.Exec.Threads = Threads;
     C.Opt.Exec.Stats = &Reg;
     D = std::make_unique<DebugSession>(*S.Prog, /*FailingInput=*/
                                        std::vector<int64_t>{},
@@ -177,20 +175,6 @@ TEST(ChainSearchTest, ChainSearchFindsTheChain) {
   EXPECT_EQ(R.Chain[0].Stmt, T.step(Q).Stmt);
   EXPECT_EQ(R.Chain[1].Stmt, S.stmtAtLine(9));
   EXPECT_GE(Search.used(), 1u);
-}
-
-TEST(ChainSearchTest, LocateIsIdenticalAcrossThreadCounts) {
-  ChainFixture Serial(/*ChainDepth=*/2, /*ChainBudget=*/32, /*Threads=*/1);
-  ChainFixture Pooled(/*ChainDepth=*/2, /*ChainBudget=*/32, /*Threads=*/4);
-  LocateReport A = Serial.locate();
-  LocateReport B = Pooled.locate();
-  EXPECT_EQ(A.RootCauseFound, B.RootCauseFound);
-  EXPECT_EQ(A.ExpandedEdges, B.ExpandedEdges);
-  EXPECT_EQ(A.StrongEdges, B.StrongEdges);
-  EXPECT_EQ(A.Iterations, B.Iterations);
-  EXPECT_EQ(A.FinalPrunedSlice, B.FinalPrunedSlice);
-  EXPECT_EQ(Serial.Reg.counter("verify.chain.runs").get(),
-            Pooled.Reg.counter("verify.chain.runs").get());
 }
 
 } // namespace

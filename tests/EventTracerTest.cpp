@@ -6,7 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/EventTracer.h"
-#include "support/ThreadPool.h"
 
 #include "JsonLite.h"
 
@@ -16,6 +15,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 using namespace eoe;
 using namespace eoe::support;
@@ -139,20 +140,20 @@ TEST(EventTracer, WriteFileFailsOnBadPath) {
   EXPECT_FALSE(T.writeFile("/nonexistent-dir-eoe/trace.json"));
 }
 
-TEST(EventTracer, ConcurrentSpansOnThreadPoolGetStableTids) {
+TEST(EventTracer, ConcurrentSpansOnThreadsGetStableTids) {
   EventTracer T;
   constexpr int Tasks = 32;
-  {
-    ThreadPool Pool(4);
-    std::vector<std::function<void()>> Work;
-    for (int I = 0; I < Tasks; ++I) {
-      Work.push_back([&T] {
+  constexpr int Workers = 4;
+  std::vector<std::thread> Threads;
+  for (int W = 0; W < Workers; ++W)
+    Threads.emplace_back([&T] {
+      for (int I = 0; I < Tasks / Workers; ++I) {
         EventTracer::Span S(&T, "reexec", "verify");
         T.instant("step", "verify");
-      });
-    }
-    Pool.runAll(std::move(Work));
-  }
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
   EXPECT_EQ(T.eventCount(), 2u * Tasks);
 
   // Every worker gets one stable small tid; with 4 workers there can be

@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 
 #include "JsonLite.h"
 
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 using namespace eoe;
 using namespace eoe::support;
@@ -170,42 +170,40 @@ TEST(StatsRegistry, EmptyRegistryStillEmitsValidJson) {
   EXPECT_TRUE(Doc->at("histograms").Object.empty());
 }
 
-TEST(StatsRegistry, ConcurrentIncrementsOnThreadPool) {
+TEST(StatsRegistry, ConcurrentIncrementsOnThreads) {
   StatsRegistry Reg;
   constexpr int Tasks = 16;
   constexpr int PerTask = 20'000;
-  {
-    ThreadPool Pool(4);
-    std::vector<std::function<void()>> Work;
-    for (int T = 0; T < Tasks; ++T) {
-      Work.push_back([&Reg] {
-        // Half the increments go through a cached handle (the hot-path
-        // pattern), half through the registry lookup, interleaved with
-        // histogram samples and concurrent snapshots.
-        StatCounter &Hot = Reg.counter("stress.hot");
-        for (int I = 0; I < PerTask; ++I) {
-          Hot.add();
-          StatsRegistry::add(&Reg, "stress.cold");
-          if (I % 1024 == 0)
-            Reg.histogram("stress.sizes").record(static_cast<uint64_t>(I));
-        }
-      });
-    }
-    // A reader runs snapshots against the writers; values it observes
-    // must be monotonic for a single counter.
-    Work.push_back([&Reg] {
-      uint64_t Prev = 0;
-      for (int I = 0; I < 200; ++I) {
-        StatsSnapshot S = Reg.snapshot();
-        auto It = S.Counters.find("stress.hot");
-        uint64_t Cur = It == S.Counters.end() ? 0 : It->second;
-        EXPECT_GE(Cur, Prev);
-        Prev = Cur;
-        std::this_thread::yield();
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < Tasks; ++T) {
+    Threads.emplace_back([&Reg] {
+      // Half the increments go through a cached handle (the hot-path
+      // pattern), half through the registry lookup, interleaved with
+      // histogram samples and concurrent snapshots.
+      StatCounter &Hot = Reg.counter("stress.hot");
+      for (int I = 0; I < PerTask; ++I) {
+        Hot.add();
+        StatsRegistry::add(&Reg, "stress.cold");
+        if (I % 1024 == 0)
+          Reg.histogram("stress.sizes").record(static_cast<uint64_t>(I));
       }
     });
-    Pool.runAll(std::move(Work));
   }
+  // A reader runs snapshots against the writers; values it observes
+  // must be monotonic for a single counter.
+  Threads.emplace_back([&Reg] {
+    uint64_t Prev = 0;
+    for (int I = 0; I < 200; ++I) {
+      StatsSnapshot S = Reg.snapshot();
+      auto It = S.Counters.find("stress.hot");
+      uint64_t Cur = It == S.Counters.end() ? 0 : It->second;
+      EXPECT_GE(Cur, Prev);
+      Prev = Cur;
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread &Th : Threads)
+    Th.join();
   EXPECT_EQ(Reg.counter("stress.hot").get(),
             static_cast<uint64_t>(Tasks) * PerTask);
   EXPECT_EQ(Reg.counter("stress.cold").get(),

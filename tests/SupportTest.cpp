@@ -6,11 +6,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Diagnostic.h"
+#include "support/Options.h"
 #include "support/RNG.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 using namespace eoe;
 
@@ -53,6 +58,119 @@ TEST(StringUtilsTest, EncodeDecodeRoundTripsPrintableText) {
 TEST(StringUtilsTest, DecodeEscapesNonPrintable) {
   EXPECT_EQ(decodeString({10}), "\\x0a");
   EXPECT_EQ(decodeString({'A', 0}), "A\\x00");
+}
+
+TEST(StringUtilsTest, ParseDecimalReadsWholeNumbers) {
+  EXPECT_EQ(parseDecimal<uint64_t>("0"), 0u);
+  EXPECT_EQ(parseDecimal<uint64_t>("3000000000"), 3000000000u);
+  EXPECT_EQ(parseDecimal<uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parseDecimal<uint32_t>("007"), 7u);
+  EXPECT_EQ(parseDecimal<int64_t>("-7"), -7);
+  EXPECT_EQ(parseDecimal<int64_t>("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(parseDecimal<unsigned>("10", 10u), 10u);
+}
+
+TEST(StringUtilsTest, ParseDecimalRejectsEverythingElse) {
+  // Garbage, and trailing junk after a prefix strtoul would have taken.
+  for (const char *Bad : {"", "-", "abc", "3e9", "12abc", "0x10", "1.5",
+                          " 5", "5 ", "+5", "1,2"}) {
+    EXPECT_FALSE(parseDecimal<uint64_t>(Bad)) << "'" << Bad << "'";
+    EXPECT_FALSE(parseDecimal<int64_t>(Bad)) << "'" << Bad << "'";
+  }
+  // Negatives where the type is unsigned.
+  EXPECT_FALSE(parseDecimal<uint64_t>("-1"));
+  EXPECT_FALSE(parseDecimal<unsigned>("-0"));
+  // Overflow of the type, either way, and a value above the caller's Max.
+  EXPECT_FALSE(parseDecimal<uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(parseDecimal<uint32_t>("4294967296"));
+  EXPECT_FALSE(parseDecimal<int64_t>("9223372036854775808"));
+  EXPECT_FALSE(parseDecimal<int64_t>("-9223372036854775809"));
+  EXPECT_FALSE(parseDecimal<unsigned>("11", 10u));
+}
+
+/// Offers the flag tokens \p Args to parseCommonOption as argv[1..];
+/// \p Next is left at the index the parser stopped on.
+support::ParseResult parseFlag(std::vector<std::string> Args, Options &O,
+                               int &Next) {
+  Args.insert(Args.begin(), "prog");
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  Next = 1;
+  return support::parseCommonOption(static_cast<int>(Argv.size()),
+                                    Argv.data(), Next, O);
+}
+
+support::ParseResult parseFlag(std::vector<std::string> Args, Options &O) {
+  int Next = 0;
+  return parseFlag(std::move(Args), O, Next);
+}
+
+TEST(CommonOptionsTest, AcceptsBothFlagForms) {
+  using support::ParseResult;
+  Options O;
+  int Next = 0;
+  EXPECT_EQ(parseFlag({"--max-steps=123"}, O, Next), ParseResult::Ok);
+  EXPECT_EQ(O.Exec.MaxSteps, 123u);
+  EXPECT_EQ(Next, 1);
+  EXPECT_EQ(parseFlag({"--max-steps", "456", "rest"}, O, Next),
+            ParseResult::Ok);
+  EXPECT_EQ(O.Exec.MaxSteps, 456u);
+  EXPECT_EQ(Next, 2); // The value token is consumed.
+
+  EXPECT_EQ(parseFlag({"--checkpoints=off"}, O), ParseResult::Ok);
+  EXPECT_EQ(O.Reuse.Checkpoints, interp::CheckpointsOff);
+  EXPECT_EQ(parseFlag({"--checkpoints", "auto"}, O), ParseResult::Ok);
+  EXPECT_EQ(O.Reuse.Checkpoints, interp::CheckpointStrideAuto);
+  EXPECT_EQ(parseFlag({"--checkpoints=7"}, O), ParseResult::Ok);
+  EXPECT_EQ(O.Reuse.Checkpoints, 7u);
+  EXPECT_EQ(parseFlag({"--checkpoint-mem", "64"}, O), ParseResult::Ok);
+  EXPECT_EQ(O.Reuse.CheckpointMemBytes, size_t(64) << 20);
+  EXPECT_EQ(parseFlag({"--chain-depth=2"}, O), ParseResult::Ok);
+  EXPECT_EQ(O.Reuse.ChainDepth, 2u);
+  EXPECT_EQ(parseFlag({"--chain-budget", "9"}, O), ParseResult::Ok);
+  EXPECT_EQ(O.Reuse.ChainBudget, 9u);
+}
+
+TEST(CommonOptionsTest, RejectsMalformedNumbers) {
+  using support::ParseResult;
+  const Options Defaults;
+  for (const char *Flag :
+       {"--max-steps", "--checkpoints", "--checkpoint-mem", "--chain-depth",
+        "--chain-budget"}) {
+    for (const char *Bad : {"", "abc", "3e9", "12x", "-1", " 5",
+                            "18446744073709551616"}) {
+      Options O;
+      EXPECT_EQ(parseFlag({std::string(Flag) + "=" + Bad}, O),
+                ParseResult::Error)
+          << Flag << "=" << Bad;
+      EXPECT_EQ(parseFlag({Flag, Bad}, O), ParseResult::Error)
+          << Flag << " " << Bad;
+      // A rejected value leaves the field alone.
+      EXPECT_EQ(O.Exec.MaxSteps, Defaults.Exec.MaxSteps);
+      EXPECT_EQ(O.Reuse.Checkpoints, Defaults.Reuse.Checkpoints);
+      EXPECT_EQ(O.Reuse.CheckpointMemBytes, Defaults.Reuse.CheckpointMemBytes);
+      EXPECT_EQ(O.Reuse.ChainDepth, Defaults.Reuse.ChainDepth);
+      EXPECT_EQ(O.Reuse.ChainBudget, Defaults.Reuse.ChainBudget);
+    }
+  }
+  Options O;
+  // Overflow of a 32-bit field that the same text fits in 64 bits.
+  EXPECT_EQ(parseFlag({"--chain-depth=4294967296"}, O), ParseResult::Error);
+  // A flag given without its value.
+  EXPECT_EQ(parseFlag({"--max-steps"}, O), ParseResult::Error);
+}
+
+TEST(CommonOptionsTest, CheckpointMemRejectsAShiftThatOverflows) {
+  using support::ParseResult;
+  Options O;
+  const size_t Largest = SIZE_MAX >> 20; // MiB that still fit in bytes
+  EXPECT_EQ(parseFlag({"--checkpoint-mem=" + std::to_string(Largest)}, O),
+            ParseResult::Ok);
+  EXPECT_EQ(O.Reuse.CheckpointMemBytes, Largest << 20);
+  EXPECT_EQ(parseFlag({"--checkpoint-mem=" + std::to_string(Largest + 1)}, O),
+            ParseResult::Error);
+  EXPECT_EQ(O.Reuse.CheckpointMemBytes, Largest << 20);
 }
 
 TEST(RNGTest, DeterministicPerSeed) {

@@ -32,8 +32,8 @@
 #include "interp/TraceIO.h"
 #include "viz/Dot.h"
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -49,8 +49,8 @@ struct CliOptions {
   std::string File;
   std::vector<int64_t> Input;
   std::vector<int64_t> Expected;
-  /// Every shared knob (budgets, threads, checkpoint and chain options)
-  /// lives in the unified bundle, parsed by
+  /// Every shared knob (budgets, checkpoint and chain options) lives in
+  /// the unified bundle, parsed by
   /// support::parseCommonOption so the CLI cannot drift from the
   /// structs. Opt.Exec.Stats/Tracer are wired by main() when Cli asks
   /// for them.
@@ -90,14 +90,22 @@ void usage() {
   std::fputs(support::commonOptionsHelp(), stderr);
 }
 
-std::vector<int64_t> parseIntList(const std::string &Text) {
-  std::vector<int64_t> Out;
+/// Parses \p Text, the value of \p Flag, as comma-separated whole
+/// decimal numbers into \p Out (blank fields are skipped); false, after
+/// an error naming the flag, at the first field that is not one.
+bool parseIntList(const char *Flag, const std::string &Text,
+                  std::vector<int64_t> &Out) {
+  Out.clear();
   for (const std::string &Part : splitString(Text, ',')) {
-    if (trim(Part).empty())
+    std::string_view Field = trim(Part);
+    if (Field.empty())
       continue;
-    Out.push_back(std::strtoll(std::string(trim(Part)).c_str(), nullptr, 10));
+    int64_t N = 0;
+    if (!support::parseFlagNumber(Flag, Field, N))
+      return false;
+    Out.push_back(N);
   }
-  return Out;
+  return true;
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
@@ -106,7 +114,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   Opts.Command = Argv[1];
   Opts.File = Argv[2];
   for (int I = 3; I < Argc; ++I) {
-    // The shared knobs (budgets, threads, checkpoint and chain flags,
+    // The shared knobs (budgets, checkpoint and chain flags,
     // observability) are handled by the one parser every
     // front end uses; only command-specific flags remain below.
     switch (support::parseCommonOption(Argc, Argv, I, Opts.Opt, &Opts.Cli)) {
@@ -127,29 +135,24 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     };
     if (Arg == "--input") {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseIntList("--input", V, Opts.Input))
         return false;
-      Opts.Input = parseIntList(V);
     } else if (Arg == "--expected") {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseIntList("--expected", V, Opts.Expected))
         return false;
-      Opts.Expected = parseIntList(V);
     } else if (Arg == "--line") {
       const char *V = Next();
-      if (!V)
+      if (!V || !support::parseFlagNumber("--line", V, Opts.Line))
         return false;
-      Opts.Line = static_cast<uint32_t>(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--instance") {
       const char *V = Next();
-      if (!V)
+      if (!V || !support::parseFlagNumber("--instance", V, Opts.Instance))
         return false;
-      Opts.Instance = static_cast<uint32_t>(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--root-line") {
       const char *V = Next();
-      if (!V)
+      if (!V || !support::parseFlagNumber("--root-line", V, Opts.RootLine))
         return false;
-      Opts.RootLine = static_cast<uint32_t>(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--save") {
       const char *V = Next();
       if (!V)
@@ -197,6 +200,24 @@ const char *exitReasonName(interp::ExitReason Reason) {
     return "runtime error";
   }
   return "?";
+}
+
+/// slice/locate when the session found no wrong output value: "no
+/// failure" and 0 only when the run finished with as many outputs as
+/// --expected lists (all of them equal, then); otherwise the exit reason
+/// and how many of the expected outputs the run produced, and 1.
+int reportNoWrongValue(const CliOptions &Opts,
+                       const core::DebugSession &Session) {
+  const interp::ExecutionTrace &T = Session.trace();
+  if (T.Exit == interp::ExitReason::Finished &&
+      T.Outputs.size() == Opts.Expected.size()) {
+    std::printf("no failure: outputs match the expected sequence\n");
+    return 0;
+  }
+  std::printf("outputs do not match the expected sequence: %s, %zu of %zu "
+              "expected outputs\n",
+              exitReasonName(T.Exit), T.Outputs.size(), Opts.Expected.size());
+  return 1;
 }
 
 int cmdRun(const CliOptions &Opts, const lang::Program &Prog) {
@@ -300,10 +321,8 @@ int cmdSlice(const CliOptions &Opts, const lang::Program &Prog) {
   core::DebugSession::Config Config;
   Config.Opt = Opts.Opt;
   core::DebugSession Session(Prog, Opts.Input, Opts.Expected, {}, Config);
-  if (!Session.hasFailure()) {
-    std::printf("no failure: outputs match the expected sequence\n");
-    return 0;
-  }
+  if (!Session.hasFailure())
+    return reportNoWrongValue(Opts, Session);
   const auto &V = Session.verdicts();
   std::printf("wrong output #%zu: %lld (expected %lld)\n", V.WrongOutput,
               static_cast<long long>(
@@ -358,13 +377,11 @@ int cmdLocate(const CliOptions &Opts, const lang::Program &Prog) {
   }
   core::DebugSession::Config Config;
   // The whole unified knob bundle forwards in one assignment; the
-  // parser already filled every budget/thread/reuse/observability field.
+  // parser already filled every budget/reuse/observability field.
   Config.Opt = Opts.Opt;
   core::DebugSession Session(Prog, Opts.Input, Opts.Expected, {}, Config);
-  if (!Session.hasFailure()) {
-    std::printf("no failure: outputs match the expected sequence\n");
-    return 0;
-  }
+  if (!Session.hasFailure())
+    return reportNoWrongValue(Opts, Session);
   CliOracle Oracle(Root);
   core::LocateReport R = Session.locate(Oracle);
   std::printf("located: %s\n", R.RootCauseFound ? "yes" : "no");
