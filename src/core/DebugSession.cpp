@@ -30,13 +30,31 @@ DebugSession::DebugSession(const lang::Program &Prog,
 
   Interpreter::Options Opts;
   Opts.MaxSteps = C.Opt.Exec.MaxSteps;
+  // The traced run captures the snapshots switched runs resume from
+  // (docs/checkpointing.md), none past the switched runs' step budget.
+  std::optional<CheckpointPlan> Plan;
+  if (C.Opt.Reuse.Checkpoints) {
+    Snapshots.emplace();
+    Plan.emplace(*Snapshots, C.Locate.MaxSteps,
+                 C.Opt.Reuse.CheckpointMemBytes);
+    if (C.Opt.Exec.Stats)
+      Plan->CaptureTime = &C.Opt.Exec.Stats->timer("verify.ckpt.capture_time");
+    Opts.Checkpoints = &*Plan;
+  }
   {
     support::EventTracer::Span InterpretSpan(C.Opt.Exec.Tracer, "interpret", "interp");
     Trace = Interp.run(FailingInput, Opts);
   }
   Verdicts = diffOutputs(Trace, ExpectedOutputs);
-  if (C.Opt.Exec.Stats)
-    C.Opt.Exec.Stats->histogram("session.trace_steps").record(Trace.size());
+  if (support::StatsRegistry *Stats = C.Opt.Exec.Stats) {
+    Stats->histogram("session.trace_steps").record(Trace.size());
+    if (Plan) {
+      Stats->counter("verify.ckpt.stored").add(Snapshots->count());
+      Stats->counter("verify.ckpt.bytes").add(Snapshots->bytes());
+      Stats->counter("verify.ckpt.thinned").add(Snapshots->thinned());
+      Stats->counter("verify.ckpt.skipped_dirty").add(Plan->SkippedDirty);
+    }
+  }
   if (!Verdicts)
     return;
 
@@ -52,12 +70,10 @@ DebugSession::DebugSession(const lang::Program &Prog,
   ImplicitDepVerifier::Config VC;
   VC.MaxSteps = C.Locate.MaxSteps;
   VC.UsePathCheck = C.Locate.UsePathCheck;
-  VC.CheckpointStride = C.Opt.Reuse.Checkpoints;
-  VC.CheckpointMemBytes = C.Opt.Reuse.CheckpointMemBytes;
   VC.Stats = C.Opt.Exec.Stats;
   VC.Tracer = C.Opt.Exec.Tracer;
-  Verifier = std::make_unique<ImplicitDepVerifier>(Interp, Trace,
-                                                   FailingInput, *Verdicts, VC);
+  Verifier = std::make_unique<ImplicitDepVerifier>(
+      Interp, Trace, FailingInput, *Verdicts, VC, checkpoints());
 }
 
 SliceResult DebugSession::dynamicSlice() const {

@@ -10,8 +10,9 @@
 /// one failing program run --
 ///
 ///   parse/check -> static analysis -> profile test suite (union deps +
-///   value profile) -> trace the failing run -> label outputs ->
-///   DS / RS / PS baselines -> demand-driven implicit-dependence location.
+///   value profile) -> trace the failing run, capturing resume snapshots
+///   -> label outputs -> DS / RS / PS baselines -> demand-driven
+///   implicit-dependence location.
 ///
 /// This mirrors the paper's prototype structure: an online component
 /// (tracing interpreter), a static component (CFG + control dependence +
@@ -77,7 +78,8 @@ public:
     /// The unified knob bundle (support/Options.h): Opt.Exec.MaxSteps is
     /// the failing-run step budget, Opt.Exec.Stats/Tracer the
     /// observability sinks wired through every pipeline layer, and
-    /// Opt.Reuse every checkpoint and chain knob.
+    /// Opt.Reuse every checkpoint and chain knob. The failing run
+    /// captures the checkpoints itself, none past Locate.MaxSteps.
     eoe::Options Opt;
   };
 
@@ -131,6 +133,12 @@ public:
   /// The verifier, exposed so examples can verify single dependences.
   ImplicitDepVerifier &verifier() { return *Verifier; }
 
+  /// The snapshots the failing run captured for the verifier to resume
+  /// from; null when Opt.Reuse.Checkpoints is off.
+  const interp::CheckpointStore *checkpoints() const {
+    return Snapshots ? &*Snapshots : nullptr;
+  }
+
 private:
   const lang::Program &Prog;
   std::vector<int64_t> FailingInput;
@@ -141,6 +149,7 @@ private:
   interp::Interpreter Interp;
   interp::Profile Prof;
   interp::ExecutionTrace Trace;
+  std::optional<interp::CheckpointStore> Snapshots;
   std::optional<slicing::OutputVerdicts> Verdicts;
   std::unique_ptr<ddg::DepGraph> Graph;
   std::unique_ptr<slicing::PotentialDepAnalyzer> PD;

@@ -125,9 +125,6 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
           }
           CandidateRequests->add(Candidates.size());
           CandidatesPerUse->record(Candidates.size());
-          // One-shot checkpoint collection over the first non-empty
-          // candidate set, before any verification.
-          Verifier.maybeCollectCheckpoints(Candidates);
           for (TraceIdx P : Candidates) {
             switch (Verifier.verify(P, I, Use.LoadExpr)) {
             case DepVerdict::StrongImplicit:

@@ -7,7 +7,6 @@
 
 #include "core/VerifyDep.h"
 
-#include <algorithm>
 #include <cassert>
 #include <deque>
 
@@ -31,8 +30,10 @@ ImplicitDepVerifier::ImplicitDepVerifier(const Interpreter &Interp,
                                          const ExecutionTrace &E,
                                          std::vector<int64_t> Input,
                                          const slicing::OutputVerdicts &V,
-                                         Config C)
-    : Interp(Interp), E(E), Input(std::move(Input)), V(V), C(C) {
+                                         Config C,
+                                         const CheckpointStore *Snapshots)
+    : Interp(Interp), E(E), Input(std::move(Input)), V(V), C(C),
+      Ckpts(Snapshots) {
   Reg = this->C.Stats ? this->C.Stats : &OwnStats;
   CVerifications = &Reg->counter("verify.verifications");
   CReexecutions = &Reg->counter("verify.reexecutions");
@@ -43,15 +44,9 @@ ImplicitDepVerifier::ImplicitDepVerifier(const Interpreter &Interp,
   CVerdictNot = &Reg->counter("verify.verdict.not_implicit");
   CReexecAborts = &Reg->counter("verify.reexec_aborts");
   // Registered even with checkpointing off, so the eoe-stats-v1 surface
-  // always carries the verify.ckpt.* keys (CheckObservability asserts
-  // their presence).
+  // always carries them (CheckObservability asserts their presence).
   CCkptHits = &Reg->counter("verify.ckpt.hits");
   CCkptMisses = &Reg->counter("verify.ckpt.misses");
-  CCkptStored = &Reg->counter("verify.ckpt.stored");
-  CCkptBytes = &Reg->counter("verify.ckpt.bytes");
-  CCkptEvictions = &Reg->counter("verify.ckpt.evictions");
-  CCkptSkippedDirty = &Reg->counter("verify.ckpt.skipped_dirty");
-  CCkptAutoStride = &Reg->counter("verify.ckpt.auto_stride");
   // Multi-switch chain verification (docs/chains.md). Registered eagerly
   // so the eoe-stats-v1 surface always carries the verify.chain.* keys,
   // chains enabled or not.
@@ -59,14 +54,11 @@ ImplicitDepVerifier::ImplicitDepVerifier(const Interpreter &Interp,
   CChainExtSteps = &Reg->counter("verify.chain.extended_steps");
   HChainDepth = &Reg->histogram("verify.chain.depth_hist");
   TReexec = &Reg->timer("verify.reexec_time");
-  TCkptCollect = &Reg->timer("verify.ckpt.collect_time");
   TLatStrong = &Reg->timer("verify.latency.strong");
   TLatImplicit = &Reg->timer("verify.latency.implicit");
   TLatNot = &Reg->timer("verify.latency.not_implicit");
   HReexecSteps = &Reg->histogram("verify.reexec_steps");
   Arena.bindStats(this->C.Stats);
-  if (this->C.CheckpointStride != CheckpointsOff)
-    Ckpts = std::make_unique<CheckpointStore>(this->C.CheckpointMemBytes);
 }
 
 ImplicitDepVerifier::~ImplicitDepVerifier() = default;
@@ -111,7 +103,7 @@ void ImplicitDepVerifier::computeRun(
   // Resume from the nearest dominating snapshot when one exists: the
   // switched run is byte-identical to the original up to its first
   // decision, so any checkpoint at or before BaseInst is a valid start.
-  std::shared_ptr<const Checkpoint> CP;
+  const Checkpoint *CP = nullptr;
   if (Ckpts) {
     CP = Ckpts->nearest(BaseInst);
     (CP ? CCkptHits : CCkptMisses)->add();
@@ -149,54 +141,6 @@ void ImplicitDepVerifier::computeRun(
 /// The single decision switching predicate instance \p P.
 static std::vector<SwitchDecision> switchOf(const StepRecord &P) {
   return {{P.Stmt, P.InstanceNo, /*Perturb=*/false, /*Value=*/0}};
-}
-
-void ImplicitDepVerifier::maybeCollectCheckpoints(
-    const std::vector<TraceIdx> &Candidates) {
-  if (!Ckpts || Candidates.empty())
-    return;
-  std::call_once(CkptOnce, [&] {
-    CheckpointPlan Plan;
-    Plan.Store = Ckpts.get();
-    std::vector<TraceIdx> Sorted(Candidates);
-    std::sort(Sorted.begin(), Sorted.end());
-    Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
-
-    if (C.CheckpointStride == CheckpointStrideAuto) {
-      // Hand the engine every candidate plus the tuning inputs; it
-      // estimates the per-snapshot cost from its first capture and thins
-      // the sites itself (see CheckpointPlan::AutoBudgetBytes).
-      Plan.Sites = Sorted;
-      Plan.AutoBudgetBytes = C.CheckpointMemBytes;
-      Plan.TraceLength = E.size();
-    } else {
-      Plan.Sites.reserve(Sorted.size() / C.CheckpointStride + 1);
-      for (size_t I = 0; I < Sorted.size(); I += C.CheckpointStride)
-        Plan.Sites.push_back(Sorted[I]);
-    }
-
-    // Replay the unswitched input once with collection instrumentation.
-    // The switched-run budget bounds the pass, so no snapshot can exist
-    // past the point where a full-replay switched run would have halted
-    // -- that keeps resumed runs byte-identical to full replays even at
-    // the step limit.
-    Interpreter::Options Opts;
-    Opts.MaxSteps = C.MaxSteps;
-    Opts.Checkpoints = &Plan;
-    {
-      support::EventTracer::Span Collect(C.Tracer, "ckpt.collect", "interp");
-      support::ScopedTimer Timed(TCkptCollect);
-      ExecContextPool::Lease Ctx = Arena.acquire();
-      Interp.run(Input, Opts, *Ctx);
-    }
-    CCkptStored->add(Plan.Collected);
-    CCkptBytes->add(Ckpts->bytes());
-    CCkptEvictions->add(Ckpts->evictions());
-    CCkptSkippedDirty->add(Plan.SkippedDirty);
-    if (Plan.AutoStride)
-      CCkptAutoStride->add(Plan.AutoStride);
-
-  });
 }
 
 ImplicitDepVerifier::SwitchedRun &

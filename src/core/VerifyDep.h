@@ -31,7 +31,8 @@
 /// cells, so one re-execution serves every use verified against the same
 /// predicate instance even under concurrent demand; verdicts are
 /// memoized under a second mutex. Each re-execution leases recycled
-/// interpreter state from an internal ExecContextPool. Verdicts are pure
+/// interpreter state from an internal ExecContextPool, and the snapshot
+/// store it resumes from is only read. Verdicts are pure
 /// functions of (program, input, switched predicate instance, use), so
 /// results -- and the Verifications / Reexecutions counters, which count
 /// distinct keys -- do not depend on which thread asks, or in which
@@ -79,22 +80,6 @@ public:
     /// candidates per step (section 3.2). Enable this to use the safe
     /// path check instead.
     bool UsePathCheck = false;
-    /// Checkpointed re-execution (docs/checkpointing.md). When enabled,
-    /// the first non-empty candidate set passed to
-    /// maybeCollectCheckpoints triggers one instrumented pass over the
-    /// unswitched input that snapshots full interpreter state at every
-    /// CheckpointStride-th candidate predicate instance; switched runs
-    /// then resume from the nearest dominating snapshot, sharing the
-    /// recorded trace prefix instead of replaying it. Results are
-    /// byte-identical to full replay.
-    /// interp::CheckpointsOff disables checkpointing entirely (the
-    /// reference behavior, and the default: plain verifier users opt in);
-    /// interp::CheckpointStrideAuto (0) autotunes the stride from trace
-    /// length, candidate density, and CheckpointMemBytes.
-    unsigned CheckpointStride = interp::CheckpointsOff;
-    /// LRU byte budget for retained checkpoints; overflowing snapshots
-    /// are evicted and affected switched runs fall back to full replay.
-    size_t CheckpointMemBytes = interp::DefaultCheckpointMemBytes;
     /// External observability sinks. When Stats is null the verifier
     /// records into a private registry, so the distinct-key counters (and
     /// their accessors) work identically either way; when Tracer is null
@@ -103,11 +88,18 @@ public:
     support::EventTracer *Tracer = nullptr;
   };
 
-  /// \p E must be the unswitched trace of running \p Input.
+  /// \p E must be the unswitched trace of running \p Input. \p Snapshots,
+  /// when given, holds snapshots the run that recorded \p E captured
+  /// (docs/checkpointing.md), and must outlive the verifier: a switched
+  /// run then resumes from the nearest one at or before its switch,
+  /// sharing E's prefix instead of replaying it, with byte-identical
+  /// results. Without it every switched run replays in full. Their
+  /// capture must have stopped at Config::MaxSteps executed steps.
   ImplicitDepVerifier(const interp::Interpreter &Interp,
                       const interp::ExecutionTrace &E,
                       std::vector<int64_t> Input,
-                      const slicing::OutputVerdicts &V, Config C);
+                      const slicing::OutputVerdicts &V, Config C,
+                      const interp::CheckpointStore *Snapshots = nullptr);
   ~ImplicitDepVerifier();
 
   /// VerifyDep(p, u): does the use at (\p UseInst, \p UseLoad) implicitly
@@ -132,15 +124,6 @@ public:
   const interp::ResumedTrace &
   chainTrace(TraceIdx BaseInst,
              const std::vector<interp::SwitchDecision> &Chain);
-
-  /// Checkpoint collection hook (no-op when Config::CheckpointStride is
-  /// 0 or \p Candidates is empty). The first non-empty call runs one
-  /// instrumented re-execution of the unswitched input, snapshotting at
-  /// every CheckpointStride-th of the (sorted, deduplicated) candidate
-  /// predicate instances; later calls return immediately. locateFault
-  /// invokes this right after computing each candidate set, before any
-  /// verification. Thread-safe.
-  void maybeCollectCheckpoints(const std::vector<TraceIdx> &Candidates);
 
   /// Number of distinct (p, u) verifications performed (Table 3). A thin
   /// view over the registry's verify.verifications counter: one atomic
@@ -230,16 +213,10 @@ private:
   support::StatCounter *CReexecAborts = nullptr;
   support::StatCounter *CCkptHits = nullptr;
   support::StatCounter *CCkptMisses = nullptr;
-  support::StatCounter *CCkptStored = nullptr;
-  support::StatCounter *CCkptBytes = nullptr;
-  support::StatCounter *CCkptEvictions = nullptr;
-  support::StatCounter *CCkptSkippedDirty = nullptr;
-  support::StatCounter *CCkptAutoStride = nullptr;
   support::StatCounter *CChainRuns = nullptr;
   support::StatCounter *CChainExtSteps = nullptr;
   support::StatHistogram *HChainDepth = nullptr;
   support::StatTimer *TReexec = nullptr;
-  support::StatTimer *TCkptCollect = nullptr;
   support::StatTimer *TLatStrong = nullptr;
   support::StatTimer *TLatImplicit = nullptr;
   support::StatTimer *TLatNot = nullptr;
@@ -248,11 +225,8 @@ private:
   /// Recycled per-run interpreter state for switched re-executions.
   interp::ExecContextPool Arena;
 
-  /// Snapshot store for checkpointed re-execution; null when
-  /// Config::CheckpointStride is interp::CheckpointsOff. Populated once
-  /// by maybeCollectCheckpoints (guarded by CkptOnce).
-  std::unique_ptr<interp::CheckpointStore> Ckpts;
-  std::once_flag CkptOnce;
+  /// Snapshots of the run that recorded E; null for full replay.
+  const interp::CheckpointStore *Ckpts;
 
   /// The original trace's region tree, built once and shared by every
   /// aligner (it is identical across all switched runs).

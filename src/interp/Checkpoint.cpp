@@ -7,6 +7,11 @@
 
 #include "interp/Checkpoint.h"
 
+#include <algorithm>
+#include <cassert>
+#include <iterator>
+#include <limits>
+
 using namespace eoe;
 using namespace eoe::interp;
 
@@ -35,58 +40,70 @@ size_t Checkpoint::bytes() const {
 // CheckpointStore
 //===----------------------------------------------------------------------===//
 
-void CheckpointStore::evictLocked(TraceIdx Keep) {
-  while (Bytes > Budget && ByIndex.size() > 1) {
-    auto Victim = ByIndex.end();
-    for (auto I = ByIndex.begin(); I != ByIndex.end(); ++I) {
-      if (I->first == Keep)
-        continue; // Never evict the snapshot just inserted.
-      if (Victim == ByIndex.end() ||
-          I->second.LastUse < Victim->second.LastUse)
-        Victim = I;
+void CheckpointStore::insert(Checkpoint CP) {
+  assert((Snaps.empty() || Snaps.back().Index < CP.Index) &&
+         "snapshots are inserted in trace order");
+  Bytes += CP.bytes();
+  Snaps.push_back(std::move(CP));
+}
+
+void CheckpointStore::thin() {
+  // Keep the positions of the newest snapshot's parity.
+  const size_t First = (Snaps.size() - 1) % 2;
+  size_t Kept = 0;
+  for (size_t I = 0; I < Snaps.size(); ++I) {
+    if (I % 2 != First) {
+      Bytes -= Snaps[I].bytes();
+      ++Thinned;
+      continue;
     }
-    Bytes -= Victim->second.Bytes;
-    ++Evicted;
-    ByIndex.erase(Victim);
+    if (Kept != I)
+      Snaps[Kept] = std::move(Snaps[I]);
+    ++Kept;
   }
+  Snaps.resize(Kept);
 }
 
-void CheckpointStore::insert(std::shared_ptr<const Checkpoint> CP) {
-  std::lock_guard<std::mutex> Lock(M);
-  const TraceIdx Key = CP->Index;
-  if (ByIndex.count(Key))
-    return; // Duplicate site.
-  const size_t Size = CP->bytes();
-  if (Size > Budget) {
-    ++Evicted; // Too large to ever retain.
-    return;
+const Checkpoint *CheckpointStore::nearest(TraceIdx At) const {
+  auto It = std::upper_bound(
+      Snaps.begin(), Snaps.end(), At,
+      [](TraceIdx A, const Checkpoint &CP) { return A < CP.Index; });
+  return It == Snaps.begin() ? nullptr : &*std::prev(It);
+}
+
+//===----------------------------------------------------------------------===//
+// CheckpointPlan
+//===----------------------------------------------------------------------===//
+
+/// A capped schedule keeps its retained snapshots within 1/TraceShare of
+/// the trace bytes recorded so far.
+static constexpr size_t TraceShare = 4;
+
+bool CheckpointPlan::admit(uint64_t Step, bool Dirty, size_t TraceBytes) {
+  assert(Step >= NextAt && "no capture is due");
+  if (Step > LastStep) {
+    NextAt = std::numeric_limits<uint64_t>::max(); // None is due again.
+    return false;
   }
-  ByIndex[Key] = Entry{std::move(CP), Size, ++Tick};
-  Bytes += Size;
-  evictLocked(Key);
+  if (Dirty) {
+    ++SkippedDirty; // The next clean instance is taken instead.
+    return false;
+  }
+  if (Cap && Store.bytes() + LastBytes > TraceBytes / TraceShare) {
+    NextAt = Step + Spacing; // This interval takes none.
+    return false;
+  }
+  return true;
 }
 
-std::shared_ptr<const Checkpoint> CheckpointStore::nearest(TraceIdx At) {
-  std::lock_guard<std::mutex> Lock(M);
-  auto It = ByIndex.upper_bound(At);
-  if (It == ByIndex.begin())
-    return nullptr;
-  --It;
-  It->second.LastUse = ++Tick;
-  return It->second.CP;
-}
-
-size_t CheckpointStore::count() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return ByIndex.size();
-}
-
-size_t CheckpointStore::bytes() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Bytes;
-}
-
-size_t CheckpointStore::evictions() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Evicted;
+void CheckpointPlan::take(uint64_t Step, Checkpoint CP) {
+  LastBytes = CP.bytes();
+  if (LastBytes <= BudgetBytes) {
+    Store.insert(std::move(CP));
+    while (Store.bytes() > BudgetBytes || (Cap && Store.count() > Cap)) {
+      Store.thin();
+      Spacing *= 2;
+    }
+  }
+  NextAt = Step + Spacing;
 }

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 
@@ -43,11 +42,6 @@ int64_t wrapNeg(int64_t A) {
 /// Statement-level control flow outcome.
 enum class Flow { Normal, Break, Continue, Return, Halt };
 
-/// Autotuned checkpoint strides never place snapshots closer together
-/// than this many executed steps on average: below that the resume
-/// savings cannot amortize a snapshot's cost.
-constexpr size_t MinSpacingSteps = 64;
-
 /// One activation record: interp::ExecFrame, pooled by the run's
 /// ExecContext so recursive calls stop malloc-thrashing across the
 /// verifier's many re-executions.
@@ -65,8 +59,7 @@ public:
       : Prog(Prog), SA(SA), Input(Input), Opts(Opts), Ctx(Ctx),
         GlobalMem(Ctx.GlobalMem), GlobalLastDef(Ctx.GlobalLastDef),
         InstCount(Ctx.InstCount), Tracing(Opts.Trace),
-        Collecting(Opts.Trace && Opts.Checkpoints && Opts.Checkpoints->Store &&
-                   !Opts.Checkpoints->Sites.empty()) {
+        Collecting(Opts.Trace && Opts.Checkpoints) {
     Ctx.beginRun(Prog.statements().size(), Prog.globalSlots());
   }
 
@@ -102,7 +95,7 @@ public:
                         support::StatTimer *SpliceTime,
                         std::vector<TraceIdx> &Reopened) {
     assert(Tracing && "resume requires a tracing run");
-    assert(!Collecting && "checkpoints are collected by full runs only");
+    assert(!Collecting && "checkpoints are captured by full runs only");
     assert(!CP.Frames.empty());
     {
       support::ScopedTimer Timed(SpliceTime);
@@ -206,9 +199,9 @@ private:
   bool Tracing;
 
   //===--------------------------------------------------------------------===//
-  // Checkpoint collection state. Engaged only when Opts.Checkpoints names
-  // a non-empty plan; otherwise every `if (Collecting)` below is a single
-  // never-taken branch on a constant, so ordinary runs pay nothing.
+  // Checkpoint capture state. Engaged only when Opts.Checkpoints names a
+  // plan; otherwise every `if (Collecting)` below is a single never-taken
+  // branch on a constant, so ordinary runs pay nothing.
   //===--------------------------------------------------------------------===//
 
   /// One live activation on the host stack, mirrored so a capture can
@@ -221,18 +214,12 @@ private:
     size_t PathStart;
   };
 
-  /// True when this run collects checkpoints; it then maintains the
+  /// True when this run captures checkpoints; it then maintains the
   /// continuation mirror (Cont/Path/DirtyCalls) a capture describes.
   const bool Collecting;
-  size_t NextSite = 0;
-  /// Stride autotuning (CheckpointPlan::AutoBudgetBytes): chosen after
-  /// the first successful capture, then applied by skipping
-  /// AutoStride - 1 clean sites between snapshots.
-  unsigned AutoStride = 0;
-  unsigned AutoCountdown = 0;
   /// Number of suspended calls that are not statement-root calls; while
-  /// non-zero, a capture cannot describe the continuation and planned
-  /// sites are skipped.
+  /// non-zero, a capture cannot describe the continuation and due
+  /// captures wait for a clean instance.
   unsigned DirtyCalls = 0;
   /// Set by execStmt just before evaluating a statement whose root
   /// expression is exactly a call; consumed by evalCall.
@@ -264,75 +251,34 @@ private:
     return static_cast<TraceIdx>(Trace.Steps.size()) + Shift;
   }
 
-  /// Collection hook, called at the top of beginStep: if the next record
-  /// index is a planned site and every suspended call is clean, snapshot
-  /// the full interpreter state. Capturing *before* the instance-count
-  /// bump means a resumed run re-executes this statement, so a switch
-  /// targeting this predicate instance triggers naturally.
+  /// Capture hook, called at the top of beginStep: at a predicate
+  /// instance where the plan has a capture due and admits it, snapshot the
+  /// full interpreter state. Capturing *before* the instance-count bump
+  /// means a resumed run re-executes this statement, so a switch targeting
+  /// this predicate instance triggers naturally.
   void maybeCapture(const Stmt *S) {
     CheckpointPlan &Plan = *Opts.Checkpoints;
-    const TraceIdx Here = nextIndex();
-    while (NextSite < Plan.Sites.size() && Plan.Sites[NextSite] < Here)
-      ++NextSite;
-    if (NextSite >= Plan.Sites.size() || Plan.Sites[NextSite] != Here)
+    if (StepCount < Plan.NextAt || !S->isPredicate() ||
+        !Plan.admit(StepCount, DirtyCalls > 0, Trace.recordBytes()))
       return;
-    ++NextSite;
-    if (DirtyCalls > 0) {
-      // A dirty attempt does not consume the autotuner's countdown: the
-      // thinning is over *capturable* sites, so the chosen density holds
-      // regardless of where dirty calls fall.
-      ++Plan.SkippedDirty;
-      return;
-    }
-    if (Plan.AutoBudgetBytes && AutoStride != 0) {
-      if (AutoCountdown > 0) {
-        --AutoCountdown; // Thinned by the autotuner; not a dirty skip.
-        return;
-      }
-      AutoCountdown = AutoStride - 1;
-    }
-    assert(S->isPredicate() && "checkpoint sites must be predicate instances");
-    (void)S;
-    std::shared_ptr<Checkpoint> CP = makeSnapshot();
-    if (Plan.AutoBudgetBytes && AutoStride == 0) {
-      // First successful capture: size the stride so that roughly
-      // 2x AutoBudgetBytes of snapshots get attempted (the LRU keeps the
-      // resident set under the real budget while switched runs lean on
-      // nearest-dominating resume), capped below by a minimum average
-      // step spacing between snapshots. Deterministic: depends only on
-      // (program, input, plan).
-      const size_t PerSnap = std::max<size_t>(1, CP->bytes());
-      const size_t Target =
-          std::max<size_t>(1, 2 * Plan.AutoBudgetBytes / PerSnap);
-      const size_t NumSites = std::max<size_t>(1, Plan.Sites.size());
-      const size_t ByBudget = (NumSites + Target - 1) / Target;
-      const size_t AvgSpacing =
-          std::max<size_t>(1, Plan.TraceLength / NumSites);
-      const size_t BySpacing =
-          (MinSpacingSteps + AvgSpacing - 1) / AvgSpacing;
-      AutoStride = static_cast<unsigned>(
-          std::max<size_t>(1, std::max(ByBudget, BySpacing)));
-      Plan.AutoStride = AutoStride;
-      AutoCountdown = AutoStride - 1;
-    }
-    Plan.Store->insert(std::move(CP));
-    ++Plan.Collected;
+    support::ScopedTimer Timed(Plan.CaptureTime);
+    Plan.take(StepCount, makeSnapshot());
   }
 
   /// Snapshots the full interpreter state at the current (clean)
   /// beginStep instant. Requires DirtyCalls == 0 and the Cont/Path
   /// mirror.
-  std::shared_ptr<Checkpoint> makeSnapshot() const {
-    auto CP = std::make_shared<Checkpoint>();
-    CP->Index = nextIndex();
-    CP->InputCursor = InputCursor;
-    CP->StepCount = StepCount;
-    CP->FrameCounter = FrameCounter;
-    CP->OutputCount = SrcOutputs + Trace.Outputs.size();
-    CP->GlobalMem = GlobalMem;
-    CP->GlobalLastDef = GlobalLastDef;
-    CP->InstCount = InstCount;
-    CP->Frames.reserve(Cont.size());
+  Checkpoint makeSnapshot() const {
+    Checkpoint CP;
+    CP.Index = nextIndex();
+    CP.InputCursor = InputCursor;
+    CP.StepCount = StepCount;
+    CP.FrameCounter = FrameCounter;
+    CP.OutputCount = SrcOutputs + Trace.Outputs.size();
+    CP.GlobalMem = GlobalMem;
+    CP.GlobalLastDef = GlobalLastDef;
+    CP.InstCount = InstCount;
+    CP.Frames.reserve(Cont.size());
     for (size_t L = 0; L < Cont.size(); ++L) {
       CheckpointFrame CF;
       CF.State = *Cont[L].F;
@@ -343,7 +289,7 @@ private:
         CF.PendingRec = Cont[L + 1].PendingRec;
         CF.PendingSnapshot = heldStep(L, CF.PendingRec);
       }
-      CP->Frames.push_back(std::move(CF));
+      CP.Frames.push_back(std::move(CF));
     }
     return CP;
   }
@@ -1144,7 +1090,7 @@ ResumedTrace Interpreter::runFrom(const Checkpoint &CP,
          CP.OutputCount <= SpliceFrom.Outputs.size());
   support::ScopedTimer Timed(TRunTime);
   Options Local = Opts;
-  Local.Checkpoints = nullptr; // Checkpoints are collected by full runs only.
+  Local.Checkpoints = nullptr; // Checkpoints are captured by full runs only.
   Engine E(Prog, Analysis, Input, Local, Ctx);
   ResumedTrace R;
   R.Src = &SpliceFrom;

@@ -63,10 +63,11 @@ public:
     /// dependence-graph instrumentation.
     bool Trace = true;
     /// When set, this (tracing) run snapshots interpreter state into
-    /// Checkpoints->Store at each of Checkpoints->Sites (ascending trace
-    /// indices of predicate instances), skipping sites reached through a
-    /// non-statement-root call (see Checkpoint.h). The plan's Collected /
-    /// SkippedDirty out-params are written back. Ignored by runFrom.
+    /// Checkpoints->Store at the predicate instances the plan's schedule
+    /// picks, skipping instances reached through a non-statement-root
+    /// call (see Checkpoint.h). The plan's schedule state and SkippedDirty
+    /// are written back. The trace is the one the run records without a
+    /// plan. Ignored by runFrom.
     CheckpointPlan *Checkpoints = nullptr;
   };
 

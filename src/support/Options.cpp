@@ -56,13 +56,15 @@ ParseResult parseCommonOption(int Argc, char **Argv, int &I, Options &O,
   if (Take("--max-steps"))
     return Result(!Err && parseFlagNumber("--max-steps", V, O.Exec.MaxSteps));
   if (Take("--checkpoints")) {
-    if (!Err && (V == "off" || V == "auto")) {
-      O.Reuse.Checkpoints =
-          V == "off" ? interp::CheckpointsOff : interp::CheckpointStrideAuto;
-      return ParseResult::Ok;
+    if (Err)
+      return ParseResult::Error;
+    if (V != "auto" && V != "off") {
+      std::fprintf(stderr, "error: --checkpoints takes auto or off, got '%s'\n",
+                   V.c_str());
+      return ParseResult::Error;
     }
-    return Result(!Err &&
-                  parseFlagNumber("--checkpoints", V, O.Reuse.Checkpoints));
+    O.Reuse.Checkpoints = V == "auto";
+    return ParseResult::Ok;
   }
   if (Take("--checkpoint-mem")) {
     // MiB, shifted to bytes: the largest value is the one that still
@@ -110,16 +112,14 @@ const char *commonOptionsHelp() {
       "                        (open in chrome://tracing or Perfetto)\n"
       "checkpoint options (locate; every knob yields bit-identical\n"
       "reports -- they only trade re-execution work for memory):\n"
-      "  --checkpoints=N|auto|off\n"
-      "                        checkpoint stride for switched runs:\n"
-      "                        snapshot every Nth candidate predicate\n"
-      "                        instance and resume instead of replaying\n"
-      "                        the prefix; auto (default) tunes the\n"
-      "                        stride from trace length, candidate\n"
-      "                        density, and the memory budget; off = full\n"
-      "                        replay\n"
-      "  --checkpoint-mem MB   checkpoint LRU memory budget in MiB\n"
-      "                        (default 256)\n"
+      "  --checkpoints=auto|off\n"
+      "                        auto (default): the failing run snapshots\n"
+      "                        its state at spaced predicate instances\n"
+      "                        and switched runs resume from the nearest\n"
+      "                        one instead of replaying the prefix;\n"
+      "                        off = full replay\n"
+      "  --checkpoint-mem MB   snapshot memory budget in MiB; past it the\n"
+      "                        snapshots thin out (default 256)\n"
       "chain options (locate; multi-switch perturbation chains):\n"
       "  --chain-depth=N       maximum decisions per perturbation chain:\n"
       "                        1 (default) issues only single-switch\n"

@@ -14,8 +14,8 @@
 /// the structs cannot drift.
 ///
 /// The split mirrors what the knobs govern:
-///  - `ReuseOptions`: the checkpoint stride and budget, which only trade
-///    re-execution work for memory (every combination yields
+///  - `ReuseOptions`: checkpointing on or off and its byte budget, which
+///    only trade re-execution work for memory (every combination yields
 ///    bit-identical reports), and the perturbation-chain depth/budget.
 ///  - `ExecOptions`: execution-shape knobs -- the step budget and the
 ///    observability sinks.
@@ -57,13 +57,12 @@ inline constexpr unsigned DefaultChainBudget = 32;
 /// work for memory: all their combinations produce bit-identical locate
 /// reports.
 struct ReuseOptions {
-  /// Checkpoint stride for switched runs: snapshot every Nth candidate
-  /// predicate instance and resume instead of replaying the prefix.
-  /// interp::CheckpointStrideAuto (default) tunes the stride from trace
-  /// length, candidate density, and the memory budget;
-  /// interp::CheckpointsOff disables checkpointing (full replay).
-  unsigned Checkpoints = interp::CheckpointStrideAuto;
-  /// Checkpoint LRU memory budget in bytes.
+  /// Checkpointed re-execution: the failing run snapshots the
+  /// interpreter state on interp::CheckpointPlan's schedule, and switched
+  /// runs resume from those snapshots instead of replaying the prefix.
+  /// Off = full replay.
+  bool Checkpoints = true;
+  /// Byte budget for the retained snapshots; past it the store thins.
   size_t CheckpointMemBytes = interp::DefaultCheckpointMemBytes;
   /// Maximum decisions per perturbation chain (1 = chaining off).
   unsigned ChainDepth = DefaultChainDepth;
@@ -121,7 +120,8 @@ struct CommonCliState {
 /// "--flag=value" and "--flag value" forms, plus --stats[=json] /
 /// --trace-out when \p Cli is given. Advances \p I past a consumed
 /// value token. A numeric value that is not a whole decimal number in
-/// range prints an error naming the flag and returns Error.
+/// range, or a --checkpoints value other than auto or off, prints an
+/// error naming the flag and returns Error.
 ParseResult parseCommonOption(int Argc, char **Argv, int &I, Options &O,
                               CommonCliState *Cli = nullptr);
 

@@ -40,7 +40,7 @@ foreach(Key
     "\"interp\"" "\"align\"" "\"verify\"" "\"locate\"" "\"slicing\""
     "\"verifications\"" "\"reexecutions\"" "\"ckpt.hits\"" "\"ckpt.misses\""
     "\"splice_time\"" "\"spliced_steps\"" "\"trace_bytes\""
-    "\"ckpt.auto_stride\""
+    "\"ckpt.stored\"" "\"ckpt.capture_time\""
     "\"chain.runs\"" "\"chain.extended_steps\""
     "\"prune_time\"" "\"recompute_time\"" "\"prune_rounds\""
     "\"counters\"" "\"timers\""

@@ -3,14 +3,16 @@
 // Part of the EOE project, a reproduction of "Towards Locating Execution
 // Omission Errors" (Zhang, Tallam, Gupta, Gupta; PLDI 2007).
 //
-// The checkpointing subsystem's contract (docs/checkpointing.md): a
-// switched run resumed from any dominating snapshot is *byte-identical*
-// to the full-replay switched run -- same step records (and therefore
-// the same dependence edges), same outputs, same exit reason, same
-// switch point. Exercised both at the interpreter API level over random
-// omission programs and end-to-end through locateFault, plus a TSan'd
-// concurrent-restore stress (snapshots are shared read-only, so the
-// verifier's documented thread safety extends to resumed runs).
+// The checkpointing subsystem's contract (docs/checkpointing.md): the
+// run that records the original trace captures snapshots without
+// changing that trace, and a switched run resumed from any dominating
+// snapshot is *byte-identical* to the full-replay switched run -- same
+// step records (and therefore the same dependence edges), same outputs,
+// same exit reason, same switch point. Exercised at the interpreter API
+// level over random omission programs, on the capture schedule itself,
+// and end-to-end through locateFault, plus a TSan'd concurrent-restore
+// stress (snapshots are shared read-only, so the verifier's documented
+// thread safety extends to resumed runs).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,9 +25,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -72,6 +77,82 @@ void expectSameTrace(const ExecutionTrace &Full, const ResumedTrace &Resumed,
         << "seed " << Seed << " pred " << P << " step " << I;
 }
 
+/// How the loop body of crcSubject folds each iteration into crc.
+enum class CrcBody {
+  Inline,    ///< An expression: every predicate runs in main.
+  CleanCall, ///< `crc = fold(crc, i);` -- snapshots inside fold hold the
+             ///< pending call record.
+  DirtyCall, ///< `crc = fold(crc, i) + 1;` -- fold's predicate is dirty.
+};
+
+/// A replay-shaped subject (e2ebench's replay workload): a crc loop of
+/// \p Iters iterations, then \p Guards guards over zeroed flags; the fixed
+/// program sets guard \p Silenced's flag. Every candidate predicate of the
+/// wrong output lies past the loop, so each switched run either replays
+/// the loop or resumes from a snapshot taken in it.
+std::string crcSubject(unsigned Iters, unsigned Guards, unsigned Silenced,
+                       bool Fixed, CrcBody Body) {
+  std::string Src;
+  if (Body != CrcBody::Inline)
+    Src += "fn fold(crc, i) {\n"
+           "  var r = crc;\n"
+           "  if (i % 3 == 0) {\n"
+           "    r = r + 7;\n"
+           "  }\n"
+           "  return (r * 31 + (i % 7) * (i % 11)) % 65521;\n"
+           "}\n";
+  Src += "fn main() {\n";
+  for (unsigned G = 0; G < Guards; ++G)
+    Src += "var c" + std::to_string(G) + " = " +
+           ((Fixed && G == Silenced) ? "1" : "0") + ";\n";
+  Src += "var flags = 0;\n"
+         "var i = 0;\n"
+         "var crc = 0;\n"
+         "var mix = 1;\n"
+         "while (i < " + std::to_string(Iters) + ") {\n";
+  switch (Body) {
+  case CrcBody::Inline:
+    Src += "crc = (crc * 31 + (i % 7) * (i % 11) + mix * 13) % 65521;\n";
+    break;
+  case CrcBody::CleanCall:
+    Src += "crc = fold(crc, i);\n";
+    break;
+  case CrcBody::DirtyCall:
+    Src += "crc = fold(crc, i) + 1;\n";
+    break;
+  }
+  Src += "mix = (mix * 17 + crc % 251 + (i % 5) * 29) % 8191;\n"
+         "i = i + 1;\n"
+         "}\n";
+  for (unsigned G = 0; G < Guards; ++G)
+    Src += "if (c" + std::to_string(G) + ") {\nflags = flags + " +
+           std::to_string(1u << G) + ";\n}\n";
+  Src += "print(crc);\n"
+         "print(flags);\n"
+         "}\n";
+  return Src;
+}
+
+/// The source line of crcSubject's root cause: guard \p Silenced's flag.
+uint32_t crcRootLine(unsigned Silenced, CrcBody Body) {
+  return (Body == CrcBody::Inline ? 0 : 7) + 2 + Silenced;
+}
+
+/// Records \p Input's trace with \p Plan capturing, and EXPECTs it to equal
+/// the trace of the same run without the capture, field by field.
+ExecutionTrace recordCapturing(const Interpreter &Interp,
+                               const std::vector<int64_t> &Input,
+                               CheckpointPlan &Plan, uint64_t Seed) {
+  Interpreter::Options Opts;
+  Opts.MaxSteps = kBudget;
+  Opts.Checkpoints = &Plan;
+  ExecutionTrace E = Interp.run(Input, Opts);
+  Opts.Checkpoints = nullptr;
+  // Capturing must not perturb the execution it records.
+  expectSameTrace(Interp.run(Input, Opts), ResumedTrace(E), Seed, InvalidId);
+  return E;
+}
+
 class CheckpointEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 // The core property, at the raw interpreter API level: for every
@@ -86,35 +167,25 @@ TEST_P(CheckpointEquivalence, ResumedSwitchedRunsAreBitIdentical) {
   analysis::StaticAnalysis SA(*Prog);
   Interpreter Interp(*Prog, SA);
 
-  ExecutionTrace E = Interp.run(Variant.Input);
+  // Capture at a clean predicate instance at least three steps after the
+  // last, so nearest() has gaps to bridge, like the session's spaced
+  // schedule leaves.
+  CheckpointStore Store;
+  CheckpointPlan Plan = CheckpointPlan::everyPredicate(Store, kBudget);
+  Plan.Spacing = 3;
+  ExecutionTrace E = recordCapturing(Interp, Variant.Input, Plan, GetParam());
   ASSERT_EQ(E.Exit, ExitReason::Finished);
   std::vector<TraceIdx> Preds = predicateInstances(E);
   if (Preds.empty())
     GTEST_SKIP() << "no predicate instances";
-
-  // Snapshot every 3rd predicate instance so nearest() has gaps to
-  // bridge, like a strided collection pass would leave.
-  CheckpointStore Store(64ull << 20);
-  CheckpointPlan Plan;
-  Plan.Store = &Store;
-  for (size_t I = 0; I < Preds.size(); I += 3)
-    Plan.Sites.push_back(Preds[I]);
-
-  Interpreter::Options CollectOpts;
-  CollectOpts.MaxSteps = kBudget;
-  CollectOpts.Checkpoints = &Plan;
-  ExecutionTrace Recollected = Interp.run(Variant.Input, CollectOpts);
-  // Instrumentation must not perturb the execution...
-  ASSERT_EQ(Recollected.Steps.size(), E.Steps.size());
-  // ...and every site is either snapshotted or skipped as dirty (all
-  // sites come from the trace, so all are reached).
-  EXPECT_EQ(Plan.Collected + Plan.SkippedDirty, Plan.Sites.size());
+  for (const Checkpoint &CP : Store.snapshots())
+    EXPECT_TRUE(E.step(CP.Index).isPredicateInstance());
 
   size_t Resumed = 0;
   ExecContext Ctx;
   for (size_t N = 0; N < Preds.size(); ++N) {
     TraceIdx P = Preds[N];
-    std::shared_ptr<const Checkpoint> CP = Store.nearest(P);
+    const Checkpoint *CP = Store.nearest(P);
     if (!CP)
       continue;
     ASSERT_LE(CP->Index, P);
@@ -130,7 +201,7 @@ TEST_P(CheckpointEquivalence, ResumedSwitchedRunsAreBitIdentical) {
     expectSameTrace(Full, FromCkpt, GetParam(), P);
     ++Resumed;
   }
-  if (Plan.Collected > 0) {
+  if (Store.count() > 0) {
     EXPECT_GT(Resumed, 0u) << "snapshots exist but none was exercised";
   }
 }
@@ -161,46 +232,36 @@ TEST(CheckpointTest, DirtyCallSitesAreSkipped) {
                     "}\n";                      // 16
   Session S(Src);
   ASSERT_TRUE(S.valid());
-  ExecutionTrace E = S.run();
+  CheckpointStore Store;
+  CheckpointPlan Plan = CheckpointPlan::everyPredicate(Store, kBudget);
+  ExecutionTrace E = recordCapturing(*S.Interp, {}, Plan, 0);
   ASSERT_EQ(E.Exit, ExitReason::Finished);
 
-  // Request a snapshot at every "if (n > 2)" instance: each one executes
-  // while a dirty call (line 12's compound expression) is active.
+  // Every "if (n > 2)" instance executes while a dirty call (line 12's
+  // compound expression) is active: none is captured, each is counted.
+  // The while condition (line 11) runs between statements: every
+  // instance is captured.
   StmtId InnerIf = S.stmtAtLine(3);
-  CheckpointStore Store(64ull << 20);
-  CheckpointPlan Plan;
-  Plan.Store = &Store;
-  for (TraceIdx I = 0; I < E.size(); ++I)
-    if (E.step(I).Stmt == InnerIf)
-      Plan.Sites.push_back(I);
-  ASSERT_FALSE(Plan.Sites.empty());
-
-  Interpreter::Options Opts;
-  Opts.MaxSteps = kBudget;
-  Opts.Checkpoints = &Plan;
-  ExecutionTrace Recollected = S.Interp->run({}, Opts);
-  EXPECT_EQ(Recollected.Steps.size(), E.Steps.size());
-  EXPECT_EQ(Plan.Collected, 0u);
-  EXPECT_EQ(Plan.SkippedDirty, Plan.Sites.size());
-  EXPECT_EQ(Store.count(), 0u);
-
-  // The while condition (line 11) runs between statements: a clean site.
-  CheckpointPlan CleanPlan;
-  CleanPlan.Store = &Store;
   StmtId Loop = S.stmtAtLine(11);
-  for (TraceIdx I = 0; I < E.size(); ++I)
+  std::vector<TraceIdx> Dirty, Clean;
+  for (TraceIdx I = 0; I < E.size(); ++I) {
+    if (E.step(I).Stmt == InnerIf)
+      Dirty.push_back(I);
     if (E.step(I).Stmt == Loop)
-      CleanPlan.Sites.push_back(I);
-  ASSERT_FALSE(CleanPlan.Sites.empty());
-  Opts.Checkpoints = &CleanPlan;
-  S.Interp->run({}, Opts);
-  EXPECT_EQ(CleanPlan.Collected, CleanPlan.Sites.size());
-  EXPECT_EQ(CleanPlan.SkippedDirty, 0u);
+      Clean.push_back(I);
+  }
+  ASSERT_FALSE(Dirty.empty());
+  ASSERT_FALSE(Clean.empty());
+  EXPECT_EQ(Plan.SkippedDirty, Dirty.size());
+  std::vector<TraceIdx> Captured;
+  for (const Checkpoint &CP : Store.snapshots())
+    Captured.push_back(CP.Index);
+  EXPECT_EQ(Captured, Clean);
 
   // And those snapshots resume bit-identically across the dirty calls.
   ExecContext Ctx;
-  for (TraceIdx P : CleanPlan.Sites) {
-    std::shared_ptr<const Checkpoint> CP = Store.nearest(P);
+  for (TraceIdx P : Clean) {
+    const Checkpoint *CP = Store.nearest(P);
     ASSERT_TRUE(CP);
     const StepRecord &Step = E.step(P);
     SwitchSpec Spec{Step.Stmt, Step.InstanceNo};
@@ -236,22 +297,16 @@ TEST(CheckpointTest, NestedPendingCallsResumeIdentically) {
                     "}\n";                   // 16
   Session S(Src);
   ASSERT_TRUE(S.valid());
-  ExecutionTrace E = S.run();
+  CheckpointStore Store;
+  CheckpointPlan Plan = CheckpointPlan::everyPredicate(Store, kBudget);
+  ExecutionTrace E = recordCapturing(*S.Interp, {}, Plan, 0);
   std::vector<TraceIdx> Preds = predicateInstances(E);
-  CheckpointStore Store(64ull << 20);
-  CheckpointPlan Plan;
-  Plan.Store = &Store;
-  Plan.Sites = Preds;
-  Interpreter::Options Opts;
-  Opts.MaxSteps = kBudget;
-  Opts.Checkpoints = &Plan;
-  S.Interp->run({}, Opts);
-  ASSERT_EQ(Plan.Collected, Preds.size()) << "every call here is clean";
+  ASSERT_EQ(Store.count(), Preds.size()) << "every call here is clean";
 
   ExecContext Ctx;
   size_t Deepest = 0;
   for (TraceIdx P : Preds) {
-    std::shared_ptr<const Checkpoint> CP = Store.nearest(P);
+    const Checkpoint *CP = Store.nearest(P);
     ASSERT_TRUE(CP && CP->Index == P);
     Deepest = std::max(Deepest, CP->Frames.size());
     Interpreter::Options Plain;
@@ -267,8 +322,8 @@ TEST(CheckpointTest, NestedPendingCallsResumeIdentically) {
   EXPECT_EQ(Deepest, 6u) << "main plus five nested down() frames";
 }
 
-// The LRU budget: a store too small for everything keeps the most
-// recently touched snapshots and reports evictions; nearest() degrades
+// The byte budget: a plan whose store outgrows it thins to every other
+// snapshot until it fits, and reports what it dropped; nearest() degrades
 // to earlier snapshots or a miss, never to a wrong one.
 TEST(CheckpointTest, StoreEvictsUnderMemoryPressure) {
   RandomProgramGenerator Gen(301);
@@ -278,37 +333,31 @@ TEST(CheckpointTest, StoreEvictsUnderMemoryPressure) {
   ASSERT_TRUE(Prog) << Diags.str();
   analysis::StaticAnalysis SA(*Prog);
   Interpreter Interp(*Prog, SA);
-  ExecutionTrace E = Interp.run(Variant.Input);
-  std::vector<TraceIdx> Preds = predicateInstances(E);
-  if (Preds.size() < 4)
-    GTEST_SKIP() << "not enough predicate instances";
 
-  // First find out how big one snapshot is, then budget for ~2.
-  CheckpointStore Probe(1ull << 30);
-  CheckpointPlan ProbePlan;
-  ProbePlan.Store = &Probe;
-  ProbePlan.Sites = Preds;
-  Interpreter::Options Opts;
-  Opts.MaxSteps = kBudget;
-  Opts.Checkpoints = &ProbePlan;
-  Interp.run(Variant.Input, Opts);
-  if (ProbePlan.Collected < 4)
-    GTEST_SKIP() << "too few clean sites";
-  size_t PerSnapshot = Probe.bytes() / Probe.count();
+  // First find out how big the snapshots are, then budget for ~2.
+  CheckpointStore Probe;
+  CheckpointPlan ProbePlan = CheckpointPlan::everyPredicate(Probe, kBudget);
+  ExecutionTrace E = recordCapturing(Interp, Variant.Input, ProbePlan, 301);
+  if (Probe.count() < 4)
+    GTEST_SKIP() << "too few clean predicate instances";
+  size_t Largest = 0;
+  for (const Checkpoint &CP : Probe.snapshots())
+    Largest = std::max(Largest, CP.bytes());
+  const size_t Budget = 2 * Largest + Largest / 2;
 
-  CheckpointStore Tight(2 * PerSnapshot + PerSnapshot / 2);
-  CheckpointPlan TightPlan;
-  TightPlan.Store = &Tight;
-  TightPlan.Sites = Preds;
-  Opts.Checkpoints = &TightPlan;
-  Interp.run(Variant.Input, Opts);
-  EXPECT_GT(Tight.evictions(), 0u);
-  EXPECT_LT(Tight.count(), ProbePlan.Collected);
-  EXPECT_LE(Tight.bytes(), 2 * PerSnapshot + PerSnapshot / 2);
+  CheckpointStore Tight;
+  CheckpointPlan TightPlan = CheckpointPlan::everyPredicate(Tight, kBudget);
+  TightPlan.BudgetBytes = Budget;
+  recordCapturing(Interp, Variant.Input, TightPlan, 301);
+  EXPECT_GT(Tight.thinned(), 0u);
+  EXPECT_GT(TightPlan.Spacing, 1u) << "each thinning doubles the spacing";
+  EXPECT_LT(Tight.count(), Probe.count());
+  EXPECT_LE(Tight.bytes(), Budget);
   // Whatever survived still resumes correctly.
   ExecContext Ctx;
+  std::vector<TraceIdx> Preds = predicateInstances(E);
   TraceIdx Last = Preds.back();
-  std::shared_ptr<const Checkpoint> CP = Tight.nearest(Last);
+  const Checkpoint *CP = Tight.nearest(Last);
   ASSERT_TRUE(CP);
   const StepRecord &Step = E.step(Last);
   SwitchSpec Spec{Step.Stmt, Step.InstanceNo};
@@ -319,6 +368,124 @@ TEST(CheckpointTest, StoreEvictsUnderMemoryPressure) {
   ResumedTrace FromCkpt =
       Interp.runFrom(*CP, E, Variant.Input, ResumeOpts, Ctx);
   expectSameTrace(Full, FromCkpt, 301, Last);
+}
+
+/// A snapshot standing for one taken after \p Step executed steps, at
+/// trace index \p Step.
+Checkpoint snapshotAt(uint64_t Step) {
+  Checkpoint CP;
+  CP.Index = static_cast<TraceIdx>(Step);
+  CP.StepCount = Step;
+  return CP;
+}
+
+/// The stored snapshots' trace indices.
+std::vector<TraceIdx> indices(const CheckpointStore &Store) {
+  std::vector<TraceIdx> Out;
+  for (const Checkpoint &CP : Store.snapshots())
+    Out.push_back(CP.Index);
+  return Out;
+}
+
+// The schedule, driven the way the engine drives it: a capture is due
+// every Spacing steps; at the cap or past the byte budget the store keeps
+// every other snapshot, the newest included, and the spacing doubles.
+TEST(CheckpointTest, ScheduleThinsToEveryOtherSnapshot) {
+  const size_t PerSnapshot = snapshotAt(0).bytes();
+  for (bool ByBytes : {false, true}) {
+    CheckpointStore Store;
+    CheckpointPlan Plan(Store, /*LastStep=*/1'000'000);
+    Plan.Spacing = Plan.NextAt = 10;
+    if (ByBytes) {
+      Plan.Cap = 1000;
+      Plan.BudgetBytes = 6 * PerSnapshot;
+    } else {
+      Plan.Cap = 8;
+    }
+    size_t Thinnings = 0;
+    for (uint64_t Step = 0; Step < 5000; ++Step) {
+      if (Step < Plan.NextAt)
+        continue;
+      ASSERT_TRUE(Plan.admit(Step, /*Dirty=*/false, SIZE_MAX));
+      std::vector<TraceIdx> Before = indices(Store);
+      Before.push_back(static_cast<TraceIdx>(Step));
+      const uint64_t Spacing = Plan.Spacing;
+      const size_t Thinned = Store.thinned();
+      Plan.take(Step, snapshotAt(Step));
+      EXPECT_LE(Store.count(), Plan.Cap);
+      EXPECT_LE(Store.bytes(), Plan.BudgetBytes);
+      EXPECT_EQ(Plan.NextAt, Step + Plan.Spacing);
+      if (Store.thinned() == Thinned) {
+        EXPECT_EQ(indices(Store), Before);
+        EXPECT_EQ(Plan.Spacing, Spacing);
+        continue;
+      }
+      // One thinning: every other snapshot, counting back from the new
+      // one.
+      ++Thinnings;
+      std::vector<TraceIdx> Kept;
+      for (size_t I = (Before.size() - 1) % 2; I < Before.size(); I += 2)
+        Kept.push_back(Before[I]);
+      EXPECT_EQ(indices(Store), Kept) << "step " << Step;
+      EXPECT_EQ(Store.thinned(), Thinned + Before.size() - Kept.size());
+      EXPECT_EQ(Plan.Spacing, 2 * Spacing);
+    }
+    EXPECT_GE(Thinnings, 3u) << (ByBytes ? "budget" : "cap");
+  }
+}
+
+// What admit() refuses: a dirty instance (the next clean one is taken
+// instead), a step past LastStep (no capture is due again), and, with a
+// cap, an interval the trace bytes cannot carry (the next interval is).
+TEST(CheckpointTest, ScheduleAdmitsCleanCapturesWithinItsLimits) {
+  CheckpointStore Store;
+  CheckpointPlan Plan(Store, /*LastStep=*/1000);
+  const uint64_t First = Plan.NextAt;
+  EXPECT_FALSE(Plan.admit(First, /*Dirty=*/true, SIZE_MAX));
+  EXPECT_EQ(Plan.SkippedDirty, 1u);
+  EXPECT_EQ(Plan.NextAt, First);
+  EXPECT_TRUE(Plan.admit(First + 1, /*Dirty=*/false, SIZE_MAX));
+  Plan.take(First + 1, snapshotAt(First + 1));
+  EXPECT_EQ(Plan.NextAt, First + 1 + Plan.Spacing);
+
+  // The next snapshot would take the retained bytes past a quarter of the
+  // trace: this interval takes none.
+  const uint64_t Second = Plan.NextAt;
+  const size_t Carried = 4 * (2 * Store.bytes());
+  EXPECT_FALSE(Plan.admit(Second, /*Dirty=*/false, Carried - 4));
+  EXPECT_EQ(Plan.NextAt, Second + Plan.Spacing);
+  EXPECT_TRUE(Plan.admit(Plan.NextAt, /*Dirty=*/false, Carried));
+
+  // Past LastStep nothing is admitted, and nothing is due again.
+  EXPECT_FALSE(Plan.admit(1001, /*Dirty=*/false, SIZE_MAX));
+  EXPECT_EQ(Plan.NextAt, UINT64_MAX);
+  EXPECT_EQ(Store.count(), 1u);
+}
+
+// The session's schedule is a function of program, input and budget: the
+// same run captures at the same instances, within the cap and the budget.
+TEST(CheckpointTest, ScheduleIsDeterministic) {
+  const std::string Src = crcSubject(/*Iters=*/3000, /*Guards=*/4,
+                                     /*Silenced=*/1, /*Fixed=*/false,
+                                     CrcBody::CleanCall);
+  Session S(Src);
+  ASSERT_TRUE(S.valid());
+  std::vector<TraceIdx> First;
+  for (size_t Budget : {DefaultCheckpointMemBytes, size_t(8) << 10}) {
+    for (int Rep = 0; Rep < 2; ++Rep) {
+      CheckpointStore Store;
+      CheckpointPlan Plan(Store, kBudget, Budget);
+      recordCapturing(*S.Interp, {}, Plan, 0);
+      EXPECT_GT(Store.count(), 1u);
+      EXPECT_LE(Store.count(), CheckpointPlan::DefaultCap);
+      EXPECT_LE(Store.bytes(), Budget);
+      EXPECT_GT(Store.thinned(), 0u);
+      if (Rep == 0)
+        First = indices(Store);
+      else
+        EXPECT_EQ(indices(Store), First) << "budget " << Budget;
+    }
+  }
 }
 
 class RootOnlyOracle : public slicing::Oracle {
@@ -334,14 +501,21 @@ private:
 struct LocateOutcome {
   core::LocateReport Report;
   std::vector<ddg::DepGraph::ImplicitEdge> Edges;
+  /// Switched runs that resumed from a snapshot.
+  uint64_t CkptHits = 0;
+  size_t Snapshots = 0;
+  /// The largest StepCount of a stored snapshot.
+  uint64_t LatestSnapshotStep = 0;
 };
 
-std::optional<LocateOutcome> locateVariant(const lang::Program &Faulty,
-                                           const std::vector<int64_t> &Input,
-                                           const std::vector<int64_t> &Expected,
-                                           StmtId Root, unsigned Checkpoints) {
+std::optional<LocateOutcome>
+locateVariant(const lang::Program &Faulty, const std::vector<int64_t> &Input,
+              const std::vector<int64_t> &Expected, StmtId Root,
+              bool Checkpoints,
+              uint64_t LocateMaxSteps = core::LocateConfig().MaxSteps) {
   core::DebugSession::Config C;
   C.Opt.Reuse.Checkpoints = Checkpoints;
+  C.Locate.MaxSteps = LocateMaxSteps;
   core::DebugSession Session(Faulty, Input, Expected, {}, C);
   if (!Session.hasFailure())
     return std::nullopt;
@@ -349,72 +523,117 @@ std::optional<LocateOutcome> locateVariant(const lang::Program &Faulty,
   LocateOutcome O;
   O.Report = Session.locate(Oracle);
   O.Edges = Session.graph().implicitEdges();
+  O.CkptHits = Session.verifier().stats().counter("verify.ckpt.hits").get();
+  EXPECT_EQ(Session.checkpoints() != nullptr, Checkpoints);
+  if (const CheckpointStore *Store = Session.checkpoints()) {
+    O.Snapshots = Store->count();
+    for (const Checkpoint &CP : Store->snapshots())
+      O.LatestSnapshotStep = std::max(O.LatestSnapshotStep, CP.StepCount);
+  }
   return O;
 }
 
 /// EXPECTs that a checkpointed locate run matches the full-replay
 /// reference outcome field by field, including the implicit edges.
 void expectSameOutcome(const LocateOutcome &Reference,
-                       const LocateOutcome &Ckpt, uint64_t Seed,
-                       const char *Mode) {
+                       const LocateOutcome &Ckpt, const std::string &Subject) {
   EXPECT_EQ(Reference.Report.RootCauseFound, Ckpt.Report.RootCauseFound)
-      << "seed " << Seed << " checkpoints " << Mode;
+      << Subject;
   EXPECT_EQ(Reference.Report.Verifications, Ckpt.Report.Verifications)
-      << "seed " << Seed << " checkpoints " << Mode;
-  EXPECT_EQ(Reference.Report.Iterations, Ckpt.Report.Iterations)
-      << "seed " << Seed << " checkpoints " << Mode;
+      << Subject;
+  EXPECT_EQ(Reference.Report.Reexecutions, Ckpt.Report.Reexecutions)
+      << Subject;
+  EXPECT_EQ(Reference.Report.Iterations, Ckpt.Report.Iterations) << Subject;
   EXPECT_EQ(Reference.Report.ExpandedEdges, Ckpt.Report.ExpandedEdges)
-      << "seed " << Seed << " checkpoints " << Mode;
+      << Subject;
   EXPECT_EQ(Reference.Report.StrongEdges, Ckpt.Report.StrongEdges)
-      << "seed " << Seed << " checkpoints " << Mode;
+      << Subject;
   EXPECT_EQ(Reference.Report.FinalPrunedSlice, Ckpt.Report.FinalPrunedSlice)
-      << "seed " << Seed << " checkpoints " << Mode;
-  ASSERT_EQ(Reference.Edges.size(), Ckpt.Edges.size())
-      << "seed " << Seed << " checkpoints " << Mode;
+      << Subject;
+  ASSERT_EQ(Reference.Edges.size(), Ckpt.Edges.size()) << Subject;
   for (size_t I = 0; I < Reference.Edges.size(); ++I) {
-    EXPECT_EQ(Reference.Edges[I].Use, Ckpt.Edges[I].Use);
-    EXPECT_EQ(Reference.Edges[I].Pred, Ckpt.Edges[I].Pred);
-    EXPECT_EQ(Reference.Edges[I].Strong, Ckpt.Edges[I].Strong);
+    EXPECT_EQ(Reference.Edges[I].Use, Ckpt.Edges[I].Use) << Subject;
+    EXPECT_EQ(Reference.Edges[I].Pred, Ckpt.Edges[I].Pred) << Subject;
+    EXPECT_EQ(Reference.Edges[I].Strong, Ckpt.Edges[I].Strong) << Subject;
   }
 }
 
-// End to end: locateFault with checkpointing produces the same report
-// and the same implicit edges as full replay.
-TEST(CheckpointTest, LocateIsIdenticalWithAndWithoutCheckpoints) {
-  int Checked = 0;
-  for (uint64_t Seed : {100, 101, 102, 103, 104, 105}) {
-    RandomProgramGenerator Gen(Seed);
-    auto Variant = Gen.generateOmission();
-    DiagnosticEngine Diags;
-    auto Fixed = lang::parseAndCheck(Variant.FixedSource, Diags);
-    auto Faulty = lang::parseAndCheck(Variant.FaultySource, Diags);
-    ASSERT_TRUE(Fixed && Faulty) << Diags.str();
-    analysis::StaticAnalysis FixedSA(*Fixed);
-    Interpreter FixedInterp(*Fixed, FixedSA);
-    ExecutionTrace FixedRun = FixedInterp.run(Variant.Input);
-    ASSERT_EQ(FixedRun.Exit, ExitReason::Finished);
-    std::vector<int64_t> Expected = FixedRun.outputValues();
-    StmtId Root = Faulty->statementAtLine(Variant.RootCauseLine);
-    ASSERT_TRUE(isValidId(Root));
+/// One crcSubject with its locate inputs.
+struct CrcCase {
+  unsigned Iters, Guards, Silenced;
+  CrcBody Body;
 
-    std::optional<LocateOutcome> Reference = locateVariant(
-        *Faulty, Variant.Input, Expected, Root, CheckpointsOff);
-    if (!Reference)
-      continue; // Masked fault.
-    // Fixed stride, the PR-5 configuration.
-    std::optional<LocateOutcome> Ckpt = locateVariant(
-        *Faulty, Variant.Input, Expected, Root, /*Checkpoints=*/1);
-    ASSERT_TRUE(Ckpt);
-    expectSameOutcome(*Reference, *Ckpt, Seed, "1");
-
-    // Auto stride, the default.
-    std::optional<LocateOutcome> Auto = locateVariant(
-        *Faulty, Variant.Input, Expected, Root, CheckpointStrideAuto);
-    ASSERT_TRUE(Auto);
-    expectSameOutcome(*Reference, *Auto, Seed, "auto");
-    ++Checked;
+  std::string name() const {
+    return "crc i" + std::to_string(Iters) + " k" + std::to_string(Guards) +
+           " g" + std::to_string(Silenced) + " body " +
+           std::to_string(static_cast<int>(Body));
   }
-  ASSERT_GT(Checked, 0) << "every probe seed was masked";
+};
+
+struct CrcInputs {
+  std::unique_ptr<lang::Program> Faulty;
+  std::vector<int64_t> Expected;
+  StmtId Root = InvalidId;
+  size_t FailingSteps = 0;
+};
+
+CrcInputs crcInputs(const CrcCase &Case) {
+  CrcInputs In;
+  auto Fixed = parseOrDie(
+      crcSubject(Case.Iters, Case.Guards, Case.Silenced, true, Case.Body));
+  In.Faulty = parseOrDie(
+      crcSubject(Case.Iters, Case.Guards, Case.Silenced, false, Case.Body));
+  if (!Fixed || !In.Faulty)
+    return In;
+  analysis::StaticAnalysis FixedSA(*Fixed), FaultySA(*In.Faulty);
+  In.Expected = Interpreter(*Fixed, FixedSA).run({}).outputValues();
+  In.FailingSteps = Interpreter(*In.Faulty, FaultySA).run({}).size();
+  In.Root = In.Faulty->statementAtLine(crcRootLine(Case.Silenced, Case.Body));
+  return In;
+}
+
+// End to end: locateFault resuming from the session's snapshots produces
+// the same report and the same implicit edges as full replay, on subjects
+// whose switched runs do resume.
+TEST(CheckpointTest, LocateIsIdenticalWithAndWithoutCheckpoints) {
+  for (const CrcCase &Case : {CrcCase{600, 5, 2, CrcBody::Inline},
+                              CrcCase{1500, 7, 6, CrcBody::Inline},
+                              CrcCase{900, 4, 1, CrcBody::CleanCall},
+                              CrcCase{700, 5, 0, CrcBody::DirtyCall}}) {
+    CrcInputs In = crcInputs(Case);
+    ASSERT_TRUE(In.Faulty && isValidId(In.Root)) << Case.name();
+    std::optional<LocateOutcome> Reference =
+        locateVariant(*In.Faulty, {}, In.Expected, In.Root, false);
+    std::optional<LocateOutcome> Ckpt =
+        locateVariant(*In.Faulty, {}, In.Expected, In.Root, true);
+    ASSERT_TRUE(Reference && Ckpt) << Case.name();
+    EXPECT_TRUE(Reference->Report.RootCauseFound) << Case.name();
+    expectSameOutcome(*Reference, *Ckpt, Case.name());
+    EXPECT_EQ(Reference->CkptHits, 0u) << Case.name();
+    EXPECT_GT(Ckpt->CkptHits, 0u) << Case.name() << ": nothing resumed";
+  }
+}
+
+// The same where switched runs hit their step limit before the failing
+// run ends: every snapshot lies within the limit, so a resumed run halts
+// exactly where the full replay does.
+TEST(CheckpointTest, LocateAtTheStepLimitIsIdenticalWithAndWithoutCheckpoints) {
+  const CrcCase Case{1500, 5, 2, CrcBody::CleanCall};
+  CrcInputs In = crcInputs(Case);
+  ASSERT_TRUE(In.Faulty && isValidId(In.Root));
+  for (uint64_t Limit : {In.FailingSteps / 3, 2 * In.FailingSteps / 3,
+                         In.FailingSteps - 3}) {
+    const std::string Name = Case.name() + " limit " + std::to_string(Limit);
+    std::optional<LocateOutcome> Reference =
+        locateVariant(*In.Faulty, {}, In.Expected, In.Root, false, Limit);
+    std::optional<LocateOutcome> Ckpt =
+        locateVariant(*In.Faulty, {}, In.Expected, In.Root, true, Limit);
+    ASSERT_TRUE(Reference && Ckpt) << Name;
+    expectSameOutcome(*Reference, *Ckpt, Name);
+    EXPECT_GT(Ckpt->CkptHits, 0u) << Name << ": nothing resumed";
+    EXPECT_GT(Ckpt->Snapshots, 0u) << Name;
+    EXPECT_LE(Ckpt->LatestSnapshotStep, Limit) << Name;
+  }
 }
 
 // Snapshots are shared immutably across threads; hammer one store from
@@ -428,21 +647,14 @@ TEST(CheckpointTest, ConcurrentRestoresAreRaceFreeAndIdentical) {
   ASSERT_TRUE(Prog) << Diags.str();
   analysis::StaticAnalysis SA(*Prog);
   Interpreter Interp(*Prog, SA);
-  ExecutionTrace E = Interp.run(Variant.Input);
+  CheckpointStore Store;
+  CheckpointPlan Plan = CheckpointPlan::everyPredicate(Store, kBudget);
+  ExecutionTrace E = recordCapturing(Interp, Variant.Input, Plan, 305);
   std::vector<TraceIdx> Preds = predicateInstances(E);
   if (Preds.empty())
     GTEST_SKIP() << "no predicate instances";
-
-  CheckpointStore Store(256ull << 20);
-  CheckpointPlan Plan;
-  Plan.Store = &Store;
-  Plan.Sites = Preds;
-  Interpreter::Options Opts;
-  Opts.MaxSteps = kBudget;
-  Opts.Checkpoints = &Plan;
-  Interp.run(Variant.Input, Opts);
-  if (Plan.Collected == 0)
-    GTEST_SKIP() << "every site was dirty";
+  if (Store.count() == 0)
+    GTEST_SKIP() << "every predicate instance was dirty";
 
   // Serial references first.
   std::vector<ExecutionTrace> Full(Preds.size());
@@ -461,7 +673,7 @@ TEST(CheckpointTest, ConcurrentRestoresAreRaceFreeAndIdentical) {
     Threads.emplace_back([&, W] {
       for (size_t N = W; N < Preds.size(); N += Workers) {
         TraceIdx P = Preds[N];
-        std::shared_ptr<const Checkpoint> CP = Store.nearest(P);
+        const Checkpoint *CP = Store.nearest(P);
         if (!CP)
           continue;
         const StepRecord &Step = E.step(P);

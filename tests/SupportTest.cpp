@@ -119,11 +119,17 @@ TEST(CommonOptionsTest, AcceptsBothFlagForms) {
   EXPECT_EQ(Next, 2); // The value token is consumed.
 
   EXPECT_EQ(parseFlag({"--checkpoints=off"}, O), ParseResult::Ok);
-  EXPECT_EQ(O.Reuse.Checkpoints, interp::CheckpointsOff);
+  EXPECT_FALSE(O.Reuse.Checkpoints);
   EXPECT_EQ(parseFlag({"--checkpoints", "auto"}, O), ParseResult::Ok);
-  EXPECT_EQ(O.Reuse.Checkpoints, interp::CheckpointStrideAuto);
-  EXPECT_EQ(parseFlag({"--checkpoints=7"}, O), ParseResult::Ok);
-  EXPECT_EQ(O.Reuse.Checkpoints, 7u);
+  EXPECT_TRUE(O.Reuse.Checkpoints);
+  // Checkpointing is on or off: a stride, and the numeric aliases of
+  // auto (0) and off (4294967295), are rejected.
+  for (const char *Stride : {"7", "0", "4294967295"}) {
+    EXPECT_EQ(parseFlag({std::string("--checkpoints=") + Stride}, O),
+              ParseResult::Error)
+        << Stride;
+    EXPECT_TRUE(O.Reuse.Checkpoints);
+  }
   EXPECT_EQ(parseFlag({"--checkpoint-mem", "64"}, O), ParseResult::Ok);
   EXPECT_EQ(O.Reuse.CheckpointMemBytes, size_t(64) << 20);
   EXPECT_EQ(parseFlag({"--chain-depth=2"}, O), ParseResult::Ok);

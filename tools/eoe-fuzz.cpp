@@ -27,20 +27,23 @@
 // ranking, every instance's verdict and confidence, and that the
 // question is the one the from-scratch ranking poses.
 //
-// --fuzz=resume is the differential oracle of checkpoint resume: each
-// seed snapshots every clean predicate instance of a random program,
-// resumes from each snapshot twice -- unswitched, and with a predicate
-// at or after the snapshot switched -- and compares each resumed trace
-// with full interpretation step by step: every step's fields and its
-// use and def sequences, the outputs, the switch and first-input
-// markers, and the exit.
+// --fuzz=resume is the differential oracle of checkpoint resume. Each
+// seed records a random program's trace E the way DebugSession does: the
+// recording run snapshots every clean predicate instance, none past the
+// switched runs' step budget, under twice that budget. It checks that the
+// capture leaves E equal to a plain run, then resumes from each snapshot
+// twice -- unswitched, and with a predicate at or after the snapshot
+// switched -- and compares each resumed trace with full interpretation
+// step by step: every step's fields and its use and def sequences, the
+// outputs, the switch and first-input markers, and the exit.
 //
 // --fuzz=align is the differential oracle of switched-run alignment:
-// each seed switches every predicate instance that has a snapshot at or
-// before it, builds the switched run the way the verifier does (resumed
-// from the original run's snapshot), and compares every match() answer
-// and every edge check with Algorithm 1 over the full region trees of a
-// fully interpreted switched run.
+// each seed records E with snapshots as --fuzz=resume does, switches
+// every predicate instance that has a snapshot at or before it, builds
+// the switched run the way the verifier does (resumed from E's
+// snapshot), and compares every match() answer and every edge check with
+// Algorithm 1 over the full region trees of a fully interpreted switched
+// run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -152,16 +155,13 @@ struct ResumeTally {
   size_t Failures = 0;
 };
 
-/// The first way \p Got (a resumed run) differs from \p Want (the same
-/// run interpreted in full), or "" when they agree, read through the
-/// accessors over the whole logical length: exit, exit value, switch and
-/// first-input markers, outputs, then every step's fields and its use and
-/// def sequences. Then, that \p Got shares its prefix: its own records
-/// below the resume point \p At are exactly the call records open there
-/// (\p CP's pending ones) -- a silent fall-back to copying fails here.
+/// The first way \p Got differs from \p Want (the same run interpreted in
+/// full), or "" when they agree, read through the accessors over the
+/// whole logical length: exit, exit value, switch and first-input
+/// markers, outputs, then every step's fields and its use and def
+/// sequences.
 std::string traceDifference(const interp::ExecutionTrace &Want,
-                            const interp::ResumedTrace &Got,
-                            const interp::Checkpoint &CP) {
+                            const interp::ResumedTrace &Got) {
   if (Want.Exit != Got.exit())
     return "exit reason";
   if (Want.ExitValue != Got.exitValue())
@@ -181,6 +181,18 @@ std::string traceDifference(const interp::ExecutionTrace &Want,
   for (TraceIdx I = 0; I < Want.size(); ++I)
     if (!Got.sameStep(I, Want, I))
       return "step " + std::to_string(I);
+  return "";
+}
+
+/// traceDifference for \p Got resumed from \p CP; then, that \p Got
+/// shares its prefix: its own records below the resume point are exactly
+/// the call records open there (\p CP's pending ones) -- a silent
+/// fall-back to copying fails here.
+std::string resumeDifference(const interp::ExecutionTrace &Want,
+                             const interp::ResumedTrace &Got,
+                             const interp::Checkpoint &CP) {
+  if (std::string Diff = traceDifference(Want, Got); !Diff.empty())
+    return Diff;
   std::vector<TraceIdx> Pending;
   for (const interp::CheckpointFrame &CF : CP.Frames)
     if (CF.PendingRec != InvalidId)
@@ -191,6 +203,30 @@ std::string traceDifference(const interp::ExecutionTrace &Want,
       Got.own().Steps.size() != Got.size() - CP.Index + Pending.size())
     return "own records below the resume point";
   return "";
+}
+
+/// Step budget of the fuzzed switched runs: small enough that switched
+/// loops hit the limit quickly, so the limit path is compared too.
+constexpr uint64_t FuzzMaxSteps = 20'000;
+
+/// E for one fuzz seed, recorded as DebugSession records it: the run
+/// snapshots into \p Store (here at every clean predicate instance), none
+/// past the switched runs' budget FuzzMaxSteps, and runs under a larger
+/// budget, so E may go on past the last snapshot. Returns "" in \p Diff
+/// when E equals the same run without the capture, else what differs.
+interp::ExecutionTrace recordWithSnapshots(const interp::Interpreter &Interp,
+                                           const std::vector<int64_t> &Input,
+                                           interp::CheckpointStore &Store,
+                                           std::string &Diff) {
+  interp::CheckpointPlan Plan =
+      interp::CheckpointPlan::everyPredicate(Store, FuzzMaxSteps);
+  interp::Interpreter::Options Opts;
+  Opts.MaxSteps = 2 * FuzzMaxSteps;
+  Opts.Checkpoints = &Plan;
+  interp::ExecutionTrace E = Interp.run(Input, Opts);
+  Opts.Checkpoints = nullptr;
+  Diff = traceDifference(E, interp::ResumedTrace(Interp.run(Input, Opts)));
+  return E;
 }
 
 bool runResumeSeed(uint64_t Seed, bool Verbose, ResumeTally &T) {
@@ -208,25 +244,26 @@ bool runResumeSeed(uint64_t Seed, bool Verbose, ResumeTally &T) {
   }
   analysis::StaticAnalysis SA(*Prog);
   interp::Interpreter Interp(*Prog, SA);
-  // Small enough that switched loops hit the step limit quickly, so the
-  // limit path is compared too.
-  const uint64_t MaxSteps = 20'000;
-  interp::Interpreter::Options Plain;
-  Plain.MaxSteps = MaxSteps;
-  interp::ExecutionTrace E = Interp.run(Variant.Input, Plain);
-
-  // Snapshot every predicate instance; the engine skips the dirty ones.
+  interp::CheckpointStore Store;
+  std::string CaptureDiff;
+  interp::ExecutionTrace E =
+      recordWithSnapshots(Interp, Variant.Input, Store, CaptureDiff);
+  if (!CaptureDiff.empty()) {
+    std::printf("seed %llu: CAPTURING RUN DIFFERS FROM PLAIN RUN (%s)\n%s\n",
+                static_cast<unsigned long long>(Seed), CaptureDiff.c_str(),
+                Variant.FaultySource.c_str());
+    ++T.Failures;
+    return false;
+  }
   std::vector<TraceIdx> Preds;
   for (TraceIdx I = 0; I < E.size(); ++I)
     if (E.step(I).isPredicateInstance())
       Preds.push_back(I);
-  interp::CheckpointStore Store(interp::DefaultCheckpointMemBytes);
-  interp::CheckpointPlan Plan;
-  Plan.Sites = Preds;
-  Plan.Store = &Store;
-  interp::Interpreter::Options Collect = Plain;
-  Collect.Checkpoints = &Plan;
-  Interp.run(Variant.Input, Collect);
+  // Resumed runs get the switched runs' budget; their references are full
+  // runs under it.
+  interp::Interpreter::Options Plain;
+  Plain.MaxSteps = FuzzMaxSteps;
+  const interp::ExecutionTrace Unswitched = Interp.run(Variant.Input, Plain);
 
   std::mt19937_64 Rng(Seed * 0x9E3779B97F4A7C15ull + 0x5851F42D4C957F2Dull);
   interp::ExecContext Ctx;
@@ -235,7 +272,7 @@ bool runResumeSeed(uint64_t Seed, bool Verbose, ResumeTally &T) {
                    const interp::ResumedTrace &Got,
                    const interp::Checkpoint &CP, const char *What) {
     ++T.Resumes;
-    std::string Diff = traceDifference(Want, Got, CP);
+    std::string Diff = resumeDifference(Want, Got, CP);
     if (Diff.empty())
       return;
     std::printf("seed %llu: %s RESUME AT STEP %u DIFFERS FROM FULL RUN "
@@ -246,13 +283,13 @@ bool runResumeSeed(uint64_t Seed, bool Verbose, ResumeTally &T) {
     Ok = false;
   };
   for (size_t N = 0; N < Preds.size(); ++N) {
-    std::shared_ptr<const interp::Checkpoint> CP = Store.nearest(Preds[N]);
+    const interp::Checkpoint *CP = Store.nearest(Preds[N]);
     if (!CP || CP->Index != Preds[N])
-      continue; // Dirty site: no snapshot here.
+      continue; // Dirty or past the budget: no snapshot here.
     ++T.Snapshots;
     if (CP->Frames.size() > 1)
       ++T.PendingCalls;
-    Check(E, Interp.runFrom(*CP, E, Variant.Input, Plain, Ctx), *CP,
+    Check(Unswitched, Interp.runFrom(*CP, E, Variant.Input, Plain, Ctx), *CP,
           "UNSWITCHED");
 
     // Switch a predicate instance at or after the snapshot.
@@ -360,23 +397,24 @@ bool runAlignSeed(uint64_t Seed, bool Verbose, AlignTally &T) {
   }
   analysis::StaticAnalysis SA(*Prog);
   interp::Interpreter Interp(*Prog, SA);
-  const uint64_t MaxSteps = 20'000;
-  interp::Interpreter::Options Plain;
-  Plain.MaxSteps = MaxSteps;
-  interp::ExecutionTrace E = Interp.run(Variant.Input, Plain);
+  interp::CheckpointStore Store;
+  std::string CaptureDiff;
+  interp::ExecutionTrace E =
+      recordWithSnapshots(Interp, Variant.Input, Store, CaptureDiff);
+  if (!CaptureDiff.empty()) {
+    std::printf("seed %llu: CAPTURING RUN DIFFERS FROM PLAIN RUN (%s)\n%s\n",
+                static_cast<unsigned long long>(Seed), CaptureDiff.c_str(),
+                Variant.FaultySource.c_str());
+    ++T.Failures;
+    return false;
+  }
   const align::RegionTree TreeE(E);
-
   std::vector<TraceIdx> Preds;
   for (TraceIdx I = 0; I < E.size(); ++I)
     if (E.step(I).isPredicateInstance())
       Preds.push_back(I);
-  interp::CheckpointStore Store(interp::DefaultCheckpointMemBytes);
-  interp::CheckpointPlan Plan;
-  Plan.Sites = Preds;
-  Plan.Store = &Store;
-  interp::Interpreter::Options Collect = Plain;
-  Collect.Checkpoints = &Plan;
-  Interp.run(Variant.Input, Collect);
+  interp::Interpreter::Options Plain;
+  Plain.MaxSteps = FuzzMaxSteps;
 
   interp::ExecContext Ctx;
   bool Ok = true;
@@ -423,7 +461,7 @@ bool runAlignSeed(uint64_t Seed, bool Verbose, AlignTally &T) {
   };
 
   for (TraceIdx P : Preds) {
-    std::shared_ptr<const interp::Checkpoint> CP = Store.nearest(P);
+    const interp::Checkpoint *CP = Store.nearest(P);
     if (!CP)
       continue;
     ++T.Switches;
