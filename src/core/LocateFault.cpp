@@ -77,7 +77,9 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
 
   support::EventTracer::Span FirstPruneSpan(Tracer, "prune", "slicing");
   support::ScopedTimer FirstPruneTimed(&PruneTime);
+  support::ScopedTimer BuildTimed(&Reg.timer("slicing.build_time"));
   ConfidenceAnalysis CA(Prog, G, Values, V);
+  BuildTimed.stop();
   PruneState Prune;
   std::vector<TraceIdx> Ranked = pruneSlicing(CA, O, Prune, &Reg);
   FirstPruneTimed.stop();
@@ -278,9 +280,8 @@ eoe::core::failureInducingChain(const ddg::DepGraph &G, StmtId RootCause,
     for (const UseRecord &Use : T.uses(Step))
       Visit(I, Use.Def);
     Visit(I, Step.CdParent);
-    for (const ddg::DepGraph::ImplicitEdge &E : G.implicitEdges())
-      if (E.Use == I)
-        Visit(I, E.Pred);
+    for (TraceIdx Pred : G.implicitPredsOf(I))
+      Visit(I, Pred);
   }
 
   std::vector<bool> Chain(T.size(), false);

@@ -9,30 +9,35 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <set>
 
 using namespace eoe;
 using namespace eoe::ddg;
 using namespace eoe::interp;
 
+std::span<const uint32_t> DepGraph::edgesOfUse(TraceIdx Use) const {
+  auto [First, Last] = std::ranges::equal_range(
+      ByUse, Use, {}, [this](uint32_t K) { return Edges[K].Use; });
+  return {First, Last};
+}
+
 void DepGraph::addImplicitEdge(TraceIdx Use, TraceIdx Pred, bool Strong) {
-  for (ImplicitEdge &E : Edges) {
-    if (E.Use == Use && E.Pred == Pred) {
-      E.Strong = E.Strong || Strong;
+  std::span<const uint32_t> Same = edgesOfUse(Use);
+  for (uint32_t K : Same) {
+    if (Edges[K].Pred == Pred) {
+      Edges[K].Strong = Edges[K].Strong || Strong;
       return;
     }
   }
+  // After the use's other edges: a use's predecessors keep the order
+  // they were added in.
+  ByUse.insert(ByUse.begin() + (Same.data() - ByUse.data()) + Same.size(),
+               static_cast<uint32_t>(Edges.size()));
   Edges.push_back({Use, Pred, Strong});
   Fwd.Valid = false;
-}
-
-std::vector<TraceIdx> DepGraph::implicitPredsOf(TraceIdx Use) const {
-  std::vector<TraceIdx> Out;
-  for (const ImplicitEdge &E : Edges)
-    if (E.Use == Use)
-      Out.push_back(E.Pred);
-  return Out;
 }
 
 std::vector<bool>
@@ -72,11 +77,47 @@ DepGraph::backwardClosure(const std::vector<TraceIdx> &Seeds,
     if (Opts.Control)
       Visit(I, Step.CdParent);
     if (Opts.Implicit)
-      for (const ImplicitEdge &E : Edges)
-        if (E.Use == I)
-          Visit(I, E.Pred);
+      for (TraceIdx Pred : implicitPredsOf(I))
+        Visit(I, Pred);
   }
   return Member;
+}
+
+void DepGraph::extendBackwardClosure(std::vector<bool> &Member,
+                                     std::vector<uint32_t> *Depth,
+                                     size_t FirstEdge) const {
+  // Lowest depth first, so each instance is expanded once, at its final
+  // depth; an entry whose instance was lowered again since is stale.
+  // Without depths every entry is expanded exactly once anyway.
+  using Entry = std::pair<uint32_t, TraceIdx>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> Work;
+  auto Relax = [&](TraceIdx To, uint32_t D) {
+    if (To == InvalidId || (Member[To] && (!Depth || (*Depth)[To] <= D)))
+      return;
+    Member[To] = true;
+    if (Depth)
+      (*Depth)[To] = D;
+    Work.push({D, To});
+  };
+
+  // A new edge matters once its use is in the closure. Uses that join
+  // below are expanded over all their edges, the new ones included.
+  for (size_t K = FirstEdge; K < Edges.size(); ++K)
+    if (Member[Edges[K].Use])
+      Relax(Edges[K].Pred, Depth ? (*Depth)[Edges[K].Use] + 1 : 0);
+
+  while (!Work.empty()) {
+    auto [D, I] = Work.top();
+    Work.pop();
+    if (Depth && (*Depth)[I] != D)
+      continue;
+    const StepRecord &Step = Trace.step(I);
+    for (const UseRecord &Use : Trace.uses(Step))
+      Relax(Use.Def, D + 1);
+    Relax(Step.CdParent, D + 1);
+    for (TraceIdx Pred : implicitPredsOf(I))
+      Relax(Pred, D + 1);
+  }
 }
 
 void DepGraph::buildForwardIndex(const ClosureOptions &Opts) const {

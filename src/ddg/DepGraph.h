@@ -21,6 +21,8 @@
 #include "interp/Trace.h"
 #include "support/Ids.h"
 
+#include <ranges>
+#include <span>
 #include <vector>
 
 namespace eoe {
@@ -61,10 +63,15 @@ public:
   /// pairs are ignored.
   void addImplicitEdge(TraceIdx Use, TraceIdx Pred, bool Strong);
 
+  /// The implicit edges in the order they were added.
   const std::vector<ImplicitEdge> &implicitEdges() const { return Edges; }
 
-  /// Predicate instances that \p Use implicitly depends on.
-  std::vector<TraceIdx> implicitPredsOf(TraceIdx Use) const;
+  /// Predicate instances that \p Use implicitly depends on, in the order
+  /// their edges were added.
+  auto implicitPredsOf(TraceIdx Use) const {
+    return edgesOfUse(Use) |
+           std::views::transform([this](uint32_t K) { return Edges[K].Pred; });
+  }
 
   /// Computes the backward closure (dynamic slice) from \p Seeds.
   /// \param Depth if non-null, receives per-instance dependence distance
@@ -73,6 +80,16 @@ public:
   std::vector<bool> backwardClosure(const std::vector<TraceIdx> &Seeds,
                                     const ClosureOptions &Opts,
                                     std::vector<uint32_t> *Depth = nullptr) const;
+
+  /// Extends \p Member, a backward closure over every edge kind computed
+  /// before implicitEdges()[FirstEdge] was added, to the closure of the
+  /// same seeds under the current edges. Adding edges only grows a
+  /// closure, so only the instances whose membership or depth changes
+  /// are visited. \p Depth, if non-null, holds the closure's depths as
+  /// backwardClosure() computes them and is lowered to the new ones.
+  void extendBackwardClosure(std::vector<bool> &Member,
+                             std::vector<uint32_t> *Depth,
+                             size_t FirstEdge) const;
 
   /// Computes the forward closure from \p Seeds: every instance that
   /// (transitively) depends on a seed. Used to derive the paper's OS
@@ -84,11 +101,18 @@ public:
   SliceStats stats(const std::vector<bool> &Member) const;
 
 private:
+  /// The positions in Edges of \p Use's edges, in the order they were
+  /// added.
+  std::span<const uint32_t> edgesOfUse(TraceIdx Use) const;
+
   /// Lazily builds the forward adjacency (instance -> dependents).
   void buildForwardIndex(const ClosureOptions &Opts) const;
 
   const interp::ExecutionTrace &Trace;
   std::vector<ImplicitEdge> Edges;
+  /// Every position in Edges, sorted by use and, within a use, by
+  /// position.
+  std::vector<uint32_t> ByUse;
 
   struct ForwardIndex {
     ClosureOptions Opts;

@@ -11,6 +11,7 @@
 #include "support/Casting.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 using namespace eoe;
@@ -31,7 +32,9 @@ bool isPrintVerdict(const lang::Program &Prog, const StepRecord &Step) {
 ConfidenceAnalysis::ConfidenceAnalysis(const lang::Program &Prog,
                                        const ddg::DepGraph &G,
                                        const ValueProfile *Values,
-                                       const OutputVerdicts &V, Options Opts)
+                                       const OutputVerdicts &V, Options Opts,
+                                       const std::vector<TraceIdx> &BenignMarks,
+                                       const std::set<TraceIdx> &Corrupted)
     : Prog(Prog), G(G), Values(Values), V(V), Opts(Opts) {
   const ExecutionTrace &T = G.trace();
   DefBegin.reserve(T.size() + 1);
@@ -49,34 +52,18 @@ ConfidenceAnalysis::ConfidenceAnalysis(const lang::Program &Prog,
     }
   }
   PrintReaders.sort();
-  recompute({});
-}
 
-void ConfidenceAnalysis::recompute(const std::vector<TraceIdx> &BenignMarks,
-                                   const std::set<TraceIdx> &Corrupted) {
-  const ExecutionTrace &T = G.trace();
-  // The closures and the edge indexes depend on the edges alone, and
-  // edges are only ever added: rebuild them when one was.
-  if (G.implicitEdges().size() != EdgesSeen) {
-    EdgesSeen = G.implicitEdges().size();
-    ddg::DepGraph::ClosureOptions All;
-    WrongSlice =
-        G.backwardClosure({T.Outputs.at(V.WrongOutput).Step}, All, &Depth);
-
-    std::vector<TraceIdx> CorrectSeeds;
-    for (size_t O : V.CorrectOutputs)
-      CorrectSeeds.push_back(T.Outputs.at(O).Step);
-    ReachesCorrect = G.backwardClosure(CorrectSeeds, All);
-
-    ImplicitDependents.Pairs.clear();
-    ImplicitPreds.Pairs.clear();
-    for (const ddg::DepGraph::ImplicitEdge &E : G.implicitEdges()) {
-      ImplicitDependents.Pairs.push_back({E.Pred, E.Use});
-      ImplicitPreds.Pairs.push_back({E.Use, E.Pred});
-    }
-    ImplicitDependents.sort();
-    ImplicitPreds.sort();
-  }
+  ddg::DepGraph::ClosureOptions All;
+  WrongSlice =
+      G.backwardClosure({T.Outputs.at(V.WrongOutput).Step}, All, &Depth);
+  std::vector<TraceIdx> CorrectSeeds;
+  for (size_t O : V.CorrectOutputs)
+    CorrectSeeds.push_back(T.Outputs.at(O).Step);
+  ReachesCorrect = G.backwardClosure(CorrectSeeds, All);
+  EdgesSeen = G.implicitEdges().size();
+  for (const ddg::DepGraph::ImplicitEdge &E : G.implicitEdges())
+    ImplicitDependents.Pairs.push_back({E.Pred, E.Use});
+  ImplicitDependents.sort();
 
   UserBenign.assign(T.size(), false);
   for (TraceIdx B : BenignMarks)
@@ -92,7 +79,28 @@ void ConfidenceAnalysis::recompute(const std::vector<TraceIdx> &BenignMarks,
   rank();
 }
 
+void ConfidenceAnalysis::update() {
+  const std::vector<ddg::DepGraph::ImplicitEdge> &Edges = G.implicitEdges();
+  if (Edges.size() == EdgesSeen)
+    return;
+  // Edges are only ever added, and adding one only grows a closure.
+  G.extendBackwardClosure(WrongSlice, &Depth, EdgesSeen);
+  G.extendBackwardClosure(ReachesCorrect, nullptr, EdgesSeen);
+  for (size_t K = EdgesSeen; K < Edges.size(); ++K)
+    ImplicitDependents.Pairs.push_back({Edges[K].Pred, Edges[K].Use});
+  ImplicitDependents.sort();
+  EdgesSeen = Edges.size();
+
+  // The verified definitions and the verdicts before the Figure 5 rule
+  // read the marks and pins alone. The rule is the one place edges
+  // enter, and not monotonically: a new edge from a dependent that is
+  // not correct withdraws a sanitization.
+  rederiveSanitized();
+  rank();
+}
+
 void ConfidenceAnalysis::markBenign(TraceIdx I) {
+  assert(EdgesSeen == G.implicitEdges().size() && "update() first");
   UserBenign[I] = true;
   // The new mark and the definitions it verifies only add facts, so the
   // verdicts that can flip are those of the instances that read a newly
@@ -116,6 +124,7 @@ void ConfidenceAnalysis::markBenign(TraceIdx I) {
 }
 
 void ConfidenceAnalysis::markCorrupted(TraceIdx I) {
+  assert(EdgesSeen == G.implicitEdges().size() && "update() first");
   Pinned[I] = true;
   if (!Correct[I])
     return;
@@ -254,7 +263,7 @@ void ConfidenceAnalysis::sanitizePredicates(std::vector<TraceIdx> &Work) {
   while (!Work.empty()) {
     TraceIdx Dependent = Work.back();
     Work.pop_back();
-    for (auto [D, P] : ImplicitPreds.keyed(Dependent)) {
+    for (TraceIdx P : G.implicitPredsOf(Dependent)) {
       if (Correct[P] || Pinned[P])
         continue;
       auto IsCorrect = [this](auto Edge) { return Correct[Edge.second]; };
@@ -290,8 +299,17 @@ void ConfidenceAnalysis::inferCorrectValues() {
   Correct.assign(T.size(), false);
   for (TraceIdx I = 0; I < T.size(); ++I)
     Correct[I] = verdict(I);
+  rederiveSanitized();
+}
+
+void ConfidenceAnalysis::rederiveSanitized() {
+  // Only a predicate with an implicit dependent can be sanitized, and
+  // every other instance's verdict stands. The resets come first, so a
+  // dependent that is itself such a predicate is judged by its verdict.
+  for (auto [P, Dependent] : ImplicitDependents.Pairs)
+    Correct[P] = verdict(P);
   std::vector<TraceIdx> CorrectDependents;
-  for (auto [Dependent, P] : ImplicitPreds.Pairs)
+  for (auto [P, Dependent] : ImplicitDependents.Pairs)
     if (Correct[Dependent])
       CorrectDependents.push_back(Dependent);
   sanitizePredicates(CorrectDependents);

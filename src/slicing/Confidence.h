@@ -53,14 +53,15 @@ namespace slicing {
 
 /// Confidence values and the pruned, ranked fault candidate set.
 ///
-/// recompute() derives everything from scratch. Between recomputes the
-/// analysis also absorbs single oracle answers incrementally
-/// (markBenign, markCorrupted), each leaving exactly the state a
-/// recompute with the extended marks and pins would produce: a benign
-/// mark only adds correctness facts and a pin on an instance not
-/// inferred correct changes nothing, so no answer forces rework of what
-/// is already known. Implicit edges added to the graph take effect at
-/// the next recompute().
+/// The constructor derives everything from scratch. After that the
+/// analysis is only updated: it absorbs single oracle answers
+/// (markBenign, markCorrupted) and, through update(), the implicit edges
+/// added to the graph since. Each step leaves exactly the state a fresh
+/// analysis with the current edges, marks and pins would have: a benign
+/// mark only adds correctness facts, a pin on an instance not inferred
+/// correct changes nothing, and edges only grow the closures and change
+/// nothing before the Figure 5 rule. So no answer and no edge forces
+/// rework of what is already known.
 class ConfidenceAnalysis {
 public:
   struct Options {
@@ -69,34 +70,33 @@ public:
     bool PropagateAcrossImplicit = true;
   };
 
-  /// \p Values may be null (ranges then default to "unknown, small").
-  ConfidenceAnalysis(const lang::Program &Prog, const ddg::DepGraph &G,
-                     const interp::ValueProfile *Values,
-                     const OutputVerdicts &V, Options Opts);
-
-  /// Same, with default options.
-  ConfidenceAnalysis(const lang::Program &Prog, const ddg::DepGraph &G,
-                     const interp::ValueProfile *Values,
-                     const OutputVerdicts &V)
-      : ConfidenceAnalysis(Prog, G, Values, V, Options()) {}
-
-  /// Recomputes everything against the graph's current edges and the
+  /// Builds the analysis against the graph's current edges and the
   /// user's benign marks (instances whose state the user vouched for).
+  /// \p Values may be null (ranges then default to "unknown, small").
   /// \p Corrupted pins instances the user declared corrupted: they are
   /// never inferred correct, even when the values they *read* are. This
   /// matters precisely for execution omission errors, where a stale
   /// definition carries a locally-correct value to a point that should
   /// have received a different definition altogether. The wrong output
-  /// instance is always pinned. The closures, a function of the edges
-  /// alone, are rebuilt only when an edge was added since the last call.
-  void recompute(const std::vector<TraceIdx> &BenignMarks,
-                 const std::set<TraceIdx> &Corrupted);
+  /// instance is always pinned.
+  ConfidenceAnalysis(const lang::Program &Prog, const ddg::DepGraph &G,
+                     const interp::ValueProfile *Values,
+                     const OutputVerdicts &V, Options Opts,
+                     const std::vector<TraceIdx> &BenignMarks = {},
+                     const std::set<TraceIdx> &Corrupted = {});
 
-  /// Convenience overload with no pinned instances beyond the wrong
-  /// output.
-  void recompute(const std::vector<TraceIdx> &BenignMarks) {
-    recompute(BenignMarks, {});
-  }
+  /// Same, with default options and no answers.
+  ConfidenceAnalysis(const lang::Program &Prog, const ddg::DepGraph &G,
+                     const interp::ValueProfile *Values,
+                     const OutputVerdicts &V)
+      : ConfidenceAnalysis(Prog, G, Values, V, Options()) {}
+
+  /// Absorbs the implicit edges added to the graph since the last call
+  /// (or the construction): extends both closures from the new edges,
+  /// re-derives the Figure 5 fixpoint -- the only verdicts edges can
+  /// change -- and re-ranks. Free when no edge was added. Call it after
+  /// adding edges and before the next answer.
+  void update();
 
   /// Adds the benign mark \p I to the current state. Propagates only
   /// from \p I's definitions, re-evaluates only the instances whose
@@ -121,7 +121,7 @@ public:
   bool inferredCorrect(TraceIdx I) const { return Correct[I]; }
 
   /// Membership bitset of the dynamic slice of the wrong output under
-  /// the graph's current edges (including implicit ones).
+  /// the edges absorbed so far (including implicit ones).
   const std::vector<bool> &wrongOutputSlice() const { return WrongSlice; }
 
   /// The pruned slice: instances of the wrong output's slice that are
@@ -158,6 +158,10 @@ private:
   /// Figure 5 to a fixpoint, starting from the newly-correct instances
   /// in \p Work.
   void sanitizePredicates(std::vector<TraceIdx> &Work);
+  /// Figure 5 from scratch over the current edges: resets every
+  /// predicate with an implicit dependent to its verdict and sanitizes
+  /// from every correct dependent.
+  void rederiveSanitized();
   void inferCorrectValues();
   void rank();
 
@@ -183,14 +187,14 @@ private:
   std::vector<uint32_t> DefBegin;
   Adjacency PrintReaders;
 
-  // Per edge set: the closures and the verified implicit edges indexed
-  // both ways (a predicate's dependents, a dependent's predicates).
-  size_t EdgesSeen = SIZE_MAX;
+  // Updated by every edge: the closures and the verified implicit edges
+  // by predicate (the graph indexes them by dependent). EdgesSeen counts
+  // the graph's edges absorbed so far.
+  size_t EdgesSeen = 0;
   std::vector<bool> WrongSlice;
   std::vector<uint32_t> Depth;
   std::vector<bool> ReachesCorrect;
   Adjacency ImplicitDependents;
-  Adjacency ImplicitPreds;
 
   // Updated by every answer.
   std::vector<bool> UserBenign;

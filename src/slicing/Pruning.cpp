@@ -16,14 +16,13 @@ std::vector<TraceIdx> eoe::slicing::pruneSlicing(ConfidenceAnalysis &CA,
   using support::StatsRegistry;
   const interp::ExecutionTrace &T = CA.trace();
 
-  // One from-scratch recompute per session: edges only change between
-  // sessions (Algorithm 2 line 19), and each answer below updates the
-  // analysis incrementally.
+  // Edges only change between sessions (Algorithm 2 line 19): absorb
+  // them once, then fold each answer below into the analysis.
   StatsRegistry::add(Stats, "slicing.prune_rounds");
   {
     support::ScopedTimer Timed(
-        Stats ? &Stats->timer("slicing.recompute_time") : nullptr);
-    CA.recompute(State.BenignMarks, State.KnownCorrupted);
+        Stats ? &Stats->timer("slicing.update_time") : nullptr);
+    CA.update();
   }
   const std::vector<TraceIdx> &Ranked = CA.prunedSlice();
 

@@ -56,16 +56,19 @@ struct PruneState {
   size_t UserPrunings = 0;
 };
 
-/// Runs one interactive pruning session: recomputes confidences once
-/// from scratch, asks the oracle about unresolved candidates in rank
-/// order -- folding each answer into \p CA incrementally -- and stops when
-/// the root cause is among the candidates or every remaining candidate
-/// is known corrupted. Returns the pruned slice, most suspicious first.
-/// When \p Stats is given, records the session's cost
-/// (slicing.prune_rounds -- one full recompute each --,
-/// slicing.recompute_time, slicing.oracle_queries, slicing.benign_marks,
-/// slicing.corrupted_marks) and the returned slice size
-/// (slicing.pruned_slice_size histogram).
+/// Runs one interactive pruning session: updates \p CA with the implicit
+/// edges added since the last session, asks the oracle about unresolved
+/// candidates in rank order -- folding each answer into \p CA -- and
+/// stops when the root cause is among the candidates or every remaining
+/// candidate is known corrupted. Returns the pruned slice, most
+/// suspicious first.
+///
+/// \p CA must already hold the answers in \p State: pass a fresh
+/// analysis with a fresh PruneState, and then the same pair to every
+/// later session. When \p Stats is given, records the session's cost
+/// (slicing.prune_rounds -- one per call --, slicing.update_time,
+/// slicing.oracle_queries, slicing.benign_marks, slicing.corrupted_marks)
+/// and the returned slice size (slicing.pruned_slice_size histogram).
 std::vector<TraceIdx> pruneSlicing(ConfidenceAnalysis &CA, Oracle &O,
                                    PruneState &State,
                                    support::StatsRegistry *Stats = nullptr);

@@ -42,7 +42,7 @@ foreach(Key
     "\"splice_time\"" "\"spliced_steps\"" "\"trace_bytes\""
     "\"ckpt.stored\"" "\"ckpt.capture_time\""
     "\"chain.runs\"" "\"chain.extended_steps\""
-    "\"prune_time\"" "\"recompute_time\"" "\"prune_rounds\""
+    "\"prune_time\"" "\"build_time\"" "\"update_time\"" "\"prune_rounds\""
     "\"counters\"" "\"timers\""
     "\"histograms\"")
   if(NOT LastLine MATCHES "${Key}")

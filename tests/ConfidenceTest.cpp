@@ -139,9 +139,10 @@ TEST(ConfidenceTest, BenignMarksPruneAndPropagate) {
 
   // The user vouches for b: b becomes correct, and through the
   // invertible +1 so does a.
-  CA.recompute({DefB});
-  EXPECT_TRUE(CA.inferredCorrect(DefB));
-  EXPECT_TRUE(CA.inferredCorrect(DefA));
+  ConfidenceAnalysis Marked(*S.Prog, G, nullptr, V,
+                            ConfidenceAnalysis::Options(), {DefB});
+  EXPECT_TRUE(Marked.inferredCorrect(DefB));
+  EXPECT_TRUE(Marked.inferredCorrect(DefA));
 }
 
 TEST(ConfidenceTest, PredicateWithVerifiedInputsIsNotSanitized) {
@@ -223,15 +224,16 @@ TEST(ConfidenceTest, Figure5ImplicitDependentsSanitizeTheirPredicate) {
   EXPECT_TRUE(CA2.inferredCorrect(If));
 }
 
-/// Expects \p Live to equal an analysis recomputed from scratch over the
-/// same graph with the same marks and pins.
-void expectSameAsRecompute(const ConfidenceAnalysis &Live, const Session &S,
-                           const ddg::DepGraph &G, const OutputVerdicts &V,
-                           const std::vector<TraceIdx> &Marks,
-                           const std::set<TraceIdx> &Pins) {
-  ConfidenceAnalysis Fresh(*S.Prog, G, nullptr, V);
-  Fresh.recompute(Marks, Pins);
+/// Expects \p Live to equal an analysis built from scratch over the same
+/// graph with the same marks and pins.
+void expectSameAsFresh(const ConfidenceAnalysis &Live, const Session &S,
+                       const ddg::DepGraph &G, const OutputVerdicts &V,
+                       const std::vector<TraceIdx> &Marks,
+                       const std::set<TraceIdx> &Pins) {
+  ConfidenceAnalysis Fresh(*S.Prog, G, nullptr, V,
+                           ConfidenceAnalysis::Options(), Marks, Pins);
   EXPECT_EQ(Live.prunedSlice(), Fresh.prunedSlice());
+  EXPECT_EQ(Live.wrongOutputSlice(), Fresh.wrongOutputSlice());
   for (TraceIdx I = 0; I < G.trace().size(); ++I) {
     EXPECT_EQ(Live.inferredCorrect(I), Fresh.inferredCorrect(I))
         << "instance " << I;
@@ -278,7 +280,7 @@ TEST(ConfidenceTest, IncrementalAnswersMatchRecomputeFromScratch) {
   CA.markCorrupted(DefW);
   Pins.insert(DefW);
   EXPECT_EQ(CA.prunedSlice(), Before);
-  expectSameAsRecompute(CA, S, G, V, Marks, Pins);
+  expectSameAsFresh(CA, S, G, V, Marks, Pins);
 
   // Vouching for a verifies t through the invertible + 1; the ranking
   // loses exactly those two and keeps its order. One implicit dependent
@@ -290,7 +292,7 @@ TEST(ConfidenceTest, IncrementalAnswersMatchRecomputeFromScratch) {
   EXPECT_FALSE(CA.inferredCorrect(If));
   std::erase_if(Before, [&](TraceIdx I) { return I == DefA || I == DefT; });
   EXPECT_EQ(CA.prunedSlice(), Before);
-  expectSameAsRecompute(CA, S, G, V, Marks, Pins);
+  expectSameAsFresh(CA, S, G, V, Marks, Pins);
 
   // Vouching for b too (u stays unverified: % is many-to-one) leaves
   // every implicit dependent of the predicate correct: Figure 5
@@ -301,13 +303,13 @@ TEST(ConfidenceTest, IncrementalAnswersMatchRecomputeFromScratch) {
   EXPECT_TRUE(CA.inferredCorrect(If));
   EXPECT_EQ(std::count(CA.prunedSlice().begin(), CA.prunedSlice().end(), If),
             0);
-  expectSameAsRecompute(CA, S, G, V, Marks, Pins);
+  expectSameAsFresh(CA, S, G, V, Marks, Pins);
 
   // Pinning the still-unverified u is free; pinning the inferred-correct
   // t withdraws that inference and puts t back among the candidates.
   CA.markCorrupted(DefU);
   Pins.insert(DefU);
-  expectSameAsRecompute(CA, S, G, V, Marks, Pins);
+  expectSameAsFresh(CA, S, G, V, Marks, Pins);
   CA.markCorrupted(DefT);
   Pins.insert(DefT);
   EXPECT_FALSE(CA.inferredCorrect(DefT));
@@ -315,7 +317,77 @@ TEST(ConfidenceTest, IncrementalAnswersMatchRecomputeFromScratch) {
   EXPECT_EQ(std::count(CA.prunedSlice().begin(), CA.prunedSlice().end(),
                        DefT),
             1);
-  expectSameAsRecompute(CA, S, G, V, Marks, Pins);
+  expectSameAsFresh(CA, S, G, V, Marks, Pins);
+}
+
+/// A guard both of whose stores feed the wrong output, without a
+/// correct output, for the update() tests.
+struct SilencedGuard {
+  Session S{"fn main() {\n"
+            "var p = input();\n"   // 2
+            "var t = 1;\n"         // 3
+            "var u = 2;\n"         // 4
+            "if (p) {\n"           // 5
+            "t = 5;\n"
+            "u = 6;\n"
+            "}\n"
+            "var a = t + 1;\n"     // 9
+            "var b = u % 3;\n"     // 10
+            "print(a + b);\n"      // 11 wrong
+            "}"};
+  ExecutionTrace T;
+  std::unique_ptr<ddg::DepGraph> G;
+  OutputVerdicts V;
+  TraceIdx DefP, If, DefA, DefB;
+
+  SilencedGuard() {
+    EXPECT_TRUE(S.valid());
+    T = S.run({0});
+    G = std::make_unique<ddg::DepGraph>(T);
+    V.WrongOutput = 0;
+    V.ExpectedValue = 6;
+    DefP = S.instanceAtLine(T, 2);
+    If = S.instanceAtLine(T, 5);
+    DefA = S.instanceAtLine(T, 9);
+    DefB = S.instanceAtLine(T, 10);
+  }
+};
+
+TEST(ConfidenceTest, UpdateSanitizesWhenEveryNewDependentIsCorrect) {
+  SilencedGuard F;
+  ConfidenceAnalysis CA(*F.S.Prog, *F.G, nullptr, F.V);
+  CA.markBenign(F.DefA);
+  ASSERT_TRUE(CA.inferredCorrect(F.DefA));
+  EXPECT_FALSE(CA.wrongOutputSlice()[F.If]);
+
+  // The guard's one dependent is correct before its edge arrives, so no
+  // answer will ever sanitize the guard: the update has to.
+  F.G->addImplicitEdge(F.DefA, F.If, false);
+  CA.update();
+  EXPECT_TRUE(CA.wrongOutputSlice()[F.If]);
+  EXPECT_TRUE(CA.inferredCorrect(F.If));
+  const std::vector<TraceIdx> &Ranked = CA.prunedSlice();
+  EXPECT_EQ(std::count(Ranked.begin(), Ranked.end(), F.If), 0);
+  EXPECT_EQ(std::count(Ranked.begin(), Ranked.end(), F.DefP), 1)
+      << "the guard's input joins the slice through the new edge";
+  expectSameAsFresh(CA, F.S, *F.G, F.V, {F.DefA}, {});
+}
+
+TEST(ConfidenceTest, UpdateWithdrawsASanitizationForADependentNotCorrect) {
+  SilencedGuard F;
+  F.G->addImplicitEdge(F.DefA, F.If, false);
+  ConfidenceAnalysis CA(*F.S.Prog, *F.G, nullptr, F.V,
+                        ConfidenceAnalysis::Options(), {F.DefA});
+  ASSERT_TRUE(CA.inferredCorrect(F.If));
+
+  // b is not correct: once it implicitly depends on the guard too, the
+  // guard no longer has only correct dependents.
+  F.G->addImplicitEdge(F.DefB, F.If, false);
+  CA.update();
+  EXPECT_FALSE(CA.inferredCorrect(F.If));
+  const std::vector<TraceIdx> &Ranked = CA.prunedSlice();
+  EXPECT_EQ(std::count(Ranked.begin(), Ranked.end(), F.If), 1);
+  expectSameAsFresh(CA, F.S, *F.G, F.V, {F.DefA}, {});
 }
 
 TEST(PruningTest, OracleLoopReachesMinimalSlice) {

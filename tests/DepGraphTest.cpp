@@ -92,14 +92,75 @@ TEST(DepGraphTest, ImplicitEdgesExtendTheClosure) {
 }
 
 TEST(DepGraphTest, DuplicateImplicitEdgesCollapse) {
-  Session S("fn main() { var x = 1; print(x); }");
+  Session S("fn main() { var x = 1; var y = 2; print(x); }");
   ASSERT_TRUE(S.valid());
   ExecutionTrace T = S.run();
   DepGraph G(T);
-  G.addImplicitEdge(1, 0, false);
-  G.addImplicitEdge(1, 0, true);
-  ASSERT_EQ(G.implicitEdges().size(), 1u);
+  G.addImplicitEdge(2, 1, false);
+  G.addImplicitEdge(0, 1, false);
+  G.addImplicitEdge(2, 0, false);
+  G.addImplicitEdge(2, 1, true);
+  ASSERT_EQ(G.implicitEdges().size(), 3u);
   EXPECT_TRUE(G.implicitEdges()[0].Strong) << "strength upgrades";
+  // A use's predicates come in the order their edges were added.
+  auto Preds = G.implicitPredsOf(2);
+  EXPECT_EQ(std::vector<TraceIdx>(Preds.begin(), Preds.end()),
+            (std::vector<TraceIdx>{1, 0}));
+  EXPECT_TRUE(G.implicitPredsOf(1).empty());
+}
+
+/// Expects \p Member and \p Depth to be the backward closure of \p Seeds
+/// over the graph's current edges.
+void expectClosure(const DepGraph &G, const std::vector<TraceIdx> &Seeds,
+                   const std::vector<bool> &Member,
+                   const std::vector<uint32_t> &Depth) {
+  std::vector<uint32_t> FreshDepth;
+  EXPECT_EQ(Member,
+            G.backwardClosure(Seeds, DepGraph::ClosureOptions(), &FreshDepth));
+  EXPECT_EQ(Depth, FreshDepth);
+}
+
+TEST(DepGraphTest, ExtendingAClosureEqualsRecomputingIt) {
+  const char *Src = "fn main() {\n"
+                    "var f = 0;\n"   // 2
+                    "var g = 0;\n"   // 3
+                    "var x = 1;\n"   // 4
+                    "if (f) {\n"     // 5
+                    "x = 3;\n"
+                    "}\n"
+                    "if (g) {\n"     // 8
+                    "x = 4;\n"
+                    "}\n"
+                    "print(x);\n"    // 11
+                    "}";
+  Session S(Src);
+  ASSERT_TRUE(S.valid());
+  ExecutionTrace T = S.run();
+  DepGraph G(T);
+  TraceIdx Print = S.instanceAtLine(T, 11);
+  TraceIdx IfF = S.instanceAtLine(T, 5), IfG = S.instanceAtLine(T, 8);
+  std::vector<uint32_t> Depth;
+  std::vector<bool> Member =
+      G.backwardClosure({Print}, DepGraph::ClosureOptions(), &Depth);
+  std::vector<bool> Plain = Member;
+
+  // Two edges in one extension. The first one's use enters the closure
+  // only through the second, and its predicate runs after its use.
+  G.addImplicitEdge(IfF, IfG, false);
+  G.addImplicitEdge(Print, IfF, false);
+  G.extendBackwardClosure(Member, &Depth, 0);
+  G.extendBackwardClosure(Plain, nullptr, 0);
+  expectClosure(G, {Print}, Member, Depth);
+  EXPECT_EQ(Plain, Member);
+  EXPECT_EQ(Depth[IfG], 2u);
+  EXPECT_EQ(Depth[S.instanceAtLine(T, 3)], 3u);
+
+  // A shortcut to a member lowers its depth and its predecessors'.
+  G.addImplicitEdge(Print, IfG, false);
+  G.extendBackwardClosure(Member, &Depth, 2);
+  expectClosure(G, {Print}, Member, Depth);
+  EXPECT_EQ(Depth[IfG], 1u);
+  EXPECT_EQ(Depth[S.instanceAtLine(T, 3)], 2u);
 }
 
 TEST(DepGraphTest, DepthMeasuresDependenceDistance) {

@@ -195,6 +195,41 @@ TEST_P(RandomProgramProperty, ClosuresObeySlicingLaws) {
   CheckLaws("with implicit edges");
 }
 
+// Adding edges only grows a closure (the laws above), so a closure can
+// be extended instead of recomputed. Random implicit edges arrive one at
+// a time, pointing either way in the trace, and about half from a use
+// outside the closure, which may join it only through a later edge.
+// After each one the extended closures, with and without depths, must
+// equal a from-scratch closure.
+TEST_P(RandomProgramProperty, ExtendedClosuresEqualRecomputedOnes) {
+  ddg::DepGraph G(T);
+  const ddg::DepGraph::ClosureOptions All;
+  std::mt19937_64 Rng(GetParam());
+  auto Pick = [&] { return static_cast<TraceIdx>(Rng() % T.size()); };
+  const std::vector<TraceIdx> Seeds{T.Outputs.back().Step};
+  std::vector<uint32_t> Depth;
+  std::vector<bool> Member = G.backwardClosure(Seeds, All, &Depth);
+  std::vector<bool> Plain = Member;
+  for (int E = 0; E < 24; ++E) {
+    TraceIdx P = Pick(), U = Pick();
+    bool Inside = Rng() % 2 == 0;
+    for (int Try = 0; Try < 8 && (Member[U] != Inside || U == P); ++Try)
+      U = Pick();
+    if (U == P)
+      continue;
+    size_t First = G.implicitEdges().size();
+    G.addImplicitEdge(U, P, /*Strong=*/false);
+    G.extendBackwardClosure(Member, &Depth, First);
+    G.extendBackwardClosure(Plain, nullptr, First);
+    std::vector<uint32_t> FreshDepth;
+    std::vector<bool> Fresh = G.backwardClosure(Seeds, All, &FreshDepth);
+    ASSERT_EQ(Member, Fresh) << "membership after edge " << U << " <- " << P;
+    ASSERT_EQ(Depth, FreshDepth) << "depths after edge " << U << " <- " << P;
+    ASSERT_EQ(Plain, Fresh) << "depth-free extension after edge " << U
+                            << " <- " << P;
+  }
+}
+
 TEST_P(RandomProgramProperty, DynamicSliceIsSubsetOfRelevantSlice) {
   ddg::DepGraph G(T);
   slicing::PotentialDepAnalyzer PD(*S->SA, T);

@@ -23,9 +23,13 @@
 // root-only locate to find the implicit edges and the failure chain,
 // then pruning sessions with the chain oracle while those edges arrive
 // in stages -- and at every oracle question compares the live analysis
-// with one recomputed from scratch on the same marks and pins: the
+// with one built from scratch on the same edges, marks and pins: the
 // ranking, every instance's verdict and confidence, and that the
-// question is the one the from-scratch ranking poses.
+// question is the one the from-scratch ranking poses. The last two stages
+// add edges that only the Figure 5 rule can absorb: edges from correct
+// instances into predicates without dependents, which the update must
+// sanitize, then an edge from an instance not correct into a sanitized
+// predicate, which the update must un-sanitize.
 //
 // --fuzz=resume is the differential oracle of checkpoint resume. Each
 // seed records a random program's trace E the way DebugSession does: the
@@ -60,8 +64,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -571,7 +577,8 @@ bool runChainSeed(uint64_t Seed, bool Verbose, ChainTally &T) {
 
 //===----------------------------------------------------------------------===//
 // Prune fuzzing: the incremental confidence analysis must be
-// indistinguishable from recomputing it from scratch after every answer.
+// indistinguishable from building it from scratch after every answer and
+// every batch of edges.
 //===----------------------------------------------------------------------===//
 
 struct PruneTally {
@@ -581,6 +588,8 @@ struct PruneTally {
   size_t Benign = 0;
   size_t Edges = 0;
   size_t Sanitized = 0;
+  size_t Absorbed = 0;  // predicates sanitized by an update
+  size_t Withdrawn = 0; // sanitizations an update took back
   size_t Failures = 0;
 };
 
@@ -602,9 +611,9 @@ std::string firstDifference(const slicing::ConfidenceAnalysis &Live,
 
 /// The paper's chain oracle (instances off the failure chain are
 /// benign) that, before answering, checks the live analysis against a
-/// from-scratch one and the question against the one the per-answer
-/// recompute loop would pose. A mismatch ends the session by throwing:
-/// a diverged analysis may never run out of questions.
+/// from-scratch one and the question against the one a from-scratch
+/// analysis after every answer would pose. A mismatch ends the session
+/// by throwing: a diverged analysis may never run out of questions.
 class CheckingOracle : public slicing::Oracle {
 public:
   CheckingOracle(const core::DebugSession &S, const ddg::DepGraph &G,
@@ -628,9 +637,10 @@ public:
   void check(TraceIdx Asked) {
     if (!Mismatch.empty())
       return;
-    slicing::ConfidenceAnalysis Fresh(S.program(), G, &S.profile().Values,
-                                      S.verdicts());
-    Fresh.recompute(State.BenignMarks, State.KnownCorrupted);
+    slicing::ConfidenceAnalysis Fresh(
+        S.program(), G, &S.profile().Values, S.verdicts(),
+        slicing::ConfidenceAnalysis::Options(), State.BenignMarks,
+        State.KnownCorrupted);
     Mismatch = firstDifference(Live, Fresh);
     if (!Mismatch.empty() || Asked == InvalidId)
       return;
@@ -727,29 +737,89 @@ bool runPruneSeed(uint64_t Seed, bool Verbose, PruneTally &T) {
 
   slicing::PruneState State;
   CheckingOracle O(A, G, Live, State, Root, Chain);
-  size_t Added = 0;
-  for (size_t Stage : {Synthetic, Synthetic + Edges.size() / 2,
-                       Staged.size()}) {
-    for (; Added < Stage; ++Added)
-      G.addImplicitEdge(Staged[Added].Use, Staged[Added].Pred,
-                        Staged[Added].Strong);
+  // One pruning session after adding Add; false once the live analysis
+  // diverged (O.Mismatch says why).
+  auto Session = [&](std::span<const ddg::DepGraph::ImplicitEdge> Add) {
+    for (const ddg::DepGraph::ImplicitEdge &E : Add)
+      G.addImplicitEdge(E.Use, E.Pred, E.Strong);
     std::vector<TraceIdx> Ranked;
     try {
       Ranked = slicing::pruneSlicing(Live, O, State);
     } catch (const std::runtime_error &) {
-      break; // O.Mismatch says why.
+      return false;
     }
     O.check(InvalidId);
     if (O.Mismatch.empty() && Ranked != Live.prunedSlice())
       O.Mismatch = "returned slice differs from the analysis' ranking";
+    return O.Mismatch.empty();
+  };
+  std::span<const ddg::DepGraph::ImplicitEdge> StagedSpan(Staged);
+  const size_t Half = Synthetic + Edges.size() / 2;
+  bool Ok = Session(StagedSpan.subspan(0, Synthetic)) &&
+            Session(StagedSpan.subspan(Synthetic, Half - Synthetic)) &&
+            Session(StagedSpan.subspan(Half));
+
+  // Every predicate staged so far also has a dependent the oracle is
+  // yet to answer for, so its sanitizing happens inside a session. The
+  // last two sessions leave it to the update: first, predicates without
+  // a dependent get edges from instances already inferred correct; then
+  // a sanitized predicate gets one from an instance that is not.
+  auto IsSanitized = [&](TraceIdx P) {
+    return Live.inferredCorrect(P) &&
+           std::ranges::find(State.BenignMarks, P) == State.BenignMarks.end();
+  };
+  auto Linked = [&] {
+    std::set<TraceIdx> Out;
+    for (const ddg::DepGraph::ImplicitEdge &E : G.implicitEdges())
+      Out.insert(E.Pred);
+    return Out;
+  };
+  auto InSlice = [&](bool Correct) {
+    std::vector<TraceIdx> Out;
+    for (TraceIdx I = 0; I < A.trace().size(); ++I)
+      if (Live.wrongOutputSlice()[I] && Live.inferredCorrect(I) == Correct)
+        Out.push_back(I);
+    return Out;
+  };
+  std::vector<ddg::DepGraph::ImplicitEdge> Add;
+  std::set<TraceIdx> Targets;
+  if (std::vector<TraceIdx> Correct = InSlice(true);
+      Ok && !Correct.empty() && !Preds.empty()) {
+    std::set<TraceIdx> Taken = Linked();
+    for (int N = 0; N < 4; ++N) {
+      TraceIdx P = Preds[Rng() % Preds.size()];
+      if (Taken.count(P) || Live.inferredCorrect(P))
+        continue;
+      Targets.insert(P);
+      for (size_t D = 1 + Rng() % 3; D > 0; --D)
+        if (TraceIdx U = Correct[Rng() % Correct.size()]; U != P)
+          Add.push_back({U, P, false});
+    }
+    Ok = Session(Add);
+    T.Absorbed += std::ranges::count_if(Targets, IsSanitized);
+  }
+  Add.clear();
+  Targets.clear();
+  if (std::vector<TraceIdx> Open = InSlice(false); Ok && !Open.empty()) {
+    std::vector<TraceIdx> Sanitized;
+    std::ranges::copy_if(Linked(), std::back_inserter(Sanitized),
+                         IsSanitized);
+    for (int N = 0; N < 2 && !Sanitized.empty(); ++N) {
+      TraceIdx P = Sanitized[Rng() % Sanitized.size()];
+      if (TraceIdx U = Open[Rng() % Open.size()]; U != P) {
+        Targets.insert(P);
+        Add.push_back({U, P, false});
+      }
+    }
+    Session(Add);
+    T.Withdrawn += std::ranges::count_if(
+        Targets, [&](TraceIdx P) { return !Live.inferredCorrect(P); });
   }
 
-  std::set<TraceIdx> Marked(State.BenignMarks.begin(),
-                            State.BenignMarks.end());
   std::set<TraceIdx> SanitizedPreds;
-  for (const ddg::DepGraph::ImplicitEdge &E : G.implicitEdges())
-    if (Live.inferredCorrect(E.Pred) && !Marked.count(E.Pred))
-      SanitizedPreds.insert(E.Pred);
+  std::ranges::copy_if(Linked(),
+                       std::inserter(SanitizedPreds, SanitizedPreds.end()),
+                       IsSanitized);
   const size_t Sanitized = SanitizedPreds.size();
   T.Questions += O.Questions;
   T.Benign += O.Benign;
@@ -823,10 +893,12 @@ int main(int Argc, char **Argv) {
     PruneTally T;
     for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
       runPruneSeed(Seed, Verbose, T);
-    // Benign answers, corrupted answers and Figure 5 sanitizing are what
-    // the incremental paths exist for; a run without them tests nothing.
+    // Benign answers, corrupted answers and Figure 5 sanitizing, in a
+    // session and at an update, are what the incremental paths exist
+    // for; a run without them tests nothing.
     if (T.Generated > T.Masked &&
-        (T.Benign == 0 || T.Benign == T.Questions || T.Sanitized == 0)) {
+        (T.Benign == 0 || T.Benign == T.Questions || T.Sanitized == 0 ||
+         T.Absorbed == 0 || T.Withdrawn == 0)) {
       std::printf("prune fuzzing lacked benign answers, corrupted answers "
                   "or sanitized predicates -- the incremental paths are "
                   "not exercised\n");
@@ -834,10 +906,11 @@ int main(int Argc, char **Argv) {
     }
     std::printf("prune-fuzzed %zu programs in %s s: %zu masked, %zu "
                 "questions (%zu benign), %zu implicit edges, %zu sanitized "
-                "predicates, %zu violations\n",
+                "predicates, updates sanitized %zu and withdrew %zu, %zu "
+                "violations\n",
                 T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
                 T.Masked, T.Questions, T.Benign, T.Edges, T.Sanitized,
-                T.Failures);
+                T.Absorbed, T.Withdrawn, T.Failures);
     return T.Failures == 0 ? 0 : 1;
   }
   if (Mode == "resume") {
