@@ -14,13 +14,25 @@ using namespace eoe::core;
 using namespace eoe::interp;
 using namespace eoe::slicing;
 
+namespace {
+
+/// The program's static analysis, built under its own span.
+analysis::StaticAnalysis analyzeProgram(const lang::Program &Prog,
+                                        support::EventTracer *Tracer) {
+  support::EventTracer::Span Span(Tracer, "static_analysis", "analysis");
+  return analysis::StaticAnalysis(Prog);
+}
+
+} // namespace
+
 DebugSession::DebugSession(const lang::Program &Prog,
                            std::vector<int64_t> FailingInputIn,
                            std::vector<int64_t> ExpectedOutputsIn,
                            std::vector<std::vector<int64_t>> TestSuite,
                            Config CIn)
     : Prog(Prog), FailingInput(std::move(FailingInputIn)),
-      ExpectedOutputs(std::move(ExpectedOutputsIn)), C(CIn), SA(Prog),
+      ExpectedOutputs(std::move(ExpectedOutputsIn)), C(CIn),
+      SA(analyzeProgram(Prog, CIn.Opt.Exec.Tracer)),
       Interp(Prog, SA, CIn.Opt.Exec.Stats), Prof(Prog.statements().size()) {
   {
     support::EventTracer::Span ProfileSpan(C.Opt.Exec.Tracer, "profile",
@@ -62,11 +74,15 @@ DebugSession::DebugSession(const lang::Program &Prog,
     support::EventTracer::Span GraphSpan(C.Opt.Exec.Tracer, "graph", "ddg");
     Graph = std::make_unique<ddg::DepGraph>(Trace);
   }
-  PD = std::make_unique<PotentialDepAnalyzer>(
-      SA, Trace, C.PDBackend,
-      C.PDBackend == PotentialDepAnalyzer::Backend::UnionGraph
-          ? &Prof.UnionDeps
-          : nullptr);
+  {
+    support::EventTracer::Span PDSpan(C.Opt.Exec.Tracer, "pd.build", "slicing");
+    PD = std::make_unique<PotentialDepAnalyzer>(
+        SA, Trace, C.PDBackend,
+        C.PDBackend == PotentialDepAnalyzer::Backend::UnionGraph
+            ? &Prof.UnionDeps
+            : nullptr);
+  }
+  support::EventTracer::Span VerifySpan(C.Opt.Exec.Tracer, "verify.init", "core");
   ImplicitDepVerifier::Config VC;
   VC.MaxSteps = C.Locate.MaxSteps;
   VC.UsePathCheck = C.Locate.UsePathCheck;

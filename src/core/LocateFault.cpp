@@ -119,8 +119,10 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
           VerifiedUse VU;
           VU.Use = I;
           VU.Load = Use.LoadExpr;
+          support::EventTracer::Span QuerySpan(Tracer, "pd.query", "slicing");
           std::vector<TraceIdx> Candidates =
               PD.compute(I, Use, Config.OnePerPredicate);
+          QuerySpan.end();
           if (!CandidateRequests) {
             CandidateRequests = &Reg.counter("locate.candidate_requests");
             CandidatesPerUse = &Reg.histogram("locate.candidates_per_use");
@@ -188,6 +190,7 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
     // edges added here do not change which targets are tested.
     const std::vector<bool> &Slice = CA.wrongOutputSlice();
     size_t FanoutRequests = 0;
+    support::EventTracer::Span FanoutSpan(Tracer, "locate.fanout", "core");
     for (TraceIdx P : Winners) {
       G.addImplicitEdge(ToCommit->Use, P, UseStrong);
       ++Report.ExpandedEdges;
@@ -214,6 +217,7 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
         }
       }
     }
+    FanoutSpan.end();
     if (Config.VerifyFanout) {
       if (!FanoutRequestCount)
         FanoutRequestCount = &Reg.counter("locate.fanout_requests");

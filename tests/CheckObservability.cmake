@@ -57,7 +57,8 @@ file(READ "${TraceFile}" Trace)
 if(NOT Trace MATCHES "\"traceEvents\":\\[")
   message(FATAL_ERROR "not a Chrome trace document:\n${Trace}")
 endif()
-foreach(Span "interpret" "align" "verify" "locate")
+foreach(Span "interpret" "align" "verify" "locate"
+    "static_analysis" "pd.build" "verify.init")
   if(NOT Trace MATCHES "\"name\":\"${Span}\"")
     message(FATAL_ERROR "trace lacks the ${Span} span:\n${Trace}")
   endif()
