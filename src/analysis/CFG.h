@@ -19,6 +19,7 @@
 #include "lang/AST.h"
 #include "support/Ids.h"
 
+#include <span>
 #include <vector>
 
 namespace eoe {
@@ -27,8 +28,11 @@ namespace analysis {
 /// A control-flow graph for one function.
 ///
 /// Node numbering: node 0 is Entry, node 1 is Exit, statement nodes follow.
-/// Predicate nodes have exactly two successors: Succs[0] is the target when
-/// the condition is true, Succs[1] when it is false.
+/// A node keeps its successors inline (a statement has at most two), and
+/// the graph keeps every node's predecessors in one array, so building a
+/// function's graph allocates three arrays whatever its size. Predicate
+/// nodes have exactly two successors: the first is the target when the
+/// condition is true, the second when it is false.
 class CFG {
 public:
   static constexpr uint32_t EntryNode = 0;
@@ -37,8 +41,8 @@ public:
   struct Node {
     /// The statement this node represents; InvalidId for Entry/Exit.
     StmtId Stmt = InvalidId;
-    std::vector<uint32_t> Succs;
-    std::vector<uint32_t> Preds;
+    uint32_t Succs[2] = {InvalidId, InvalidId};
+    uint32_t NumSuccs = 0;
   };
 
   /// Builds the CFG of \p F (whose nodes belong to \p Prog).
@@ -48,22 +52,31 @@ public:
   const Node &node(uint32_t Index) const { return Nodes.at(Index); }
   size_t size() const { return Nodes.size(); }
 
-  /// Returns the node index of \p Stmt; InvalidId if the statement is not
-  /// part of this function.
-  uint32_t nodeOf(StmtId Stmt) const;
+  /// The successors of node \p Index; a branch's true target first.
+  std::span<const uint32_t> succs(uint32_t Index) const {
+    const Node &N = Nodes[Index];
+    return {N.Succs, N.NumSuccs};
+  }
 
-  /// True if \p Node branches (it has two successors).
-  bool isBranch(uint32_t Node) const { return Nodes[Node].Succs.size() == 2; }
+  /// The predecessors of node \p Index in increasing node order; a branch
+  /// whose two targets are both \p Index appears twice.
+  std::span<const uint32_t> preds(uint32_t Index) const {
+    return {PredList.data() + PredStart[Index],
+            PredList.data() + PredStart[Index + 1]};
+  }
 
-  /// Returns the successor of branch node \p Node for outcome \p Taken.
-  uint32_t branchTarget(uint32_t Node, bool Taken) const {
-    return Nodes[Node].Succs[Taken ? 0 : 1];
+  /// True if node \p Index branches (it has two successors).
+  bool isBranch(uint32_t Index) const { return Nodes[Index].NumSuccs == 2; }
+
+  /// Returns the successor of branch node \p Index for outcome \p Taken.
+  uint32_t branchTarget(uint32_t Index, bool Taken) const {
+    return Nodes[Index].Succs[Taken ? 0 : 1];
   }
 
 private:
   std::vector<Node> Nodes;
-  /// Maps global StmtId to node index (only statements of this function).
-  std::vector<std::pair<StmtId, uint32_t>> StmtToNode;
+  std::vector<uint32_t> PredStart; // size() + 1 offsets into PredList
+  std::vector<uint32_t> PredList;
 };
 
 } // namespace analysis

@@ -26,12 +26,15 @@
 #include "analysis/CFG.h"
 #include "support/Ids.h"
 
+#include <span>
 #include <vector>
 
 namespace eoe {
 namespace analysis {
 
-/// Control dependences of one function's statements.
+/// Control dependences of one function's statements, indexed by CFG node.
+/// Both tables are compressed-sparse-row arrays, so a function's
+/// dependences take four allocations whatever its size.
 class ControlDependence {
 public:
   /// One direct control dependence: the dependent statement executes iff
@@ -45,31 +48,29 @@ public:
   /// Computes control dependence for \p G using its post-dominator tree.
   static ControlDependence build(const CFG &G);
 
-  /// Direct control-dependence parents of \p Stmt (usually one; multiple
-  /// in the presence of break/continue/return). Empty when the statement
-  /// is only control dependent on function entry.
-  const std::vector<Parent> &parents(StmtId Stmt) const;
+  /// Direct control-dependence parents of the statement at CFG node
+  /// \p Node (usually one; multiple in the presence of
+  /// break/continue/return), in order of their predicates' nodes, true
+  /// outcome first. Empty when the statement is only control dependent
+  /// on function entry.
+  std::span<const Parent> parents(uint32_t Node) const {
+    return {Parents.data() + ParentStart[Node],
+            Parents.data() + ParentStart[Node + 1]};
+  }
 
-  /// Direct control-dependence children of predicate \p Pred under outcome
-  /// \p Branch, in CFG construction order.
-  const std::vector<StmtId> &children(StmtId Pred, bool Branch) const;
-
-  /// All statements of this function that have control-dependence entries.
-  const std::vector<StmtId> &statements() const { return Stmts; }
+  /// Direct control-dependence children of the predicate at CFG node
+  /// \p Node under outcome \p Branch, from the branch target up the
+  /// post-dominator tree.
+  std::span<const StmtId> children(uint32_t Node, bool Branch) const {
+    uint32_t Slot = 2 * Node + (Branch ? 0 : 1);
+    return {Kids.data() + KidStart[Slot], Kids.data() + KidStart[Slot + 1]};
+  }
 
 private:
-  struct PerStmt {
-    std::vector<Parent> Parents;
-    std::vector<StmtId> TrueKids;
-    std::vector<StmtId> FalseKids;
-  };
-
-  const PerStmt *find(StmtId Stmt) const;
-
-  std::vector<StmtId> Stmts;                  // sorted
-  std::vector<PerStmt> Info;                  // parallel to Stmts
-  static const std::vector<Parent> EmptyParents;
-  static const std::vector<StmtId> EmptyKids;
+  std::vector<uint32_t> ParentStart; // per node, offsets into Parents
+  std::vector<Parent> Parents;
+  std::vector<uint32_t> KidStart; // per (node, outcome), offsets into Kids
+  std::vector<StmtId> Kids;
 };
 
 } // namespace analysis

@@ -18,6 +18,7 @@ const std::vector<StmtId> StaticAnalysis::NoDefs;
 
 StaticAnalysis::StaticAnalysis(const lang::Program &Prog) : Prog(Prog) {
   StmtFunc.assign(Prog.statements().size(), InvalidId);
+  StmtNode.assign(Prog.statements().size(), InvalidId);
   DefVar.assign(Prog.statements().size(), InvalidId);
   VarDefs.assign(Prog.variables().size(), {});
   StmtCallees.assign(Prog.statements().size(), {});
@@ -30,9 +31,15 @@ StaticAnalysis::StaticAnalysis(const lang::Program &Prog) : Prog(Prog) {
       VarDefs[G->var()].push_back(G->id());
   }
 
+  CFGs.reserve(Prog.functions().size());
+  CDs.reserve(Prog.functions().size());
   for (Function *F : Prog.functions()) {
     CFGs.push_back(CFG::build(Prog, *F));
     CDs.push_back(ControlDependence::build(CFGs.back()));
+    const std::vector<CFG::Node> &Nodes = CFGs.back().nodes();
+    for (uint32_t N = 0; N < Nodes.size(); ++N)
+      if (isValidId(Nodes[N].Stmt))
+        StmtNode[Nodes[N].Stmt] = N;
     indexFunction(*F);
   }
 }
@@ -133,21 +140,19 @@ void StaticAnalysis::indexStmt(const lang::Stmt *S, FuncId F) {
   }
 }
 
-const std::vector<ControlDependence::Parent> &
+std::span<const ControlDependence::Parent>
 StaticAnalysis::cdParents(StmtId Stmt) const {
   FuncId F = StmtFunc.at(Stmt);
-  if (!isValidId(F)) {
-    static const std::vector<ControlDependence::Parent> Empty;
-    return Empty;
-  }
-  return CDs[F].parents(Stmt);
+  if (!isValidId(F))
+    return {};
+  return CDs[F].parents(StmtNode[Stmt]);
 }
 
-const std::vector<StmtId> &StaticAnalysis::cdChildren(StmtId Pred,
-                                                      bool Branch) const {
+std::span<const StmtId> StaticAnalysis::cdChildren(StmtId Pred,
+                                                   bool Branch) const {
   FuncId F = StmtFunc.at(Pred);
   assert(isValidId(F) && "predicate outside any function");
-  return CDs[F].children(Pred, Branch);
+  return CDs[F].children(StmtNode[Pred], Branch);
 }
 
 bool StaticAnalysis::cdRegionContains(StmtId Pred, bool Branch,
@@ -199,10 +204,8 @@ bool StaticAnalysis::mayReach(StmtId From, StmtId To) const {
     return true; // Conservative across functions.
 
   const CFG &G = CFGs[FF];
-  uint32_t FromNode = G.nodeOf(From);
-  uint32_t ToNode = G.nodeOf(To);
-  if (FromNode == InvalidId || ToNode == InvalidId)
-    return true;
+  uint32_t FromNode = StmtNode[From];
+  uint32_t ToNode = StmtNode[To];
 
   auto Key = std::make_pair(FF, FromNode);
   auto It = ReachCache.find(Key);
@@ -211,7 +214,7 @@ bool StaticAnalysis::mayReach(StmtId From, StmtId To) const {
     std::deque<uint32_t> Work;
     // Reachability *from* From: start at its successors so a statement
     // does not trivially reach itself unless it sits on a cycle.
-    for (uint32_t S : G.node(FromNode).Succs)
+    for (uint32_t S : G.succs(FromNode))
       Work.push_back(S);
     while (!Work.empty()) {
       uint32_t N = Work.front();
@@ -219,7 +222,7 @@ bool StaticAnalysis::mayReach(StmtId From, StmtId To) const {
       if (Seen[N])
         continue;
       Seen[N] = true;
-      for (uint32_t S : G.node(N).Succs)
+      for (uint32_t S : G.succs(N))
         Work.push_back(S);
     }
     It = ReachCache.emplace(Key, std::move(Seen)).first;

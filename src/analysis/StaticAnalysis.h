@@ -28,6 +28,7 @@
 #include "lang/AST.h"
 
 #include <map>
+#include <span>
 #include <vector>
 
 namespace eoe {
@@ -47,10 +48,10 @@ public:
   FuncId functionOf(StmtId Stmt) const { return StmtFunc.at(Stmt); }
 
   /// Direct static control-dependence parents of \p Stmt.
-  const std::vector<ControlDependence::Parent> &cdParents(StmtId Stmt) const;
+  std::span<const ControlDependence::Parent> cdParents(StmtId Stmt) const;
 
   /// Direct static control-dependence children of (\p Pred, \p Branch).
-  const std::vector<StmtId> &cdChildren(StmtId Pred, bool Branch) const;
+  std::span<const StmtId> cdChildren(StmtId Pred, bool Branch) const;
 
   /// True if \p Stmt is inside the code guarded by predicate \p Pred
   /// taking outcome \p Branch: the transitive control-dependence region,
@@ -96,6 +97,7 @@ private:
   std::vector<CFG> CFGs;                    // indexed by FuncId
   std::vector<ControlDependence> CDs;       // indexed by FuncId
   std::vector<FuncId> StmtFunc;             // indexed by StmtId
+  std::vector<uint32_t> StmtNode; // indexed by StmtId: its node in its CFG
   std::vector<VarId> DefVar;                // indexed by StmtId
   std::vector<std::vector<StmtId>> VarDefs; // indexed by VarId
   std::vector<std::vector<FuncId>> StmtCallees; // indexed by StmtId

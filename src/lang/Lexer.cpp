@@ -9,7 +9,8 @@
 
 #include "support/Diagnostic.h"
 
-#include <cctype>
+#include <algorithm>
+#include <limits>
 
 using namespace eoe;
 using namespace eoe::lang;
@@ -97,15 +98,66 @@ const char *lang::tokenKindName(TokenKind Kind) {
 Lexer::Lexer(std::string_view Source, DiagnosticEngine &Diags)
     : Source(Source), Diags(Diags) {}
 
+namespace {
+
+// Character classes of the C locale, tested directly: bytes past ASCII
+// are in none of them.
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+bool isIdentChar(char C) { return isIdentStart(C) || isDigit(C); }
+/// Space, \t, \n, \v, \f and \r.
+bool isSpace(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
+
+/// The keyword spelled \p Text, or Identifier; one comparison per keyword
+/// of that length.
+TokenKind keywordKind(std::string_view Text) {
+  switch (Text.size()) {
+  case 2:
+    if (Text == "fn")
+      return TokenKind::KwFn;
+    if (Text == "if")
+      return TokenKind::KwIf;
+    break;
+  case 3:
+    if (Text == "var")
+      return TokenKind::KwVar;
+    break;
+  case 4:
+    if (Text == "else")
+      return TokenKind::KwElse;
+    break;
+  case 5:
+    if (Text == "while")
+      return TokenKind::KwWhile;
+    if (Text == "break")
+      return TokenKind::KwBreak;
+    if (Text == "print")
+      return TokenKind::KwPrint;
+    if (Text == "input")
+      return TokenKind::KwInput;
+    break;
+  case 6:
+    if (Text == "return")
+      return TokenKind::KwReturn;
+    break;
+  case 8:
+    if (Text == "continue")
+      return TokenKind::KwContinue;
+    break;
+  }
+  return TokenKind::Identifier;
+}
+
+} // namespace
+
 std::vector<Token> Lexer::lexAll() {
   std::vector<Token> Tokens;
-  while (true) {
-    Token T = next();
-    bool Done = T.is(TokenKind::EndOfFile);
-    Tokens.push_back(std::move(T));
-    if (Done)
-      return Tokens;
-  }
+  do
+    Tokens.push_back(next());
+  while (!Tokens.back().is(TokenKind::EndOfFile));
+  return Tokens;
 }
 
 char Lexer::peek(size_t Ahead) const {
@@ -116,23 +168,21 @@ char Lexer::advance() {
   char C = Source[Pos++];
   if (C == '\n') {
     ++Line;
-    Col = 1;
-  } else {
-    ++Col;
+    LineStart = Pos;
   }
   return C;
 }
 
 void Lexer::skipTrivia() {
   while (!atEnd()) {
-    char C = peek();
-    if (std::isspace(static_cast<unsigned char>(C))) {
+    char C = Source[Pos];
+    if (isSpace(C)) {
       advance();
       continue;
     }
     if (C == '/' && peek(1) == '/') {
-      while (!atEnd() && peek() != '\n')
-        advance();
+      // The comment ends at its newline, which the next pass consumes.
+      Pos = std::min(Source.find('\n', Pos), Source.size());
       continue;
     }
     return;
@@ -140,49 +190,36 @@ void Lexer::skipTrivia() {
 }
 
 Token Lexer::lexIdentifierOrKeyword(SourceLoc Loc) {
-  std::string Text;
-  while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                      peek() == '_'))
-    Text += advance();
-
-  TokenKind Kind = TokenKind::Identifier;
-  if (Text == "var")
-    Kind = TokenKind::KwVar;
-  else if (Text == "fn")
-    Kind = TokenKind::KwFn;
-  else if (Text == "if")
-    Kind = TokenKind::KwIf;
-  else if (Text == "else")
-    Kind = TokenKind::KwElse;
-  else if (Text == "while")
-    Kind = TokenKind::KwWhile;
-  else if (Text == "break")
-    Kind = TokenKind::KwBreak;
-  else if (Text == "continue")
-    Kind = TokenKind::KwContinue;
-  else if (Text == "return")
-    Kind = TokenKind::KwReturn;
-  else if (Text == "print")
-    Kind = TokenKind::KwPrint;
-  else if (Text == "input")
-    Kind = TokenKind::KwInput;
-
+  size_t Start = Pos;
+  while (!atEnd() && isIdentChar(Source[Pos]))
+    ++Pos;
   Token T;
-  T.Kind = Kind;
+  T.Text = Source.substr(Start, Pos - Start);
+  T.Kind = keywordKind(T.Text);
   T.Loc = Loc;
-  T.Text = std::move(Text);
   return T;
 }
 
 Token Lexer::lexNumber(SourceLoc Loc) {
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
   int64_t Value = 0;
-  while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-    Value = Value * 10 + (advance() - '0');
+  bool TooLarge = false;
+  while (!atEnd() && isDigit(Source[Pos])) {
+    int Digit = Source[Pos++] - '0';
+    TooLarge = TooLarge || Value > (Max - Digit) / 10;
+    if (!TooLarge)
+      Value = Value * 10 + Digit;
+  }
 
   Token T;
   T.Kind = TokenKind::IntLiteral;
   T.Loc = Loc;
   T.Value = Value;
+  if (TooLarge) {
+    Diags.error(Loc, "integer literal too large");
+    T.Kind = TokenKind::Unknown;
+    T.Value = 0;
+  }
   return T;
 }
 
@@ -238,13 +275,13 @@ Token Lexer::next() {
     return T;
   }
 
-  char C = peek();
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_')
+  char C = Source[Pos];
+  if (isIdentStart(C))
     return lexIdentifierOrKeyword(Loc);
-  if (std::isdigit(static_cast<unsigned char>(C)))
+  if (isDigit(C))
     return lexNumber(Loc);
 
-  advance();
+  ++Pos; // Not a newline: skipTrivia consumed those.
   switch (C) {
   case '\'':
     return lexCharLiteral(Loc);

@@ -7,8 +7,10 @@
 ///
 /// \file
 /// Hand-written lexer for Siml. Supports // line comments, decimal integer
-/// literals, and character literals ('a' lexes as the character code, so
-/// workload sources can compare input bytes readably).
+/// literals up to INT64_MAX, and character literals ('a' lexes as the
+/// character code, so workload sources can compare input bytes readably).
+/// Tokens view the source buffer instead of copying their spelling, so the
+/// buffer must outlive them; lexing allocates only the token vector.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +40,9 @@ private:
   char peek(size_t Ahead = 0) const;
   char advance();
   bool atEnd() const { return Pos >= Source.size(); }
-  SourceLoc here() const { return {Line, Col}; }
+  SourceLoc here() const {
+    return {Line, static_cast<uint32_t>(Pos - LineStart + 1)};
+  }
   void skipTrivia();
   Token lexIdentifierOrKeyword(SourceLoc Loc);
   Token lexNumber(SourceLoc Loc);
@@ -48,7 +52,7 @@ private:
   DiagnosticEngine &Diags;
   size_t Pos = 0;
   uint32_t Line = 1;
-  uint32_t Col = 1;
+  size_t LineStart = 0; // offset of the current line's first byte
 };
 
 } // namespace lang

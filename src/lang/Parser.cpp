@@ -155,18 +155,19 @@ void Parser::parseTopLevel() {
 
 void Parser::parseGlobalDecl() {
   Stmt *S = parseVarDecl();
-  if (auto *Decl = dyn_cast<VarDeclStmt>(S)) {
-    int64_t Unused;
-    if (Decl->init() && !evaluateConstant(Decl->init(), Unused))
-      Diags.error(Decl->loc(), "global initializer must be a constant");
-    Prog->addGlobal(Decl);
-  }
+  if (!S)
+    return; // A declaration without a name; the error is reported.
+  auto *Decl = cast<VarDeclStmt>(S);
+  int64_t Unused;
+  if (Decl->init() && !evaluateConstant(Decl->init(), Unused))
+    Diags.error(Decl->loc(), "global initializer must be a constant");
+  Prog->addGlobal(Decl);
 }
 
 void Parser::parseFunction() {
   SourceLoc Loc = peek().Loc;
   expect(TokenKind::KwFn, "to start a function");
-  std::string Name = peek().Text;
+  std::string Name(peek().Text);
   if (!expect(TokenKind::Identifier, "as function name"))
     return;
 
@@ -175,7 +176,7 @@ void Parser::parseFunction() {
   if (!check(TokenKind::RParen)) {
     do {
       if (check(TokenKind::Identifier)) {
-        Params.push_back(peek().Text);
+        Params.emplace_back(peek().Text);
         advance();
       } else {
         Diags.error(peek().Loc, "expected parameter name");
@@ -260,7 +261,7 @@ Stmt *Parser::parseStatement() {
 Stmt *Parser::parseVarDecl() {
   SourceLoc Loc = peek().Loc;
   expect(TokenKind::KwVar, "to start a declaration");
-  std::string Name = peek().Text;
+  std::string Name(peek().Text);
   if (!expect(TokenKind::Identifier, "as variable name"))
     return nullptr;
 
@@ -314,7 +315,7 @@ Stmt *Parser::parseWhile() {
 
 Stmt *Parser::parseAssignOrCall() {
   SourceLoc Loc = peek().Loc;
-  std::string Name = advance().Text;
+  std::string Name(advance().Text);
 
   if (check(TokenKind::LParen)) {
     std::vector<Expr *> Args = parseCallArgs();
@@ -413,7 +414,7 @@ Expr *Parser::parsePrimary() {
     return Inner;
   }
   case TokenKind::Identifier: {
-    std::string Name = advance().Text;
+    std::string Name(advance().Text);
     if (check(TokenKind::LParen)) {
       std::vector<Expr *> Args = parseCallArgs();
       return Prog->createExpr<CallExpr>(Loc, std::move(Name), std::move(Args));

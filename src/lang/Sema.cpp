@@ -18,8 +18,9 @@ Sema::Sema(Program &Prog, DiagnosticEngine &Diags)
     : Prog(Prog), Diags(Diags) {}
 
 void Sema::run() {
-  Scopes.clear();
-  Scopes.emplace_back(); // Global scope.
+  Bindings.clear();
+  ScopeStarts.clear();
+  pushScope(); // Global scope.
   declareGlobals();
 
   // Reject duplicate function names up front so call resolution is
@@ -46,7 +47,7 @@ void Sema::run() {
 void Sema::declareGlobals() {
   uint32_t Slot = 0;
   for (VarDeclStmt *G : Prog.globals()) {
-    if (Scopes[0].Vars.count(G->name())) {
+    if (isValidId(lookupVar(G->name()))) {
       Diags.error(G->loc(), "duplicate global '" + G->name() + "'");
       continue;
     }
@@ -59,7 +60,7 @@ void Sema::declareGlobals() {
     Slot += Info.slotCount();
     VarId Id = Prog.addVariable(std::move(Info));
     G->setVar(Id);
-    Scopes[0].Vars[G->name()] = Id;
+    Bindings.push_back({G->name(), Id});
   }
   Prog.setGlobalSlots(Slot);
 }
@@ -67,11 +68,11 @@ void Sema::declareGlobals() {
 VarId Sema::declareVar(const std::string &Name, int64_t ArraySize, StmtId Decl,
                        SourceLoc Loc) {
   assert(CurFunc && "local declaration outside a function");
-  Scope &Inner = Scopes.back();
-  if (Inner.Vars.count(Name)) {
-    Diags.error(Loc, "duplicate variable '" + Name + "' in this scope");
-    return Inner.Vars[Name];
-  }
+  for (size_t I = ScopeStarts.back(); I < Bindings.size(); ++I)
+    if (Bindings[I].Name == Name) {
+      Diags.error(Loc, "duplicate variable '" + Name + "' in this scope");
+      return Bindings[I].Var;
+    }
   VarInfo Info;
   Info.Name = Name;
   Info.Func = CurFunc->id();
@@ -80,16 +81,14 @@ VarId Sema::declareVar(const std::string &Name, int64_t ArraySize, StmtId Decl,
   Info.Decl = Decl;
   NextSlot += Info.slotCount();
   VarId Id = Prog.addVariable(std::move(Info));
-  Inner.Vars[Name] = Id;
+  Bindings.push_back({Name, Id});
   return Id;
 }
 
-VarId Sema::lookupVar(const std::string &Name) const {
-  for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-    auto Found = It->Vars.find(Name);
-    if (Found != It->Vars.end())
-      return Found->second;
-  }
+VarId Sema::lookupVar(std::string_view Name) const {
+  for (auto It = Bindings.rbegin(); It != Bindings.rend(); ++It)
+    if (It->Name == Name)
+      return It->Var;
   return InvalidId;
 }
 
@@ -107,8 +106,8 @@ void Sema::checkFunction(Function &F) {
   CurFunc = &F;
   NextSlot = 0;
   LoopDepth = 0;
-  Scopes.resize(1); // Keep only the global scope.
-  Scopes.emplace_back();
+  assert(ScopeStarts.size() == 1 && "only the global scope is open");
+  pushScope(); // The parameters' scope.
 
   std::vector<VarId> Params;
   for (const std::string &PName : F.paramNames())
@@ -117,15 +116,16 @@ void Sema::checkFunction(Function &F) {
   F.setParams(std::move(Params));
 
   checkBody(F.body());
+  popScope();
   F.setFrameSlots(NextSlot);
   CurFunc = nullptr;
 }
 
 void Sema::checkBody(const std::vector<Stmt *> &Body) {
-  Scopes.emplace_back();
+  pushScope();
   for (Stmt *S : Body)
     checkStmt(S);
-  Scopes.pop_back();
+  popScope();
 }
 
 void Sema::checkStmt(Stmt *S) {

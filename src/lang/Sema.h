@@ -18,8 +18,8 @@
 
 #include "lang/AST.h"
 
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace eoe {
@@ -37,10 +37,17 @@ public:
   void run();
 
 private:
-  struct Scope {
-    std::map<std::string, VarId> Vars;
+  /// A name in scope; Name views the declaring AST node's string.
+  struct Binding {
+    std::string_view Name;
+    VarId Var;
   };
 
+  void pushScope() { ScopeStarts.push_back(Bindings.size()); }
+  void popScope() {
+    Bindings.resize(ScopeStarts.back());
+    ScopeStarts.pop_back();
+  }
   void declareGlobals();
   void checkFunction(Function &F);
   void checkBody(const std::vector<Stmt *> &Body);
@@ -48,13 +55,16 @@ private:
   void checkExpr(Expr *E);
   VarId declareVar(const std::string &Name, int64_t ArraySize, StmtId Decl,
                    SourceLoc Loc);
-  VarId lookupVar(const std::string &Name) const;
+  VarId lookupVar(std::string_view Name) const;
   void requireScalar(VarId Var, SourceLoc Loc, const std::string &Name);
   void requireArray(VarId Var, SourceLoc Loc, const std::string &Name);
 
   Program &Prog;
   DiagnosticEngine &Diags;
-  std::vector<Scope> Scopes;   // innermost last; Scopes[0] = globals
+  /// The names in scope, innermost last; the globals come first. A scope
+  /// opens by marking the stack's height and closes by cutting back to it.
+  std::vector<Binding> Bindings;
+  std::vector<size_t> ScopeStarts; // Bindings index each open scope starts at
   Function *CurFunc = nullptr; // function being checked
   uint32_t NextSlot = 0;       // next free frame slot in CurFunc
   unsigned LoopDepth = 0;      // nesting depth of while statements

@@ -16,7 +16,7 @@
 #include "support/Diagnostic.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace eoe {
 namespace lang {
@@ -68,11 +68,13 @@ enum class TokenKind {
 /// Returns a human-readable name for \p Kind, used in parse errors.
 const char *tokenKindName(TokenKind Kind);
 
-/// One lexed token. Text is filled for identifiers; Value for literals.
+/// One lexed token. Text is the spelling of an identifier or keyword, a
+/// view into the lexed source: the source must outlive the token (the
+/// parser copies names into the AST). Value is a literal's value.
 struct Token {
   TokenKind Kind = TokenKind::EndOfFile;
   SourceLoc Loc;
-  std::string Text;
+  std::string_view Text;
   int64_t Value = 0;
 
   bool is(TokenKind K) const { return Kind == K; }

@@ -52,7 +52,7 @@ std::string viz::cfgToDot(const lang::Program &Prog, const analysis::CFG &G,
     OS << "];\n";
   }
   for (uint32_t N = 0; N < G.size(); ++N) {
-    const auto &Succs = G.node(N).Succs;
+    std::span<const uint32_t> Succs = G.succs(N);
     for (size_t I = 0; I < Succs.size(); ++I) {
       OS << "  n" << N << " -> n" << Succs[I];
       if (G.isBranch(N))

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 using namespace eoe;
 using namespace eoe::analysis;
 using eoe::test::parseOrDie;
@@ -20,12 +23,22 @@ using eoe::test::parseOrDie;
 namespace {
 
 /// Convenience: true if Parents contains (Pred, Branch).
-bool hasParent(const std::vector<ControlDependence::Parent> &Parents,
+bool hasParent(std::span<const ControlDependence::Parent> Parents,
                StmtId Pred, bool Branch) {
   for (const auto &P : Parents)
     if (P.Pred == Pred && P.Branch == Branch)
       return true;
   return false;
+}
+
+/// Immediate dominators of a graph given as adjacency lists.
+std::vector<uint32_t>
+idoms(uint32_t Root, const std::vector<std::vector<uint32_t>> &Succs,
+      const std::vector<std::vector<uint32_t>> &Preds) {
+  return computeImmediateDominators(
+      static_cast<uint32_t>(Succs.size()), Root,
+      [&](uint32_t N) -> const std::vector<uint32_t> & { return Succs[N]; },
+      [&](uint32_t N) -> const std::vector<uint32_t> & { return Preds[N]; });
 }
 
 TEST(CFGTest, StraightLineChains) {
@@ -34,14 +47,14 @@ TEST(CFGTest, StraightLineChains) {
   CFG G = CFG::build(*Prog, *Prog->functions()[0]);
   // Entry, Exit, 3 statements.
   EXPECT_EQ(G.size(), 5u);
-  uint32_t N = G.node(CFG::EntryNode).Succs[0];
+  uint32_t N = G.succs(CFG::EntryNode)[0];
   EXPECT_EQ(Prog->statement(G.node(N).Stmt)->kind(),
             lang::Stmt::Kind::VarDecl);
   // The chain ends at Exit.
   uint32_t Last = N;
-  while (!G.node(Last).Succs.empty() && G.node(Last).Succs[0] != CFG::ExitNode)
-    Last = G.node(Last).Succs[0];
-  EXPECT_EQ(G.node(Last).Succs[0], CFG::ExitNode);
+  while (!G.succs(Last).empty() && G.succs(Last)[0] != CFG::ExitNode)
+    Last = G.succs(Last)[0];
+  EXPECT_EQ(G.succs(Last)[0], CFG::ExitNode);
 }
 
 TEST(CFGTest, IfHasTwoSuccessors) {
@@ -80,7 +93,7 @@ TEST(CFGTest, WhileLoopHasBackEdge) {
   ASSERT_NE(WhileNode, InvalidId);
   ASSERT_NE(BodyNode, InvalidId);
   EXPECT_EQ(G.branchTarget(WhileNode, true), BodyNode);
-  EXPECT_EQ(G.node(BodyNode).Succs[0], WhileNode);
+  EXPECT_EQ(G.succs(BodyNode)[0], WhileNode);
 }
 
 TEST(CFGTest, BreakJumpsPastLoop) {
@@ -98,15 +111,67 @@ TEST(CFGTest, BreakJumpsPastLoop) {
       PrintNode = I;
   }
   ASSERT_NE(BreakNode, InvalidId);
-  EXPECT_EQ(G.node(BreakNode).Succs[0], PrintNode);
+  EXPECT_EQ(G.succs(BreakNode)[0], PrintNode);
 }
 
 TEST(CFGTest, ReturnJumpsToExit) {
   auto Prog = parseOrDie("fn main() { return 1; }");
   ASSERT_TRUE(Prog);
   CFG G = CFG::build(*Prog, *Prog->functions()[0]);
-  uint32_t Ret = G.node(CFG::EntryNode).Succs[0];
-  EXPECT_EQ(G.node(Ret).Succs[0], CFG::ExitNode);
+  uint32_t Ret = G.succs(CFG::EntryNode)[0];
+  EXPECT_EQ(G.succs(Ret)[0], CFG::ExitNode);
+}
+
+TEST(CFGTest, PredsMirrorSuccs) {
+  auto Prog = parseOrDie("fn f(n) {\n"
+                         "var i = 0;\n"
+                         "while (i < n) {\n"
+                         "if (i == 2) {\n"
+                         "i = i + 1;\n"
+                         "continue;\n"
+                         "}\n"
+                         "if (i > 5) {\n"
+                         "break;\n"
+                         "}\n"
+                         "if (i == 7) {\n"
+                         "return i;\n"
+                         "}\n"
+                         "i = i + 1;\n"
+                         "}\n"
+                         "return 0;\n"
+                         "}\n"
+                         "fn main() { print(f(3)); }");
+  ASSERT_TRUE(Prog);
+  CFG G = CFG::build(*Prog, *Prog->functions()[0]);
+  std::multiset<std::pair<uint32_t, uint32_t>> FromSuccs, FromPreds;
+  for (uint32_t N = 0; N < G.size(); ++N) {
+    for (uint32_t S : G.succs(N))
+      FromSuccs.insert({N, S});
+    for (uint32_t P : G.preds(N))
+      FromPreds.insert({P, N});
+    EXPECT_TRUE(std::is_sorted(G.preds(N).begin(), G.preds(N).end())) << N;
+  }
+  EXPECT_EQ(FromSuccs, FromPreds);
+  EXPECT_TRUE(G.preds(CFG::EntryNode).empty());
+
+  auto NodeAt = [&](uint32_t Line) {
+    StmtId S = Prog->statementAtLine(Line);
+    for (uint32_t N = 0; N < G.size(); ++N)
+      if (G.node(N).Stmt == S)
+        return N;
+    return InvalidId;
+  };
+  auto HasPred = [&](uint32_t N, uint32_t P) {
+    std::span<const uint32_t> Preds = G.preds(N);
+    return std::find(Preds.begin(), Preds.end(), P) != Preds.end();
+  };
+  uint32_t Loop = NodeAt(3);
+  EXPECT_TRUE(HasPred(Loop, NodeAt(6)));  // continue
+  EXPECT_TRUE(HasPred(Loop, NodeAt(14))); // the back edge
+  EXPECT_TRUE(HasPred(NodeAt(16), NodeAt(9))); // break
+  EXPECT_TRUE(HasPred(NodeAt(16), Loop));      // the loop's exit
+  EXPECT_TRUE(HasPred(CFG::ExitNode, NodeAt(12)));
+  EXPECT_TRUE(HasPred(CFG::ExitNode, NodeAt(16)));
 }
 
 TEST(DominatorsTest, DiamondGraph) {
@@ -117,7 +182,7 @@ TEST(DominatorsTest, DiamondGraph) {
   //      3
   std::vector<std::vector<uint32_t>> Succs = {{1, 2}, {3}, {3}, {}};
   std::vector<std::vector<uint32_t>> Preds = {{}, {0}, {0}, {1, 2}};
-  auto IDom = computeImmediateDominators(0, Succs, Preds);
+  auto IDom = idoms(0, Succs, Preds);
   EXPECT_EQ(IDom[0], 0u);
   EXPECT_EQ(IDom[1], 0u);
   EXPECT_EQ(IDom[2], 0u);
@@ -129,7 +194,7 @@ TEST(DominatorsTest, DiamondGraph) {
 TEST(DominatorsTest, ChainGraph) {
   std::vector<std::vector<uint32_t>> Succs = {{1}, {2}, {3}, {}};
   std::vector<std::vector<uint32_t>> Preds = {{}, {0}, {1}, {2}};
-  auto IDom = computeImmediateDominators(0, Succs, Preds);
+  auto IDom = idoms(0, Succs, Preds);
   EXPECT_EQ(IDom[3], 2u);
   EXPECT_EQ(IDom[2], 1u);
   EXPECT_TRUE(dominates(IDom, 1, 3, 0));
@@ -139,7 +204,7 @@ TEST(DominatorsTest, LoopGraph) {
   // 0 -> 1 -> 2 -> 1, 2 -> 3
   std::vector<std::vector<uint32_t>> Succs = {{1}, {2}, {1, 3}, {}};
   std::vector<std::vector<uint32_t>> Preds = {{}, {0, 2}, {1}, {2}};
-  auto IDom = computeImmediateDominators(0, Succs, Preds);
+  auto IDom = idoms(0, Succs, Preds);
   EXPECT_EQ(IDom[1], 0u);
   EXPECT_EQ(IDom[2], 1u);
   EXPECT_EQ(IDom[3], 2u);
@@ -148,7 +213,7 @@ TEST(DominatorsTest, LoopGraph) {
 TEST(DominatorsTest, UnreachableNodesGetInvalid) {
   std::vector<std::vector<uint32_t>> Succs = {{1}, {}, {1}};
   std::vector<std::vector<uint32_t>> Preds = {{}, {0, 2}, {}};
-  auto IDom = computeImmediateDominators(0, Succs, Preds);
+  auto IDom = idoms(0, Succs, Preds);
   EXPECT_EQ(IDom[2], InvalidId);
 }
 

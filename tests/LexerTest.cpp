@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 using namespace eoe;
 using namespace eoe::lang;
 
@@ -106,6 +109,66 @@ TEST(LexerTest, LoneAmpersandIsAnError) {
   Lexer L("a & b", Diags);
   L.lexAll();
   EXPECT_TRUE(Diags.hasErrors());
+}
+
+TEST(LexerTest, IdentifiersMayBeginWithAKeyword) {
+  std::vector<Token> Toks = lex("iff whilex var_ returned");
+  ASSERT_EQ(Toks.size(), 5u);
+  const char *Names[] = {"iff", "whilex", "var_", "returned"};
+  for (size_t I = 0; I < 4; ++I) {
+    EXPECT_TRUE(Toks[I].is(TokenKind::Identifier)) << Names[I];
+    EXPECT_EQ(Toks[I].Text, Names[I]);
+  }
+}
+
+TEST(LexerTest, AllSixWhitespaceBytesSeparateTokens) {
+  std::vector<Token> Toks = lex("a b\tc\nd\ve\ff\rg");
+  ASSERT_EQ(Toks.size(), 8u);
+  for (size_t I = 0; I < 7; ++I)
+    EXPECT_EQ(Toks[I].Text, std::string(1, static_cast<char>('a' + I)));
+  // Only \n starts a line; each other byte is one column.
+  EXPECT_EQ(Toks[2].Loc.Line, 1u);
+  EXPECT_EQ(Toks[2].Loc.Col, 5u);
+  EXPECT_EQ(Toks[3].Loc.Line, 2u);
+  EXPECT_EQ(Toks[3].Loc.Col, 1u);
+  EXPECT_EQ(Toks[6].Loc.Line, 2u);
+  EXPECT_EQ(Toks[6].Loc.Col, 7u);
+}
+
+TEST(LexerTest, NonAsciiByteIsAnError) {
+  DiagnosticEngine Diags;
+  Lexer L("x \xC3\xA9 y", Diags);
+  L.lexAll();
+  EXPECT_TRUE(Diags.hasErrors());
+}
+
+TEST(LexerTest, TextViewsTheSourceBuffer) {
+  std::string Src = "var total = count;";
+  std::vector<Token> Toks = lex(Src);
+  ASSERT_EQ(Toks.size(), 6u);
+  EXPECT_EQ(Toks[0].Text.data(), Src.data());
+  EXPECT_EQ(Toks[1].Text.data(), Src.data() + 4);
+  EXPECT_EQ(Toks[3].Text.data(), Src.data() + 12);
+  EXPECT_EQ(Toks[3].Text.size(), 5u);
+}
+
+TEST(LexerTest, LargestLiteralIsInt64Max) {
+  std::vector<Token> Toks = lex("9223372036854775807");
+  ASSERT_EQ(Toks.size(), 2u);
+  EXPECT_TRUE(Toks[0].is(TokenKind::IntLiteral));
+  EXPECT_EQ(Toks[0].Value, INT64_MAX);
+}
+
+TEST(LexerTest, LiteralAboveInt64MaxIsAnError) {
+  for (const char *Src : {"print(9223372036854775808);",
+                          "print(99999999999999999999);"}) {
+    DiagnosticEngine Diags;
+    Lexer L(Src, Diags);
+    L.lexAll();
+    EXPECT_TRUE(Diags.hasErrors()) << Src;
+    EXPECT_NE(Diags.str().find("integer literal too large"), std::string::npos)
+        << Diags.str();
+  }
 }
 
 TEST(LexerTest, UnterminatedCharLiteralIsAnError) {

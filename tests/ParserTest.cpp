@@ -132,6 +132,14 @@ TEST(ParserTest, TopLevelGarbageIsAnError) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
+TEST(ParserTest, GlobalDeclarationWithoutANameIsAnError) {
+  DiagnosticEngine Diags;
+  Lexer L("var = 1; fn main() { print(1); }", Diags);
+  Parser P(L.lexAll(), Diags);
+  P.parseProgram();
+  EXPECT_TRUE(Diags.hasErrors());
+}
+
 TEST(ParserTest, NegativeArraySizeIsAnError) {
   DiagnosticEngine Diags;
   Lexer L("fn main() { var a[0]; }", Diags);

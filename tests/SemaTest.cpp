@@ -62,6 +62,66 @@ TEST(SemaTest, InnerScopesShadowOuter) {
   EXPECT_EQ(Count, 2);
 }
 
+/// The declaration that the variable printed by the print at \p Line
+/// resolves to.
+StmtId printedDecl(const Program &Prog, uint32_t Line) {
+  const auto *P = cast<PrintStmt>(Prog.statement(Prog.statementAtLine(Line)));
+  return Prog.variable(cast<VarRefExpr>(P->args()[0])->var()).Decl;
+}
+
+TEST(SemaTest, ShadowingThreeScopesDeepResolvesInnermost) {
+  auto Prog = parseOrDie("fn main() {\n"
+                         "var x = 1;\n"
+                         "if (1) {\n"
+                         "var x = 2;\n"
+                         "while (x < 3) {\n"
+                         "var x = 3;\n"
+                         "print(x);\n"
+                         "x = 4;\n"
+                         "break;\n"
+                         "}\n"
+                         "print(x);\n"
+                         "}\n"
+                         "print(x);\n"
+                         "}");
+  ASSERT_TRUE(Prog);
+  StmtId Outer = Prog->statementAtLine(2);
+  StmtId Middle = Prog->statementAtLine(4);
+  StmtId Inner = Prog->statementAtLine(6);
+  EXPECT_EQ(printedDecl(*Prog, 7), Inner);
+  const auto *Assign =
+      cast<AssignStmt>(Prog->statement(Prog->statementAtLine(8)));
+  EXPECT_EQ(Prog->variable(Assign->var()).Decl, Inner);
+  // The while condition reads the middle x, declared before the loop.
+  const auto *While =
+      cast<WhileStmt>(Prog->statement(Prog->statementAtLine(5)));
+  const auto *Cond = cast<BinaryExpr>(While->cond());
+  EXPECT_EQ(Prog->variable(cast<VarRefExpr>(Cond->lhs())->var()).Decl, Middle);
+  // Each outer binding comes back as the block that shadowed it closes.
+  EXPECT_EQ(printedDecl(*Prog, 11), Middle);
+  EXPECT_EQ(printedDecl(*Prog, 13), Outer);
+}
+
+TEST(SemaTest, SameNameInSiblingBlocksIsNotADuplicate) {
+  auto Prog = parseOrDie("fn main() {\n"
+                         "if (1) {\n"
+                         "var y = 1;\n"
+                         "print(y);\n"
+                         "} else {\n"
+                         "var y = 2;\n"
+                         "print(y);\n"
+                         "}\n"
+                         "while (0) {\n"
+                         "var y = 3;\n"
+                         "print(y);\n"
+                         "}\n"
+                         "}");
+  ASSERT_TRUE(Prog);
+  EXPECT_EQ(printedDecl(*Prog, 4), Prog->statementAtLine(3));
+  EXPECT_EQ(printedDecl(*Prog, 7), Prog->statementAtLine(6));
+  EXPECT_EQ(printedDecl(*Prog, 11), Prog->statementAtLine(10));
+}
+
 TEST(SemaTest, ScopeEndsWithBlock) {
   EXPECT_TRUE(failsSema(
       "fn main() { if (1) { var x = 2; } print(x); }"));
