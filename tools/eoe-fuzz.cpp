@@ -10,8 +10,8 @@
 // it, and the demand-driven locator finds it. Any deviation is printed
 // with the offending seed and program for triage.
 //
-//   eoe-fuzz [--fuzz=pipeline|chain|prune|resume|align] [--seeds N]
-//            [--start S] [--verbose]
+//   eoe-fuzz [--fuzz=pipeline|chain|prune|resume|align|frontend]
+//            [--seeds N] [--start S] [--verbose]
 //
 // --fuzz=chain targets the multi-switch chain search: each reproducing
 // seed runs the locator chain-off (depth 1) and chain-on (depth 2) and
@@ -49,8 +49,14 @@
 // Algorithm 1 over the full region trees of a fully interpreted switched
 // run.
 //
+// --fuzz=frontend is the differential oracle of the front end and the
+// static-analysis tables (FrontendFuzz.h): each seed's program and four
+// byte-level mutants of it must lex, resolve and analyze exactly as
+// simple references do.
+//
 //===----------------------------------------------------------------------===//
 
+#include "FrontendFuzz.h"
 #include "core/DebugSession.h"
 #include "gen/RandomProgram.h"
 #include "lang/Parser.h"
@@ -862,7 +868,7 @@ int main(int Argc, char **Argv) {
       Mode = Argv[I] + 7;
     else {
       std::fprintf(stderr, "usage: eoe-fuzz [--fuzz=pipeline|chain|prune|"
-                           "resume|align] [--seeds N] [--start S] "
+                           "resume|align|frontend] [--seeds N] [--start S] "
                            "[--verbose]\n");
       return 2;
     }
@@ -938,6 +944,30 @@ int main(int Argc, char **Argv) {
                 "queries, %zu violations\n",
                 T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
                 T.Switches, T.Queries, T.Failures);
+    return T.Failures == 0 ? 0 : 1;
+  }
+  if (Mode == "frontend") {
+    fuzz::FrontendTally T;
+    for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
+      fuzz::runFrontendSeed(Seed, Verbose, T);
+    // Lexer and Sema errors, accepted mutants, shadowed names and
+    // statements with several control-dependence parents are the paths
+    // the references check; a run without them tests little.
+    if (T.Generated >= 100 &&
+        (T.LexRejected == 0 || T.SemaRejected == 0 ||
+         T.Analyzed <= T.Generated || T.Shadowing == 0 ||
+         T.MultiParent == 0)) {
+      std::printf("frontend fuzzing lacked lexer errors, Sema errors, "
+                  "accepted mutants, shadowing or multi-parent statements "
+                  "-- the mutations are not reaching them\n");
+      ++T.Failures;
+    }
+    std::printf("frontend-fuzzed %zu programs in %s s: %zu inputs, %zu "
+                "lexer errors, %zu Sema errors, %zu analyzed, %zu shadowed "
+                "bindings, %zu multi-parent statements, %zu violations\n",
+                T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
+                T.Inputs, T.LexRejected, T.SemaRejected, T.Analyzed,
+                T.Shadowing, T.MultiParent, T.Failures);
     return T.Failures == 0 ? 0 : 1;
   }
   if (Mode != "pipeline") {
