@@ -10,27 +10,12 @@
 #include "core/ChainSearch.h"
 
 #include <deque>
-#include <map>
 #include <memory>
-#include <set>
 
 using namespace eoe;
 using namespace eoe::core;
 using namespace eoe::interp;
 using namespace eoe::slicing;
-
-namespace {
-
-/// True if any instance of the ranked slice belongs to the root cause.
-bool containsRootCause(const std::vector<TraceIdx> &Ranked,
-                       const ExecutionTrace &T, Oracle &O) {
-  for (TraceIdx I : Ranked)
-    if (O.isRootCause(T.step(I).Stmt))
-      return true;
-  return false;
-}
-
-} // namespace
 
 LocateReport eoe::core::locateFault(const lang::Program &Prog,
                                     ddg::DepGraph &G,
@@ -85,18 +70,22 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
   FirstPruneTimed.stop();
   FirstPruneSpan.end();
 
-  // Verified-but-uncommitted expansions, keyed by (instance, load).
+  // Verified-but-uncommitted expansions, and per use of the trace (its
+  // position in T.Uses) its entry in Pool and whether it was committed.
+  // A step's uses read distinct loads, so a position names one
+  // (instance, load) pair.
   struct VerifiedUse {
     TraceIdx Use = InvalidId;
-    ExprId Load = InvalidId;
+    size_t Pos = 0;
     std::vector<TraceIdx> Strong;
     std::vector<TraceIdx> Plain;
   };
-  std::map<std::pair<TraceIdx, ExprId>, VerifiedUse> Pool;
-  std::set<std::pair<TraceIdx, ExprId>> Committed;
+  constexpr uint32_t NotVerified = UINT32_MAX;
+  std::vector<VerifiedUse> Pool;
+  std::vector<uint32_t> PoolSlot(T.Uses.size(), NotVerified);
+  std::vector<bool> Committed(T.Uses.size(), false);
 
-  while (!containsRootCause(Ranked, T, O) &&
-         Report.Iterations < Config.MaxIterations) {
+  while (!Prune.RootCauseFound && Report.Iterations < Config.MaxIterations) {
     support::EventTracer::Span RoundSpan(Tracer, "locate.round", "core");
     if (!RoundTime)
       RoundTime = &Reg.timer("locate.round_time");
@@ -106,19 +95,18 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
     // ones (Algorithm 2 lines 10-11); the sweep commits the first use
     // with strong evidence, or -- when no strong dependence exists
     // anywhere in the candidate set -- the highest-ranked use with plain
-    // evidence.
-    const VerifiedUse *ToCommit = nullptr;
-    const VerifiedUse *FirstPlain = nullptr;
+    // evidence. ToCommit and FirstPlain index Pool, which the sweep grows.
+    uint32_t ToCommit = NotVerified;
+    uint32_t FirstPlain = NotVerified;
     for (TraceIdx I : Ranked) {
       for (const UseRecord &Use : T.uses(I)) {
-        auto Key = std::make_pair(I, Use.LoadExpr);
-        if (Committed.count(Key))
+        const size_t Pos = &Use - T.Uses.data();
+        if (Committed[Pos])
           continue;
-        auto It = Pool.find(Key);
-        if (It == Pool.end()) {
+        if (PoolSlot[Pos] == NotVerified) {
           VerifiedUse VU;
           VU.Use = I;
-          VU.Load = Use.LoadExpr;
+          VU.Pos = Pos;
           support::EventTracer::Span QuerySpan(Tracer, "pd.query", "slicing");
           std::vector<TraceIdx> Candidates =
               PD.compute(I, Use, Config.OnePerPredicate);
@@ -154,32 +142,34 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
               ChainCommits->add();
             }
           }
-          It = Pool.emplace(Key, std::move(VU)).first;
+          PoolSlot[Pos] = static_cast<uint32_t>(Pool.size());
+          Pool.push_back(std::move(VU));
         }
-        const VerifiedUse &VU = It->second;
+        const VerifiedUse &VU = Pool[PoolSlot[Pos]];
         if (!VU.Strong.empty()) {
-          ToCommit = &VU;
+          ToCommit = PoolSlot[Pos];
           break;
         }
-        if (!FirstPlain && !VU.Plain.empty())
-          FirstPlain = &VU;
+        if (FirstPlain == NotVerified && !VU.Plain.empty())
+          FirstPlain = PoolSlot[Pos];
       }
-      if (ToCommit)
+      if (ToCommit != NotVerified)
         break;
     }
-    if (!ToCommit)
+    if (ToCommit == NotVerified)
       ToCommit = FirstPlain;
-    if (!ToCommit)
+    if (ToCommit == NotVerified)
       break; // No verifiable dependence left: the procedure failed.
 
     ++Report.Iterations;
     if (!Rounds)
       Rounds = &Reg.counter("locate.rounds");
     Rounds->add();
-    Committed.insert({ToCommit->Use, ToCommit->Load});
-    bool UseStrong = !ToCommit->Strong.empty();
+    const VerifiedUse &Commit = Pool[ToCommit];
+    Committed[Commit.Pos] = true;
+    bool UseStrong = !Commit.Strong.empty();
     const std::vector<TraceIdx> &Winners =
-        UseStrong ? ToCommit->Strong : ToCommit->Plain;
+        UseStrong ? Commit.Strong : Commit.Plain;
 
     // Add the verified edges. The fanout of Algorithm 2 lines 12-18
     // additionally verifies p -> t for other potential dependents t of
@@ -192,14 +182,14 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
     size_t FanoutRequests = 0;
     support::EventTracer::Span FanoutSpan(Tracer, "locate.fanout", "core");
     for (TraceIdx P : Winners) {
-      G.addImplicitEdge(ToCommit->Use, P, UseStrong);
+      G.addImplicitEdge(Commit.Use, P, UseStrong);
       ++Report.ExpandedEdges;
       if (UseStrong)
         ++Report.StrongEdges;
       if (!Config.VerifyFanout)
         continue;
       for (TraceIdx TInst = 0; TInst < T.size(); ++TInst) {
-        if (TInst == ToCommit->Use || !Slice[TInst] ||
+        if (TInst == Commit.Use || !Slice[TInst] ||
             !CA.inferredCorrect(TInst))
           continue;
         for (const UseRecord &Use : T.uses(TInst)) {
@@ -232,7 +222,7 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
     }
   }
 
-  Report.RootCauseFound = containsRootCause(Ranked, T, O);
+  Report.RootCauseFound = Prune.RootCauseFound;
   Reg.counter("locate.expanded_edges").add(Report.ExpandedEdges);
   Reg.counter("locate.strong_edges").add(Report.StrongEdges);
   Reg.histogram("locate.final_slice_size").record(Ranked.size());

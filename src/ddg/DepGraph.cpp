@@ -85,10 +85,12 @@ DepGraph::backwardClosure(const std::vector<TraceIdx> &Seeds,
 
 void DepGraph::extendBackwardClosure(std::vector<bool> &Member,
                                      std::vector<uint32_t> *Depth,
-                                     size_t FirstEdge) const {
+                                     size_t FirstEdge,
+                                     std::vector<TraceIdx> *Changed) const {
   // Lowest depth first, so each instance is expanded once, at its final
   // depth; an entry whose instance was lowered again since is stale.
-  // Without depths every entry is expanded exactly once anyway.
+  // Without depths every entry is expanded exactly once anyway. Every
+  // instance that changes is queued, so the expansions are the changes.
   using Entry = std::pair<uint32_t, TraceIdx>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> Work;
   auto Relax = [&](TraceIdx To, uint32_t D) {
@@ -111,6 +113,8 @@ void DepGraph::extendBackwardClosure(std::vector<bool> &Member,
     Work.pop();
     if (Depth && (*Depth)[I] != D)
       continue;
+    if (Changed)
+      Changed->push_back(I);
     const StepRecord &Step = Trace.step(I);
     for (const UseRecord &Use : Trace.uses(Step))
       Relax(Use.Def, D + 1);

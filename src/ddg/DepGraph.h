@@ -87,9 +87,11 @@ public:
   /// closure, so only the instances whose membership or depth changes
   /// are visited. \p Depth, if non-null, holds the closure's depths as
   /// backwardClosure() computes them and is lowered to the new ones.
+  /// \p Changed, if non-null, receives each instance whose membership or
+  /// depth changed, once.
   void extendBackwardClosure(std::vector<bool> &Member,
-                             std::vector<uint32_t> *Depth,
-                             size_t FirstEdge) const;
+                             std::vector<uint32_t> *Depth, size_t FirstEdge,
+                             std::vector<TraceIdx> *Changed = nullptr) const;
 
   /// Computes the forward closure from \p Seeds: every instance that
   /// (transitively) depends on a seed. Used to derive the paper's OS

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 
 using namespace eoe;
 using namespace eoe::interp;
@@ -34,7 +35,7 @@ ConfidenceAnalysis::ConfidenceAnalysis(const lang::Program &Prog,
                                        const ValueProfile *Values,
                                        const OutputVerdicts &V, Options Opts,
                                        const std::vector<TraceIdx> &BenignMarks,
-                                       const std::set<TraceIdx> &Corrupted)
+                                       const std::vector<bool> &Corrupted)
     : Prog(Prog), G(G), Values(Values), V(V), Opts(Opts) {
   const ExecutionTrace &T = G.trace();
   DefBegin.reserve(T.size() + 1);
@@ -70,13 +71,14 @@ ConfidenceAnalysis::ConfidenceAnalysis(const lang::Program &Prog,
     UserBenign[B] = true;
   // Instances pinned as corrupted: the user's verdict (or the wrong
   // output itself) overrides any inference from the values they read.
-  Pinned.assign(T.size(), false);
+  Pinned = Corrupted;
+  Pinned.resize(T.size(), false);
   Pinned[T.Outputs.at(V.WrongOutput).Step] = true;
-  for (TraceIdx C : Corrupted)
-    Pinned[C] = true;
 
+  Rekey.assign(T.size(), false);
+  RangeConfidence.assign(Prog.statements().size(), -1.0);
   inferCorrectValues();
-  rank();
+  rankAll();
 }
 
 void ConfidenceAnalysis::update() {
@@ -84,8 +86,9 @@ void ConfidenceAnalysis::update() {
   if (Edges.size() == EdgesSeen)
     return;
   // Edges are only ever added, and adding one only grows a closure.
-  G.extendBackwardClosure(WrongSlice, &Depth, EdgesSeen);
-  G.extendBackwardClosure(ReachesCorrect, nullptr, EdgesSeen);
+  std::vector<TraceIdx> Changed;
+  G.extendBackwardClosure(WrongSlice, &Depth, EdgesSeen, &Changed);
+  G.extendBackwardClosure(ReachesCorrect, nullptr, EdgesSeen, &Changed);
   for (size_t K = EdgesSeen; K < Edges.size(); ++K)
     ImplicitDependents.Pairs.push_back({Edges[K].Pred, Edges[K].Use});
   ImplicitDependents.sort();
@@ -95,8 +98,22 @@ void ConfidenceAnalysis::update() {
   // read the marks and pins alone. The rule is the one place edges
   // enter, and not monotonically: a new edge from a dependent that is
   // not correct withdraws a sanitization.
-  rederiveSanitized();
-  rank();
+  rederiveSanitized(&Changed);
+
+  // A key reads the instance's membership, depth, reach and verdict
+  // alone, so the instances reported above are the only ones whose key
+  // or candidacy the edges changed.
+  std::vector<RankKey> Fresh;
+  for (TraceIdx I : Changed) {
+    if (Rekey[I])
+      continue;
+    Rekey[I] = true;
+    if (WrongSlice[I] && !Correct[I])
+      Fresh.push_back(keyOf(I));
+  }
+  rank(std::move(Fresh));
+  for (TraceIdx I : Changed)
+    Rekey[I] = false;
 }
 
 void ConfidenceAnalysis::markBenign(TraceIdx I) {
@@ -120,7 +137,7 @@ void ConfidenceAnalysis::markBenign(TraceIdx I) {
   if (NewlyCorrect.empty())
     return;
   sanitizePredicates(NewlyCorrect);
-  std::erase_if(Ranked, [this](TraceIdx R) { return Correct[R]; });
+  PrunedStale = true;
 }
 
 void ConfidenceAnalysis::markCorrupted(TraceIdx I) {
@@ -130,7 +147,7 @@ void ConfidenceAnalysis::markCorrupted(TraceIdx I) {
     return;
   // Withdrawing a conclusion is not monotone: start over.
   inferCorrectValues();
-  rank();
+  rankAll();
 }
 
 namespace {
@@ -302,17 +319,24 @@ void ConfidenceAnalysis::inferCorrectValues() {
   rederiveSanitized();
 }
 
-void ConfidenceAnalysis::rederiveSanitized() {
+void ConfidenceAnalysis::rederiveSanitized(std::vector<TraceIdx> *Flipped) {
   // Only a predicate with an implicit dependent can be sanitized, and
   // every other instance's verdict stands. The resets come first, so a
   // dependent that is itself such a predicate is judged by its verdict.
-  for (auto [P, Dependent] : ImplicitDependents.Pairs)
+  std::vector<std::pair<TraceIdx, bool>> Before;
+  for (auto [P, Dependent] : ImplicitDependents.Pairs) {
+    if (Flipped && (Before.empty() || Before.back().first != P))
+      Before.push_back({P, Correct[P]});
     Correct[P] = verdict(P);
+  }
   std::vector<TraceIdx> CorrectDependents;
   for (auto [P, Dependent] : ImplicitDependents.Pairs)
     if (Correct[Dependent])
       CorrectDependents.push_back(Dependent);
   sanitizePredicates(CorrectDependents);
+  for (auto [P, Was] : Before)
+    if (Correct[P] != Was)
+      Flipped->push_back(P);
 }
 
 double ConfidenceAnalysis::confidence(TraceIdx I) const {
@@ -326,36 +350,55 @@ double ConfidenceAnalysis::confidence(TraceIdx I) const {
   // grows with the statement's observed value range (PLDI'06's
   // 1 - log|alt| / log|range| with |alt| unresolvable from profiles
   // alone; calibrated so richer ranges give more credit but never 1).
-  double Range = 2.0;
-  if (Values)
-    Range = std::max<double>(2.0, static_cast<double>(
-                                      Values->rangeSize(G.trace().step(I).Stmt)));
-  return 0.5 + 0.5 * (1.0 - 1.0 / std::log2(Range + 2.0));
+  // It depends on the statement alone: computed on its first use.
+  StmtId Stmt = G.trace().step(I).Stmt;
+  double &C = RangeConfidence[Stmt];
+  if (C < 0) {
+    double Range = 2.0;
+    if (Values)
+      Range = std::max<double>(2.0,
+                               static_cast<double>(Values->rangeSize(Stmt)));
+    C = 0.5 + 0.5 * (1.0 - 1.0 / std::log2(Range + 2.0));
+  }
+  return C;
 }
 
-void ConfidenceAnalysis::rank() {
-  // Most suspicious first: low confidence, then short distance to the
-  // failure, then later instances. The index makes the order total, and
-  // no key depends on another instance's verdict -- what lets markBenign
-  // filter the ranking instead of re-sorting it.
-  struct Key {
-    double Confidence;
-    uint32_t Depth;
-    TraceIdx I;
-  };
-  std::vector<Key> Keys;
-  Keys.reserve(WrongSlice.size());
+const std::vector<TraceIdx> &ConfidenceAnalysis::prunedSlice() const {
+  if (PrunedStale) {
+    Pruned.clear();
+    std::ranges::copy_if(Ranked, std::back_inserter(Pruned),
+                         [this](TraceIdx I) { return !Correct[I]; });
+    PrunedStale = false;
+  }
+  return Pruned;
+}
+
+void ConfidenceAnalysis::rank(std::vector<RankKey> Fresh) {
+  // The key is a total order and no kept key changed, so the merge is
+  // the order a full sort of the candidates would give.
+  std::sort(Fresh.begin(), Fresh.end());
+  std::vector<TraceIdx> Merged;
+  Merged.reserve(Ranked.size() + Fresh.size());
+  auto F = Fresh.begin();
+  for (TraceIdx I : Ranked) {
+    if (Rekey[I] || Correct[I])
+      continue;
+    RankKey Kept = keyOf(I);
+    for (; F != Fresh.end() && *F < Kept; ++F)
+      Merged.push_back(F->I);
+    Merged.push_back(I);
+  }
+  for (; F != Fresh.end(); ++F)
+    Merged.push_back(F->I);
+  Ranked = std::move(Merged);
+  PrunedStale = true;
+}
+
+void ConfidenceAnalysis::rankAll() {
+  std::vector<RankKey> Fresh;
   for (TraceIdx I = 0; I < WrongSlice.size(); ++I)
     if (WrongSlice[I] && !Correct[I])
-      Keys.push_back({confidence(I), Depth[I], I});
-  std::sort(Keys.begin(), Keys.end(), [](const Key &A, const Key &B) {
-    if (A.Confidence != B.Confidence)
-      return A.Confidence < B.Confidence;
-    if (A.Depth != B.Depth)
-      return A.Depth < B.Depth;
-    return A.I > B.I;
-  });
+      Fresh.push_back(keyOf(I));
   Ranked.clear();
-  for (const Key &K : Keys)
-    Ranked.push_back(K.I);
+  rank(std::move(Fresh));
 }

@@ -44,7 +44,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -62,6 +61,8 @@ namespace slicing {
 /// correct changes nothing, and edges only grow the closures and change
 /// nothing before the Figure 5 rule. So no answer and no edge forces
 /// rework of what is already known.
+///
+/// Not safe for concurrent reads: prunedSlice() refreshes a cache.
 class ConfidenceAnalysis {
 public:
   struct Options {
@@ -73,7 +74,8 @@ public:
   /// Builds the analysis against the graph's current edges and the
   /// user's benign marks (instances whose state the user vouched for).
   /// \p Values may be null (ranges then default to "unknown, small").
-  /// \p Corrupted pins instances the user declared corrupted: they are
+  /// \p Corrupted flags, per instance, those the user declared corrupted
+  /// (a shorter vector leaves the rest unflagged); they are pinned:
   /// never inferred correct, even when the values they *read* are. This
   /// matters precisely for execution omission errors, where a stale
   /// definition carries a locally-correct value to a point that should
@@ -83,7 +85,7 @@ public:
                      const interp::ValueProfile *Values,
                      const OutputVerdicts &V, Options Opts,
                      const std::vector<TraceIdx> &BenignMarks = {},
-                     const std::set<TraceIdx> &Corrupted = {});
+                     const std::vector<bool> &Corrupted = {});
 
   /// Same, with default options and no answers.
   ConfidenceAnalysis(const lang::Program &Prog, const ddg::DepGraph &G,
@@ -94,21 +96,27 @@ public:
   /// Absorbs the implicit edges added to the graph since the last call
   /// (or the construction): extends both closures from the new edges,
   /// re-derives the Figure 5 fixpoint -- the only verdicts edges can
-  /// change -- and re-ranks. Free when no edge was added. Call it after
-  /// adding edges and before the next answer.
+  /// change -- and re-ranks. The re-rank keys only the instances whose
+  /// membership, depth, reach of a correct output or Figure 5 verdict
+  /// changed, and merges them into the kept order, dropping the
+  /// instances answers made correct since the last re-rank. Free when no
+  /// edge was added. Call it after adding edges and before the next
+  /// answer.
   void update();
 
   /// Adds the benign mark \p I to the current state. Propagates only
-  /// from \p I's definitions, re-evaluates only the instances whose
-  /// verdict the new facts can change, and drops the newly-correct
-  /// instances from the ranking, whose order is otherwise kept: a
-  /// candidate's sort key never depends on other instances' verdicts.
+  /// from \p I's definitions and re-evaluates only the instances whose
+  /// verdict the new facts can change. The newly-correct instances stay
+  /// in rankOrder() until the next re-rank; prunedSlice() leaves them
+  /// out. A candidate's sort key never depends on other instances'
+  /// verdicts, so the order of the rest holds.
   void markBenign(TraceIdx I);
 
   /// Pins \p I as corrupted in the current state. Free when \p I is not
   /// inferred correct -- every candidate of prunedSlice() -- because the
   /// inference is a least fixpoint that never needed \p I to be correct.
-  /// Pinning a correct instance falls back to a from-scratch inference.
+  /// Pinning a correct instance falls back to a from-scratch inference
+  /// and ranking.
   void markCorrupted(TraceIdx I);
 
   /// The trace the analysis ranges over.
@@ -125,8 +133,17 @@ public:
   const std::vector<bool> &wrongOutputSlice() const { return WrongSlice; }
 
   /// The pruned slice: instances of the wrong output's slice that are
-  /// still fault candidates, most suspicious first.
-  const std::vector<TraceIdx> &prunedSlice() const { return Ranked; }
+  /// still fault candidates, most suspicious first. Filtered from
+  /// rankOrder() on the first read after a re-rank or an answer that
+  /// made a candidate correct; the read leaves rankOrder() as it is.
+  const std::vector<TraceIdx> &prunedSlice() const;
+
+  /// The order kept since the last re-rank: prunedSlice() with the
+  /// instances benign marks made correct since still in place. Answers
+  /// leave it as it is (but for markCorrupted() of a correct instance),
+  /// so a cursor over it that skips inferredCorrect() instances stays
+  /// valid across them.
+  const std::vector<TraceIdx> &rankOrder() const { return Ranked; }
 
 private:
   /// Pending backward-propagation items: an instance whose definition
@@ -160,10 +177,33 @@ private:
   void sanitizePredicates(std::vector<TraceIdx> &Work);
   /// Figure 5 from scratch over the current edges: resets every
   /// predicate with an implicit dependent to its verdict and sanitizes
-  /// from every correct dependent.
-  void rederiveSanitized();
+  /// from every correct dependent. \p Flipped, if non-null, receives the
+  /// predicates whose verdict changed.
+  void rederiveSanitized(std::vector<TraceIdx> *Flipped = nullptr);
   void inferCorrectValues();
-  void rank();
+
+  /// A candidate's place in the ranking, most suspicious first: low
+  /// confidence, then short distance to the failure, then later
+  /// instances. The index makes the order total.
+  struct RankKey {
+    double Confidence;
+    uint32_t Depth;
+    TraceIdx I;
+    bool operator<(const RankKey &O) const {
+      if (Confidence != O.Confidence)
+        return Confidence < O.Confidence;
+      if (Depth != O.Depth)
+        return Depth < O.Depth;
+      return I > O.I;
+    }
+  };
+  RankKey keyOf(TraceIdx I) const { return {confidence(I), Depth[I], I}; }
+  /// Sorts \p Fresh and merges it into the kept order, dropping the kept
+  /// instances flagged in Rekey or inferred correct. No key depends on
+  /// another instance's verdict, so a kept key is still its key.
+  void rank(std::vector<RankKey> Fresh);
+  /// Ranks every candidate: a merge into an empty order.
+  void rankAll();
 
   const lang::Program &Prog;
   const ddg::DepGraph &G;
@@ -201,7 +241,18 @@ private:
   std::vector<bool> Pinned;     // user-declared corrupted, and the wrong output
   std::vector<bool> DefCorrect; // per definition slot
   std::vector<bool> Correct;    // inferred correct per instance
+
+  // The kept order, and prunedSlice()'s copy of it without the instances
+  // inferred correct (stale after a re-rank or a newly-correct answer).
   std::vector<TraceIdx> Ranked;
+  mutable std::vector<TraceIdx> Pruned;
+  mutable bool PrunedStale = true;
+  /// Per instance, false between updates: the instances an update
+  /// re-keys.
+  std::vector<bool> Rekey;
+  /// Per statement: the confidence of an instance that reaches a correct
+  /// output through a many-to-one mapping, or -1 until first needed.
+  mutable std::vector<double> RangeConfidence;
 };
 
 } // namespace slicing

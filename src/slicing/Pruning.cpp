@@ -7,6 +7,8 @@
 
 #include "slicing/Pruning.h"
 
+#include <algorithm>
+
 using namespace eoe;
 using namespace eoe::slicing;
 
@@ -24,7 +26,7 @@ std::vector<TraceIdx> eoe::slicing::pruneSlicing(ConfidenceAnalysis &CA,
         Stats ? &Stats->timer("slicing.update_time") : nullptr);
     CA.update();
   }
-  const std::vector<TraceIdx> &Ranked = CA.prunedSlice();
+  const std::vector<TraceIdx> &Order = CA.rankOrder();
 
   // Answers are tallied here and flushed once (a registry lookup takes
   // a lock); a counter is only created once it has something to count.
@@ -36,45 +38,52 @@ std::vector<TraceIdx> eoe::slicing::pruneSlicing(ConfidenceAnalysis &CA,
       StatsRegistry::add(Stats, "slicing.benign_marks", Benign);
     if (Corrupted)
       StatsRegistry::add(Stats, "slicing.corrupted_marks", Corrupted);
+    const std::vector<TraceIdx> &Ranked = CA.prunedSlice();
     StatsRegistry::sample(Stats, "slicing.pruned_slice_size", Ranked.size());
     return Ranked;
   };
 
   // The session ends as soon as the programmer recognizes the root
   // cause among the presented candidates. Answers only ever remove
-  // candidates, so one look suffices.
-  for (TraceIdx I : Ranked)
-    if (O.isRootCause(T.step(I).Stmt))
-      return Finish();
+  // candidates, so one look suffices, and it is the session's verdict.
+  State.RootCauseFound = std::ranges::any_of(Order, [&](TraceIdx I) {
+    return !CA.inferredCorrect(I) && O.isRootCause(T.step(I).Stmt);
+  });
+  if (State.RootCauseFound)
+    return Finish();
 
   // Known-corrupted candidates are never inferred correct, so once the
   // cursor passes them they stay in front of it: the next question is
-  // always the first candidate at or after the cursor not known
-  // corrupted (benign answers leave the ranking).
-  std::vector<bool> Known(T.size(), false);
-  for (TraceIdx I : State.KnownCorrupted)
-    Known[I] = true;
+  // always the first candidate at or after the cursor neither known
+  // corrupted nor inferred correct. Answers leave the order as it is.
+  std::vector<bool> &Known = State.KnownCorrupted;
+  Known.resize(T.size(), false);
   size_t Cursor = 0;
   while (true) {
-    while (Cursor < Ranked.size() && Known[Ranked[Cursor]])
+    while (Cursor < Order.size() &&
+           (Known[Order[Cursor]] || CA.inferredCorrect(Order[Cursor])))
       ++Cursor;
-    if (Cursor == Ranked.size()) // Everything left is known corrupted:
-      return Finish();           // minimal slice.
+    if (Cursor == Order.size()) // Everything left is known corrupted:
+      return Finish();          // minimal slice.
 
-    TraceIdx Next = Ranked[Cursor];
+    TraceIdx Next = Order[Cursor];
     if (O.isBenign(Next)) {
       ++Benign;
       State.BenignMarks.push_back(Next);
       // One user interaction covers a statement; later instances of the
       // same statement are vouched for by the same act of understanding.
-      if (State.BenignStmts.insert(T.step(Next).Stmt).second)
+      StmtId Stmt = T.step(Next).Stmt;
+      if (Stmt >= State.BenignStmts.size())
+        State.BenignStmts.resize(Stmt + 1, false);
+      if (!State.BenignStmts[Stmt]) {
+        State.BenignStmts[Stmt] = true;
         ++State.UserPrunings;
+      }
       CA.markBenign(Next); // Benign feedback enables more automatic pruning.
       continue;
     }
     ++Corrupted;
-    State.KnownCorrupted.insert(Next);
     Known[Next] = true;
-    CA.markCorrupted(Next);
+    CA.markCorrupted(Next); // Free: Next is not inferred correct.
   }
 }

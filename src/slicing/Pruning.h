@@ -24,7 +24,6 @@
 #include "slicing/Confidence.h"
 #include "support/Stats.h"
 
-#include <set>
 #include <vector>
 
 namespace eoe {
@@ -47,13 +46,19 @@ public:
 /// re-pruning after slice expansion does not re-ask).
 struct PruneState {
   std::vector<TraceIdx> BenignMarks;
-  std::set<TraceIdx> KnownCorrupted;
-  /// Statements the user has vouched for (a user interaction reasons at
-  /// statement granularity even though marks apply per instance).
-  std::set<StmtId> BenignStmts;
+  /// Per instance: declared corrupted. The first session sizes it to
+  /// the trace.
+  std::vector<bool> KnownCorrupted;
+  /// Per statement: vouched for by the user (a user interaction reasons
+  /// at statement granularity even though marks apply per instance).
+  /// Grown to the largest statement vouched for.
+  std::vector<bool> BenignStmts;
   /// Number of distinct statements declared benign (Table 3's
   /// "# of user prunings"; see EXPERIMENTS.md on granularity).
   size_t UserPrunings = 0;
+  /// Whether the last session's slice holds an instance of the root
+  /// cause.
+  bool RootCauseFound = false;
 };
 
 /// Runs one interactive pruning session: updates \p CA with the implicit
@@ -61,7 +66,9 @@ struct PruneState {
 /// candidates in rank order -- folding each answer into \p CA -- and
 /// stops when the root cause is among the candidates or every remaining
 /// candidate is known corrupted. Returns the pruned slice, most
-/// suspicious first.
+/// suspicious first, and sets State.RootCauseFound. A cursor walks
+/// CA.rankOrder() once, skipping the known-corrupted candidates and the
+/// instances answers made correct.
 ///
 /// \p CA must already hold the answers in \p State: pass a fresh
 /// analysis with a fresh PruneState, and then the same pair to every

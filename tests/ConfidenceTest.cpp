@@ -230,8 +230,11 @@ void expectSameAsFresh(const ConfidenceAnalysis &Live, const Session &S,
                        const ddg::DepGraph &G, const OutputVerdicts &V,
                        const std::vector<TraceIdx> &Marks,
                        const std::set<TraceIdx> &Pins) {
+  std::vector<bool> Pinned(G.trace().size(), false);
+  for (TraceIdx P : Pins)
+    Pinned[P] = true;
   ConfidenceAnalysis Fresh(*S.Prog, G, nullptr, V,
-                           ConfidenceAnalysis::Options(), Marks, Pins);
+                           ConfidenceAnalysis::Options(), Marks, Pinned);
   EXPECT_EQ(Live.prunedSlice(), Fresh.prunedSlice());
   EXPECT_EQ(Live.wrongOutputSlice(), Fresh.wrongOutputSlice());
   for (TraceIdx I = 0; I < G.trace().size(); ++I) {
@@ -388,6 +391,96 @@ TEST(ConfidenceTest, UpdateWithdrawsASanitizationForADependentNotCorrect) {
   const std::vector<TraceIdx> &Ranked = CA.prunedSlice();
   EXPECT_EQ(std::count(Ranked.begin(), Ranked.end(), F.If), 1);
   expectSameAsFresh(CA, F.S, *F.G, F.V, {F.DefA}, {});
+}
+
+TEST(ConfidenceTest, UpdateMovesALoweredInstanceAheadOfDeeperOnes) {
+  SilencedGuard F;
+  TraceIdx DefT = F.S.instanceAtLine(F.T, 3), DefU = F.S.instanceAtLine(F.T, 4);
+  F.G->addImplicitEdge(DefT, F.If, false);
+  ConfidenceAnalysis CA(*F.S.Prog, *F.G, nullptr, F.V);
+  auto Pos = [&](TraceIdx I) {
+    const std::vector<TraceIdx> &Ranked = CA.prunedSlice();
+    return std::find(Ranked.begin(), Ranked.end(), I) - Ranked.begin();
+  };
+  // Every candidate has confidence 0 (no correct output): depth decides.
+  ASSERT_GT(Pos(F.If), Pos(DefU));
+  ASSERT_GT(Pos(F.If), Pos(DefT));
+
+  // A shortcut from the wrong output lowers the guard's depth from 3 to
+  // 1, below t's and u's 2, and its input's from 4 to 2.
+  F.G->addImplicitEdge(F.S.instanceAtLine(F.T, 11), F.If, false);
+  CA.update();
+  EXPECT_LT(Pos(F.If), Pos(DefU));
+  EXPECT_LT(Pos(F.If), Pos(DefT));
+  EXPECT_GT(Pos(F.DefP), Pos(DefT));
+  expectSameAsFresh(CA, F.S, *F.G, F.V, {}, {});
+}
+
+TEST(ConfidenceTest, UpdatePutsAWithdrawnPredicateAtItsKeysPosition) {
+  SilencedGuard F;
+  F.G->addImplicitEdge(F.DefA, F.If, false);
+  ConfidenceAnalysis CA(*F.S.Prog, *F.G, nullptr, F.V,
+                        ConfidenceAnalysis::Options(), {F.DefA});
+  ASSERT_TRUE(CA.inferredCorrect(F.If));
+
+  // The withdrawn guard (depth 2) ranks after b (1) and before the
+  // earlier u (2) and its own input (3), not at the end.
+  F.G->addImplicitEdge(F.DefB, F.If, false);
+  CA.update();
+  TraceIdx Print = F.S.instanceAtLine(F.T, 11);
+  TraceIdx DefU = F.S.instanceAtLine(F.T, 4);
+  EXPECT_EQ(CA.prunedSlice(),
+            (std::vector<TraceIdx>{Print, F.DefB, F.If, DefU, F.DefP}));
+  expectSameAsFresh(CA, F.S, *F.G, F.V, {F.DefA}, {});
+}
+
+TEST(ConfidenceTest, BenignAnswersAreSkippedNotErased) {
+  SilencedGuard F;
+  ConfidenceAnalysis CA(*F.S.Prog, *F.G, nullptr, F.V);
+  const std::vector<TraceIdx> Order = CA.rankOrder();
+  std::vector<TraceIdx> Expected = CA.prunedSlice();
+  ASSERT_EQ(Order, Expected);
+
+  // Vouching for a verifies t too. Without an update in between, the
+  // pruned slice leaves both out, while the kept order, which a cursor
+  // walks, keeps them -- also after the pruned slice was read.
+  CA.markBenign(F.DefA);
+  TraceIdx DefT = F.S.instanceAtLine(F.T, 3);
+  ASSERT_TRUE(CA.inferredCorrect(DefT));
+  std::erase_if(Expected,
+                [&](TraceIdx I) { return I == F.DefA || I == DefT; });
+  EXPECT_EQ(CA.prunedSlice(), Expected);
+  EXPECT_EQ(CA.rankOrder(), Order);
+  expectSameAsFresh(CA, F.S, *F.G, F.V, {F.DefA}, {});
+
+  // The next update drops them from the kept order.
+  F.G->addImplicitEdge(F.DefB, F.If, false);
+  CA.update();
+  EXPECT_EQ(std::count(CA.rankOrder().begin(), CA.rankOrder().end(), DefT),
+            0);
+  EXPECT_EQ(CA.rankOrder(), CA.prunedSlice());
+  expectSameAsFresh(CA, F.S, *F.G, F.V, {F.DefA}, {});
+}
+
+TEST(ConfidenceTest, PinningACorrectInstanceRanksFromScratch) {
+  SilencedGuard F;
+  F.G->addImplicitEdge(F.DefB, F.If, false);
+  ConfidenceAnalysis CA(*F.S.Prog, *F.G, nullptr, F.V);
+  CA.markBenign(F.DefA);
+  TraceIdx DefT = F.S.instanceAtLine(F.T, 3);
+  ASSERT_TRUE(CA.inferredCorrect(DefT));
+
+  CA.markCorrupted(DefT);
+  std::vector<bool> Pins(F.T.size(), false);
+  Pins[DefT] = true;
+  ConfidenceAnalysis Fresh(*F.S.Prog, *F.G, nullptr, F.V,
+                           ConfidenceAnalysis::Options(), {F.DefA}, Pins);
+  EXPECT_EQ(CA.rankOrder(), Fresh.rankOrder())
+      << "the fallback leaves no skipped answer in the kept order";
+  EXPECT_EQ(CA.prunedSlice(), Fresh.prunedSlice());
+  EXPECT_EQ(std::count(CA.prunedSlice().begin(), CA.prunedSlice().end(), DefT),
+            1);
+  expectSameAsFresh(CA, F.S, *F.G, F.V, {F.DefA}, {DefT});
 }
 
 TEST(PruningTest, OracleLoopReachesMinimalSlice) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace eoe;
 using namespace eoe::ddg;
 using namespace eoe::interp;
@@ -161,6 +163,53 @@ TEST(DepGraphTest, ExtendingAClosureEqualsRecomputingIt) {
   expectClosure(G, {Print}, Member, Depth);
   EXPECT_EQ(Depth[IfG], 1u);
   EXPECT_EQ(Depth[S.instanceAtLine(T, 3)], 2u);
+}
+
+TEST(DepGraphTest, ExtensionReportsTheInstancesItChanged) {
+  const char *Src = "fn main() {\n"
+                    "var g = 0;\n"     // 2
+                    "var x = 1;\n"     // 3
+                    "if (g) {\n"       // 4
+                    "x = 4;\n"
+                    "}\n"
+                    "var y = x + 1;\n" // 7
+                    "print(y);\n"      // 8
+                    "}";
+  Session S(Src);
+  ASSERT_TRUE(S.valid());
+  ExecutionTrace T = S.run();
+  DepGraph G(T);
+  TraceIdx Print = S.instanceAtLine(T, 8), DefY = S.instanceAtLine(T, 7);
+  TraceIdx IfG = S.instanceAtLine(T, 4), DefG = S.instanceAtLine(T, 2);
+  std::vector<uint32_t> Depth;
+  std::vector<bool> Member =
+      G.backwardClosure({Print}, DepGraph::ClosureOptions(), &Depth);
+  std::vector<bool> Plain = Member;
+  auto Extend = [&](std::vector<bool> &M, std::vector<uint32_t> *D,
+                    size_t First) {
+    std::vector<TraceIdx> Changed;
+    G.extendBackwardClosure(M, D, First, &Changed);
+    std::ranges::sort(Changed);
+    return Changed;
+  };
+  const std::vector<TraceIdx> GuardAndInput =
+      DefG < IfG ? std::vector<TraceIdx>{DefG, IfG}
+                 : std::vector<TraceIdx>{IfG, DefG};
+
+  // The guard and its input join the closure, at depths 2 and 3.
+  G.addImplicitEdge(DefY, IfG, false);
+  EXPECT_EQ(Extend(Member, &Depth, 0), GuardAndInput);
+  EXPECT_EQ(Extend(Plain, nullptr, 0), GuardAndInput);
+  ASSERT_EQ(Depth[IfG], 2u);
+
+  // A shortcut lowers both depths by one and changes no membership:
+  // only a closure with depths reports them.
+  G.addImplicitEdge(Print, IfG, false);
+  EXPECT_EQ(Extend(Member, &Depth, 1), GuardAndInput);
+  EXPECT_TRUE(Extend(Plain, nullptr, 1).empty());
+  EXPECT_EQ(Depth[IfG], 1u);
+  EXPECT_EQ(Depth[DefG], 2u);
+  expectClosure(G, {Print}, Member, Depth);
 }
 
 TEST(DepGraphTest, DepthMeasuresDependenceDistance) {

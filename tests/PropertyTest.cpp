@@ -7,7 +7,8 @@
 // every pipeline stage must uphold regardless of program shape --
 // deterministic replay, well-formed region trees, dependence-closed
 // slices, alignment laws under predicate switching, and confidence
-// bounds.
+// bounds. Trace-shape facts the locator relies on are also checked over
+// the nine benchmark faults' runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +20,11 @@
 #include "slicing/PotentialDeps.h"
 #include "slicing/RelevantSlicer.h"
 #include "TestUtil.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 using namespace eoe;
@@ -29,6 +32,21 @@ using namespace eoe::interp;
 using namespace eoe::test;
 
 namespace {
+
+/// The first step of \p T that records two uses of one load expression,
+/// or InvalidId. locateFault names a use by its position in the trace,
+/// and the (instance, load) pair it verifies by that position, which is
+/// one name only while no step reads a load twice.
+TraceIdx firstStepReadingALoadTwice(const ExecutionTrace &T) {
+  for (TraceIdx I = 0; I < T.size(); ++I) {
+    std::span<const UseRecord> Uses = T.uses(I);
+    for (size_t A = 0; A < Uses.size(); ++A)
+      for (size_t B = A + 1; B < Uses.size(); ++B)
+        if (Uses[A].LoadExpr == Uses[B].LoadExpr)
+          return I;
+  }
+  return InvalidId;
+}
 
 class RandomProgramProperty : public ::testing::TestWithParam<uint64_t> {
 protected:
@@ -200,7 +218,8 @@ TEST_P(RandomProgramProperty, ClosuresObeySlicingLaws) {
 // a time, pointing either way in the trace, and about half from a use
 // outside the closure, which may join it only through a later edge.
 // After each one the extended closures, with and without depths, must
-// equal a from-scratch closure.
+// equal a from-scratch closure, and each extension must report the
+// instances it changed.
 TEST_P(RandomProgramProperty, ExtendedClosuresEqualRecomputedOnes) {
   ddg::DepGraph G(T);
   const ddg::DepGraph::ClosureOptions All;
@@ -217,16 +236,34 @@ TEST_P(RandomProgramProperty, ExtendedClosuresEqualRecomputedOnes) {
       U = Pick();
     if (U == P)
       continue;
+    const std::vector<bool> MemberBefore = Member, PlainBefore = Plain;
+    const std::vector<uint32_t> DepthBefore = Depth;
     size_t First = G.implicitEdges().size();
     G.addImplicitEdge(U, P, /*Strong=*/false);
-    G.extendBackwardClosure(Member, &Depth, First);
-    G.extendBackwardClosure(Plain, nullptr, First);
+    std::vector<TraceIdx> Changed, PlainChanged;
+    G.extendBackwardClosure(Member, &Depth, First, &Changed);
+    G.extendBackwardClosure(Plain, nullptr, First, &PlainChanged);
     std::vector<uint32_t> FreshDepth;
     std::vector<bool> Fresh = G.backwardClosure(Seeds, All, &FreshDepth);
     ASSERT_EQ(Member, Fresh) << "membership after edge " << U << " <- " << P;
     ASSERT_EQ(Depth, FreshDepth) << "depths after edge " << U << " <- " << P;
     ASSERT_EQ(Plain, Fresh) << "depth-free extension after edge " << U
                             << " <- " << P;
+
+    // What an extension reports is what an update re-keys: exactly the
+    // instances whose membership or depth changed, each once.
+    std::vector<TraceIdx> Differ, PlainDiffer;
+    for (TraceIdx I = 0; I < T.size(); ++I) {
+      if (Member[I] != MemberBefore[I] || Depth[I] != DepthBefore[I])
+        Differ.push_back(I);
+      if (Plain[I] != PlainBefore[I])
+        PlainDiffer.push_back(I);
+    }
+    std::ranges::sort(Changed);
+    std::ranges::sort(PlainChanged);
+    ASSERT_EQ(Changed, Differ) << "reported after edge " << U << " <- " << P;
+    ASSERT_EQ(PlainChanged, PlainDiffer)
+        << "reported without depths after edge " << U << " <- " << P;
   }
 }
 
@@ -361,7 +398,23 @@ TEST_P(RandomProgramProperty, PotentialDepsSatisfyDefinitionOne) {
   }
 }
 
+TEST_P(RandomProgramProperty, NoStepReadsALoadTwice) {
+  EXPECT_EQ(firstStepReadingALoadTwice(T), InvalidId);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramProperty,
                          ::testing::Range<uint64_t>(1, 25));
+
+TEST(TraceShapeTest, NoFaultRunReadsALoadTwice) {
+  for (const workloads::FaultInfo &F : workloads::faults()) {
+    Session S(F.FaultySource);
+    ASSERT_TRUE(S.valid()) << F.Id;
+    std::vector<std::vector<int64_t>> Inputs = F.TestSuite;
+    Inputs.push_back(F.FailingInput);
+    for (size_t K = 0; K < Inputs.size(); ++K)
+      EXPECT_EQ(firstStepReadingALoadTwice(S.run(Inputs[K])), InvalidId)
+          << F.Id << ", input " << K << " of " << Inputs.size();
+  }
+}
 
 } // namespace

@@ -656,7 +656,7 @@ public:
         Mismatch = "asked while the root cause is a candidate";
         return;
       }
-      if (Expected == InvalidId && !State.KnownCorrupted.count(I))
+      if (Expected == InvalidId && !State.KnownCorrupted[I])
         Expected = I;
     }
     if (Asked != Expected)
