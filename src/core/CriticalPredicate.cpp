@@ -8,7 +8,6 @@
 #include "core/CriticalPredicate.h"
 
 #include <algorithm>
-#include <set>
 
 using namespace eoe;
 using namespace eoe::core;
@@ -58,59 +57,6 @@ std::vector<TraceIdx> CriticalPredicateSearch::candidateOrder() const {
   return Preds;
 }
 
-bool CriticalPredicateSearch::extendChain(std::vector<SwitchDecision> &Chain,
-                                          const ExecutionTrace &EP, Result &R,
-                                          interp::ExecContext &Ctx) const {
-  if (Chain.size() >= C.ChainDepth)
-    return false;
-  // The last decision's fire step: instance numbers are unique per
-  // statement within a trace, so one scan finds it.
-  const SwitchDecision &LastD = Chain.back();
-  TraceIdx Last = InvalidId;
-  for (TraceIdx I = 0; I < EP.size(); ++I) {
-    const StepRecord &S = EP.step(I);
-    if (S.Stmt == LastD.Stmt && S.InstanceNo == LastD.InstanceNo) {
-      Last = I;
-      break;
-    }
-  }
-  if (Last == InvalidId)
-    return false; // The decision never fired: nothing sound to extend.
-
-  // Unlike ChainSearch (which only follows control dependences of its
-  // base, hunting one use's implicit source), a critical chain may need
-  // coordinated switches of *unrelated* predicates -- "if (t) {...}
-  // if (t) {...}" needs both -- so every downstream predicate is a
-  // candidate, first instance per statement, in execution order.
-  std::vector<TraceIdx> Exts;
-  std::set<StmtId> SeenStmt;
-  for (TraceIdx I = Last + 1; I < EP.size(); ++I) {
-    const StepRecord &S = EP.step(I);
-    if (S.isPredicateInstance() && SeenStmt.insert(S.Stmt).second)
-      Exts.push_back(I);
-  }
-
-  for (TraceIdx Ext : Exts) {
-    if (R.Switches >= C.MaxSwitches)
-      return false;
-    const StepRecord &S = EP.step(Ext);
-    Chain.push_back({S.Stmt, S.InstanceNo, /*Perturb=*/false, /*Value=*/0});
-    ExecutionTrace ET = Interp.runSwitched(Input, Chain, C.MaxSteps, &Ctx);
-    ++R.Switches;
-    if (ET.Exit == ExitReason::Finished) {
-      if (ET.outputValues() == Expected) {
-        R.Found = true;
-        R.CriticalChain = Chain;
-        return true;
-      }
-      if (extendChain(Chain, ET, R, Ctx))
-        return true;
-    }
-    Chain.pop_back();
-  }
-  return false;
-}
-
 CriticalPredicateSearch::Result CriticalPredicateSearch::search() const {
   Result R;
   // One pooled context for the whole sweep: each runSwitched used to
@@ -125,23 +71,10 @@ CriticalPredicateSearch::Result CriticalPredicateSearch::search() const {
         Interp.runSwitched(Input, {Step.Stmt, Step.InstanceNo}, C.MaxSteps,
                            &Ctx);
     ++R.Switches;
-    if (EP.Exit != ExitReason::Finished)
-      continue;
-    if (EP.outputValues() == Expected) {
+    if (EP.Exit == ExitReason::Finished && EP.outputValues() == Expected) {
       R.Found = true;
       R.CriticalInstance = P;
       return R;
-    }
-    // Chain mode: extend this failed single switch depth-first before
-    // moving to the next candidate (the chain that repairs the output
-    // usually shares its base with the best single switch).
-    if (C.ChainDepth >= 2) {
-      std::vector<SwitchDecision> Chain{
-          {Step.Stmt, Step.InstanceNo, /*Perturb=*/false, /*Value=*/0}};
-      if (extendChain(Chain, EP, R, Ctx)) {
-        R.CriticalInstance = P;
-        return R;
-      }
     }
   }
   return R;

@@ -46,28 +46,16 @@ public:
     Order SearchOrder = Order::DependenceAware;
     /// Step budget per switched run.
     uint64_t MaxSteps = 2'000'000;
-    /// Cap on attempted switches (the technique is brute force). Chained
-    /// runs count against the same cap.
+    /// Cap on attempted switches (the technique is brute force).
     size_t MaxSwitches = 100'000;
-    /// Maximum decision-sequence length. ICSE'06 is single-switch (1,
-    /// the default); the PLDI'07 paper's section 5 observes that one
-    /// switch often cannot reproduce the correct output when the omitted
-    /// branch had several effects. At >= 2, a candidate whose single
-    /// switch fails is extended depth-first with further switches chosen
-    /// from its own switched trace (see extendChain).
-    unsigned ChainDepth = 1;
   };
 
   struct Result {
-    /// True if a critical predicate (or chain) was found.
+    /// True if a critical predicate was found.
     bool Found = false;
-    /// The critical predicate instance in the failing trace; for a
-    /// chained find, the chain's base instance.
+    /// The critical predicate instance in the failing trace.
     TraceIdx CriticalInstance = InvalidId;
-    /// The full critical decision sequence when found via a chain
-    /// (size >= 2); empty when a single switch sufficed.
-    std::vector<interp::SwitchDecision> CriticalChain;
-    /// Switched runs attempted, chained runs included (the cost).
+    /// Switched runs attempted (the cost).
     size_t Switches = 0;
   };
 
@@ -86,15 +74,6 @@ public:
   std::vector<TraceIdx> candidateOrder() const;
 
 private:
-  /// Depth-first chain extension: appends one more switch -- the first
-  /// instance per static predicate executed after \p Chain's last
-  /// decision fired in \p EP -- re-runs, and recurses until ChainDepth
-  /// or MaxSwitches. Returns true (with \p R filled) when some chained
-  /// run reproduces the expected output. \p Chain is used as scratch.
-  bool extendChain(std::vector<interp::SwitchDecision> &Chain,
-                   const interp::ExecutionTrace &EP, Result &R,
-                   interp::ExecContext &Ctx) const;
-
   const interp::Interpreter &Interp;
   const interp::ExecutionTrace &E;
   std::vector<int64_t> Input;

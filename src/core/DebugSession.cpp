@@ -134,7 +134,7 @@ std::vector<TraceIdx> DebugSession::prunedSlice() const {
 LocateReport DebugSession::locate(Oracle &O) {
   assert(hasFailure() && "no failure to locate");
   return locateFault(Prog, *Graph, *PD, *Verifier, &Prof.Values, *Verdicts, O,
-                     C.Locate, C.Opt);
+                     C.Locate);
 }
 
 std::vector<bool> DebugSession::failureChain(StmtId RootCause) const {

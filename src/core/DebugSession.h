@@ -32,6 +32,7 @@
 #include "interp/Profiler.h"
 #include "slicing/DynamicSlicer.h"
 #include "slicing/RelevantSlicer.h"
+#include "support/Options.h"
 
 #include <memory>
 #include <optional>
@@ -78,8 +79,8 @@ public:
     /// The unified knob bundle (support/Options.h): Opt.Exec.MaxSteps is
     /// the failing-run step budget, Opt.Exec.Stats/Tracer the
     /// observability sinks wired through every pipeline layer, and
-    /// Opt.Reuse every checkpoint and chain knob. The failing run
-    /// captures the checkpoints itself, none past Locate.MaxSteps.
+    /// Opt.Reuse the checkpoint knobs. The failing run captures the
+    /// checkpoints itself, none past Locate.MaxSteps.
     eoe::Options Opt;
   };
 

@@ -7,10 +7,7 @@
 
 #include "core/LocateFault.h"
 
-#include "core/ChainSearch.h"
-
 #include <deque>
-#include <memory>
 
 using namespace eoe;
 using namespace eoe::core;
@@ -23,8 +20,7 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
                                     ImplicitDepVerifier &Verifier,
                                     const ValueProfile *Values,
                                     const OutputVerdicts &V, Oracle &O,
-                                    const LocateConfig &Config,
-                                    const eoe::Options &Opt) {
+                                    const LocateConfig &Config) {
   const ExecutionTrace &T = G.trace();
   LocateReport Report;
 
@@ -47,18 +43,6 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
   support::StatCounter *CandidateRequests = nullptr;
   support::StatHistogram *CandidatesPerUse = nullptr;
   support::StatCounter *FanoutRequestCount = nullptr;
-
-  // Multi-switch perturbation chains (docs/chains.md): when every
-  // single-switch verdict for a use comes back NOT_ID, the search below
-  // extends the decision sequence. One object for the whole procedure:
-  // the re-execution budget is global across uses and rounds.
-  std::unique_ptr<ChainSearch> Chains;
-  support::StatCounter *ChainCommits = nullptr;
-  if (Opt.Reuse.ChainDepth >= 2) {
-    Chains = std::make_unique<ChainSearch>(Verifier, T, Opt.Reuse.ChainDepth,
-                                           Opt.Reuse.ChainBudget);
-    ChainCommits = &Reg.counter("locate.chain.commits");
-  }
 
   support::EventTracer::Span FirstPruneSpan(Tracer, "prune", "slicing");
   support::ScopedTimer FirstPruneTimed(&PruneTime);
@@ -127,19 +111,6 @@ LocateReport eoe::core::locateFault(const lang::Program &Prog,
               break;
             case DepVerdict::NotImplicit:
               break;
-            }
-          }
-          // Single-switch evidence exhausted: extend into multi-switch
-          // chains. A winning chain commits its base predicate: the
-          // chain is evidence that the base's outcome implicitly affects
-          // the use.
-          if (Chains && VU.Strong.empty() && VU.Plain.empty() &&
-              !Candidates.empty()) {
-            ChainSearch::Result CR =
-                Chains->search(Candidates, I, Use.LoadExpr);
-            if (CR.Found) {
-              (CR.Strong ? VU.Strong : VU.Plain).push_back(CR.BasePred);
-              ChainCommits->add();
             }
           }
           PoolSlot[Pos] = static_cast<uint32_t>(Pool.size());

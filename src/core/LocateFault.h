@@ -33,7 +33,6 @@
 #include "slicing/Confidence.h"
 #include "slicing/PotentialDeps.h"
 #include "slicing/Pruning.h"
-#include "support/Options.h"
 
 #include <string>
 
@@ -82,15 +81,12 @@ struct LocateReport {
 /// \param G the failing run's dependence graph; verified implicit edges
 ///        are added to it (so OS can be derived from it afterwards).
 /// \param O the programmer in the loop (experiments: the OS protocol).
-/// \param Opt the session's knob bundle: Opt.Reuse.ChainDepth/ChainBudget
-///        select the perturbation chains.
 LocateReport locateFault(const lang::Program &Prog, ddg::DepGraph &G,
                          const slicing::PotentialDepAnalyzer &PD,
                          ImplicitDepVerifier &Verifier,
                          const interp::ValueProfile *Values,
                          const slicing::OutputVerdicts &V,
-                         slicing::Oracle &O, const LocateConfig &Config,
-                         const eoe::Options &Opt);
+                         slicing::Oracle &O, const LocateConfig &Config);
 
 /// Derives the paper's OS -- the failure-inducing dependence chain from
 /// the root cause to the failure -- on \p G's current edges (run

@@ -47,12 +47,6 @@ ImplicitDepVerifier::ImplicitDepVerifier(const Interpreter &Interp,
   // always carries them (CheckObservability asserts their presence).
   CCkptHits = &Reg->counter("verify.ckpt.hits");
   CCkptMisses = &Reg->counter("verify.ckpt.misses");
-  // Multi-switch chain verification (docs/chains.md). Registered eagerly
-  // so the eoe-stats-v1 surface always carries the verify.chain.* keys,
-  // chains enabled or not.
-  CChainRuns = &Reg->counter("verify.chain.runs");
-  CChainExtSteps = &Reg->counter("verify.chain.extended_steps");
-  HChainDepth = &Reg->histogram("verify.chain.depth_hist");
   TReexec = &Reg->timer("verify.reexec_time");
   TLatStrong = &Reg->timer("verify.latency.strong");
   TLatImplicit = &Reg->timer("verify.latency.implicit");
@@ -72,59 +66,31 @@ ImplicitDepVerifier::cellFor(TraceIdx PredInst) {
   return *Slot;
 }
 
-ImplicitDepVerifier::SwitchedRun &
-ImplicitDepVerifier::chainCellFor(const std::vector<SwitchDecision> &Chain) {
-  std::lock_guard<std::mutex> Lock(RunsMutex);
-  std::unique_ptr<SwitchedRun> &Slot = ChainRuns[Chain];
-  if (!Slot)
-    Slot = std::make_unique<SwitchedRun>();
-  return *Slot;
-}
-
-void ImplicitDepVerifier::computeRun(
-    TraceIdx BaseInst, const std::vector<SwitchDecision> &Decisions,
-    SwitchedRun &Run) {
-  assert(!Decisions.empty());
-  assert(E.step(BaseInst).isPredicateInstance() &&
-         E.step(BaseInst).Stmt == Decisions.front().Stmt &&
-         E.step(BaseInst).InstanceNo == Decisions.front().InstanceNo &&
-         "BaseInst must be the first decision's instance in the original");
-  // Single switches and chains differ only in their bookkeeping: chains
-  // also count into verify.chain.*.
-  const bool Chained = Decisions.size() > 1;
+void ImplicitDepVerifier::computeRun(TraceIdx PredInst, SwitchedRun &Run) {
+  const StepRecord &P = E.step(PredInst);
+  assert(P.isPredicateInstance() && "only predicate instances switch");
 
   Interpreter::Options Opts;
   Opts.MaxSteps = C.MaxSteps;
-  if (Chained)
-    Opts.Decisions = Decisions;
-  else // The same run, without a decision list to copy per resume.
-    Opts.Switch = SwitchSpec{Decisions[0].Stmt, Decisions[0].InstanceNo};
+  Opts.Switch = SwitchSpec{P.Stmt, P.InstanceNo};
 
   // Resume from the nearest dominating snapshot when one exists: the
-  // switched run is byte-identical to the original up to its first
-  // decision, so any checkpoint at or before BaseInst is a valid start.
+  // switched run is byte-identical to the original up to the switch, so
+  // any checkpoint at or before PredInst is a valid start.
   const Checkpoint *CP = nullptr;
   if (Ckpts) {
-    CP = Ckpts->nearest(BaseInst);
+    CP = Ckpts->nearest(PredInst);
     (CP ? CCkptHits : CCkptMisses)->add();
   }
 
   {
-    support::EventTracer::Span Reexec(C.Tracer,
-                                      Chained ? "reexec.chain" : "reexec",
-                                      "interp");
+    support::EventTracer::Span Reexec(C.Tracer, "reexec", "interp");
     support::ScopedTimer Timed(TReexec);
     ExecContextPool::Lease Ctx = Arena.acquire();
     Run.Trace = CP ? Interp.runFrom(*CP, E, Input, Opts, *Ctx)
                    : ResumedTrace(Interp.run(Input, Opts, *Ctx));
   }
   CReexecutions->add();
-  if (Chained) {
-    CChainRuns->add();
-    HChainDepth->record(Decisions.size());
-    // What the chained run interpreted, net of the prefix it resumed past.
-    CChainExtSteps->add(Run.Trace.size() - (CP ? CP->Index : 0));
-  }
   HReexecSteps->record(Run.Trace.size());
   if (Run.Trace.exit() != ExitReason::Finished)
     CReexecAborts->add();
@@ -138,17 +104,10 @@ void ImplicitDepVerifier::computeRun(
   Run.Ready.store(true, std::memory_order_release);
 }
 
-/// The single decision switching predicate instance \p P.
-static std::vector<SwitchDecision> switchOf(const StepRecord &P) {
-  return {{P.Stmt, P.InstanceNo, /*Perturb=*/false, /*Value=*/0}};
-}
-
 ImplicitDepVerifier::SwitchedRun &
 ImplicitDepVerifier::switchedRunFor(TraceIdx PredInst) {
   SwitchedRun &Run = cellFor(PredInst);
-  std::call_once(Run.Computed, [&] {
-    computeRun(PredInst, switchOf(E.step(PredInst)), Run);
-  });
+  std::call_once(Run.Computed, [&] { computeRun(PredInst, Run); });
   return Run;
 }
 
@@ -323,27 +282,4 @@ DepVerdict ImplicitDepVerifier::classify(SwitchedRun &MutRun, TraceIdx UseInst,
       Verdict = DepVerdict::Implicit;
   } while (false);
   return Verdict;
-}
-
-DepVerdict
-ImplicitDepVerifier::verifyChain(TraceIdx BaseInst,
-                                 const std::vector<SwitchDecision> &Chain,
-                                 TraceIdx UseInst, ExprId UseLoad) {
-  support::EventTracer::Span VerifySpan(C.Tracer, "verify.chain", "verify");
-  return classify(chainRunFor(BaseInst, Chain), UseInst, UseLoad);
-}
-
-const ResumedTrace &
-ImplicitDepVerifier::chainTrace(TraceIdx BaseInst,
-                                const std::vector<SwitchDecision> &Chain) {
-  return chainRunFor(BaseInst, Chain).Trace;
-}
-
-ImplicitDepVerifier::SwitchedRun &
-ImplicitDepVerifier::chainRunFor(TraceIdx BaseInst,
-                                 const std::vector<SwitchDecision> &Chain) {
-  assert(Chain.size() >= 2 && "single decisions go through the TraceIdx cache");
-  SwitchedRun &Run = chainCellFor(Chain);
-  std::call_once(Run.Computed, [&] { computeRun(BaseInst, Chain, Run); });
-  return Run;
 }

@@ -106,25 +106,6 @@ public:
   /// depend on predicate instance \p PredInst? Thread-safe.
   DepVerdict verify(TraceIdx PredInst, TraceIdx UseInst, ExprId UseLoad);
 
-  /// Multi-switch chain verification (docs/chains.md): re-executes with
-  /// every decision in \p Chain applied in execution order and runs the
-  /// same verdict ladder as verify() against the chained trace, treating
-  /// \p Chain's first decision as the dependence source. \p BaseInst must
-  /// be that first decision's instance in the original trace. Chained
-  /// runs are cached by the full decision sequence and resume from the
-  /// nearest original-run snapshot at or before \p BaseInst, like single
-  /// switches. Thread-safe.
-  DepVerdict verifyChain(TraceIdx BaseInst,
-                         const std::vector<interp::SwitchDecision> &Chain,
-                         TraceIdx UseInst, ExprId UseLoad);
-
-  /// The chained run's trace for \p Chain (extension-candidate
-  /// enumeration in ChainSearch); computed and cached on demand under
-  /// the same key as verifyChain.
-  const interp::ResumedTrace &
-  chainTrace(TraceIdx BaseInst,
-             const std::vector<interp::SwitchDecision> &Chain);
-
   /// Number of distinct (p, u) verifications performed (Table 3). A thin
   /// view over the registry's verify.verifications counter: one atomic
   /// metric serves the accessor, --stats, and the bench dumps, so there
@@ -165,19 +146,13 @@ private:
   };
 
   SwitchedRun &cellFor(TraceIdx PredInst);
-  SwitchedRun &chainCellFor(const std::vector<interp::SwitchDecision> &Chain);
   SwitchedRun &switchedRunFor(TraceIdx PredInst);
-  SwitchedRun &chainRunFor(TraceIdx BaseInst,
-                           const std::vector<interp::SwitchDecision> &Chain);
-  /// Runs the re-execution applying \p Decisions (one switch, or a chain
-  /// whose first decision is BaseInst's) and builds its alignment: the
-  /// snapshot lookup and resume both kinds share.
-  void computeRun(TraceIdx BaseInst,
-                  const std::vector<interp::SwitchDecision> &Decisions,
-                  SwitchedRun &Run);
-  /// The verdict ladder shared by verify() and verifyChain(): classifies
-  /// (UseInst, UseLoad) against one (single- or multi-decision) switched
-  /// run. Pure given the run.
+  /// Re-executes with predicate instance \p PredInst switched, resuming
+  /// from the nearest snapshot at or before it, and builds the run's
+  /// alignment.
+  void computeRun(TraceIdx PredInst, SwitchedRun &Run);
+  /// verify()'s verdict ladder: classifies (UseInst, UseLoad) against one
+  /// switched run. Pure given the run.
   DepVerdict classify(SwitchedRun &Run, TraceIdx UseInst, ExprId UseLoad);
   const std::vector<bool> &reachableFromSwitch(SwitchedRun &Run);
 
@@ -189,11 +164,6 @@ private:
 
   mutable std::mutex RunsMutex;
   std::map<TraceIdx, std::unique_ptr<SwitchedRun>> Runs;
-  /// Chained runs, keyed by the full decision sequence (a depth-1 chain
-  /// is still a distinct key from the TraceIdx-keyed single-switch runs;
-  /// ChainSearch never requests depth 1 here).
-  std::map<std::vector<interp::SwitchDecision>, std::unique_ptr<SwitchedRun>>
-      ChainRuns;
   std::mutex VerdictMutex;
   std::map<std::tuple<TraceIdx, TraceIdx, ExprId>, DepVerdict> VerdictCache;
 
@@ -213,9 +183,6 @@ private:
   support::StatCounter *CReexecAborts = nullptr;
   support::StatCounter *CCkptHits = nullptr;
   support::StatCounter *CCkptMisses = nullptr;
-  support::StatCounter *CChainRuns = nullptr;
-  support::StatCounter *CChainExtSteps = nullptr;
-  support::StatHistogram *HChainDepth = nullptr;
   support::StatTimer *TReexec = nullptr;
   support::StatTimer *TLatStrong = nullptr;
   support::StatTimer *TLatImplicit = nullptr;

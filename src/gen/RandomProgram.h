@@ -140,57 +140,6 @@ public:
     return Out;
   }
 
-  /// Generates a random program with an injected omission no *single*
-  /// predicate switch can expose: the silenced guard opens a gate, and
-  /// the observed update sits behind both the gate and the guard.
-  /// Switching the gate's test alone leaves the inner guard cold (the
-  /// observed value never changes), and the inner guard has no instance
-  /// in the failing run, so every single-switch verdict is NOT_ID --
-  /// only the two-decision chain [if(omgate), if(omflag)] reproduces
-  /// the expected output. The natural subject for `eoe-fuzz
-  /// --fuzz=chain`.
-  OmissionVariant generateChainedOmission() {
-    OmissionVariant Out;
-
-    std::string Body = generate();
-
-    const std::string Anchor = "fn main() {\n";
-    size_t Pos = Body.find(Anchor) + Anchor.size();
-    std::string FixedGuard = "var omflag = input() > 0;\n";
-    std::string FaultyGuard = "var omflag = input() > 9999;\n";
-    std::string Skeleton = "var omgate = 0;\n"
-                           "if (omflag) {\n"
-                           "omgate = 1;\n"
-                           "}\n"
-                           "var omobs = 0;\n"
-                           "if (omgate) {\n"
-                           "if (omflag) {\n"
-                           "omobs = 1;\n"
-                           "}\n"
-                           "}\n";
-    size_t LastBrace = Body.rfind('}');
-    std::string Trailer = "print(omobs);\n";
-
-    auto Assemble = [&](const std::string &Guard) {
-      std::string S = Body.substr(0, Pos) + Guard + Skeleton;
-      S += Body.substr(Pos, LastBrace - Pos) + Trailer;
-      S += Body.substr(LastBrace);
-      return S;
-    };
-    Out.FixedSource = Assemble(FixedGuard);
-    Out.FaultySource = Assemble(FaultyGuard);
-
-    // The guard is the first line after main's opener.
-    Out.RootCauseLine = 1;
-    for (size_t I = 0; I < Pos; ++I)
-      if (Body[I] == '\n')
-        ++Out.RootCauseLine;
-
-    for (size_t I = 0; I < 8; ++I)
-      Out.Input.push_back(Rng.nextInRange(1, 20));
-    return Out;
-  }
-
 private:
   static constexpr int ArraySize = 8;
 

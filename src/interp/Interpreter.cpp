@@ -417,13 +417,6 @@ private:
         Trace.SwitchedStep = Rec;
       return Opts.Perturb->Value;
     }
-    for (const SwitchDecision &Want : Opts.Decisions)
-      if (Want.Perturb && Want.Stmt == Sid &&
-          Want.InstanceNo == InstCount[Sid]) {
-        if (Trace.SwitchedStep == InvalidId)
-          Trace.SwitchedStep = Rec;
-        return Want.Value;
-      }
     return Value;
   }
 
@@ -710,16 +703,11 @@ private:
   /// requested switch when this is the targeted instance.
   bool evalPredicate(const Expr *Cond, Frame &F, TraceIdx Rec, StmtId Sid) {
     bool Taken = evalExpr(Cond, F, Rec) != 0;
-    bool Fire = Opts.Switch && Opts.Switch->Pred == Sid &&
-                Opts.Switch->InstanceNo == InstCount[Sid];
-    for (const SwitchDecision &Want : Opts.Decisions)
-      if (!Fire && !Want.Perturb && Want.Stmt == Sid &&
-          Want.InstanceNo == InstCount[Sid])
-        Fire = true;
-    if (Fire) {
+    if (Opts.Switch && Opts.Switch->Pred == Sid &&
+        Opts.Switch->InstanceNo == InstCount[Sid]) {
       Taken = !Taken;
-      // First decision wins: the trace's switch marker is the chain's
-      // divergence point, where alignment with the original run starts.
+      // The first alteration marks the divergence point, where alignment
+      // with the original run starts (a perturbation may precede it).
       if (Trace.SwitchedStep == InvalidId)
         Trace.SwitchedStep = Rec;
     }
@@ -1076,8 +1064,7 @@ ExecutionTrace Interpreter::run(const std::vector<int64_t> &Input,
   Engine E(Prog, Analysis, Input, Opts, Ctx);
   ExecutionTrace T = E.run();
   record(T.size(), T.recordBytes(), T.Outputs.size(), T.Exit,
-         Opts.Switch.has_value() || !Opts.Decisions.empty(),
-         /*Resumed=*/false, 0);
+         Opts.Switch.has_value(), /*Resumed=*/false, 0);
   return T;
 }
 
@@ -1098,8 +1085,7 @@ ResumedTrace Interpreter::runFrom(const Checkpoint &CP,
   R.SrcOutputs = CP.OutputCount;
   R.Own = E.resume(CP, SpliceFrom, TSpliceTime, R.Reopened);
   record(R.size(), R.recordBytes(), R.outputCount(), R.exit(),
-         Local.Switch.has_value() || !Local.Decisions.empty(),
-         /*Resumed=*/true, CP.Index);
+         Local.Switch.has_value(), /*Resumed=*/true, CP.Index);
   return R;
 }
 
@@ -1109,18 +1095,6 @@ ExecutionTrace Interpreter::runSwitched(const std::vector<int64_t> &Input,
   Options Opts;
   Opts.MaxSteps = MaxSteps;
   Opts.Switch = Spec;
-  if (Ctx)
-    return run(Input, Opts, *Ctx);
-  return run(Input, Opts);
-}
-
-ExecutionTrace
-Interpreter::runSwitched(const std::vector<int64_t> &Input,
-                         const std::vector<SwitchDecision> &Decisions,
-                         uint64_t MaxSteps, ExecContext *Ctx) const {
-  Options Opts;
-  Opts.MaxSteps = MaxSteps;
-  Opts.Decisions = Decisions;
   if (Ctx)
     return run(Input, Opts, *Ctx);
   return run(Input, Opts);

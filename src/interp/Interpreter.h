@@ -49,14 +49,6 @@ public:
     /// Optional value perturbation to apply (mutually exclusive with
     /// Switch in practice; both honored if given).
     std::optional<PerturbSpec> Perturb;
-    /// Multi-decision perturbation chain (paper section 5): every entry
-    /// is applied at its (Stmt, InstanceNo) instance -- predicate
-    /// switches for Perturb == false entries (Value must be 0), value
-    /// perturbations otherwise. Decisions should be listed in execution
-    /// order; an instance named by both Switch and a Decisions entry
-    /// fires once. Trace.SwitchedStep records the *first* decision
-    /// applied (the divergence point alignment starts from).
-    std::vector<SwitchDecision> Decisions;
     /// When false, the program runs without recording steps, uses, or
     /// definitions (outputs are still collected). This is the "Plain"
     /// baseline of the paper's Table 4 -- execution without the
@@ -102,14 +94,6 @@ public:
   /// allocation per call).
   ExecutionTrace runSwitched(const std::vector<int64_t> &Input,
                              SwitchSpec Spec, uint64_t MaxSteps,
-                             ExecContext *Ctx = nullptr) const;
-
-  /// Convenience: runs with the whole decision chain applied (see
-  /// Options::Decisions). A one-element chain of a non-perturb decision
-  /// is byte-identical to the SwitchSpec overload.
-  ExecutionTrace runSwitched(const std::vector<int64_t> &Input,
-                             const std::vector<SwitchDecision> &Decisions,
-                             uint64_t MaxSteps,
                              ExecContext *Ctx = nullptr) const;
 
   /// Resumes execution from \p CP, reading the prefix from \p SpliceFrom

@@ -354,24 +354,6 @@ struct PerturbSpec {
   int64_t Value = 0;
 };
 
-/// One forced control- or value-alteration to apply in a re-execution:
-/// an entry of a multi-decision perturbation chain
-/// (Interpreter::Options::Decisions).
-struct SwitchDecision {
-  /// The altered statement (the switched predicate, or the perturbed
-  /// definition).
-  StmtId Stmt = InvalidId;
-  /// Its instance number.
-  uint32_t InstanceNo = 0;
-  /// False = branch switch (SwitchSpec), true = value perturbation.
-  bool Perturb = false;
-  /// The forced value for perturbations; 0 for switches.
-  int64_t Value = 0;
-
-  bool operator==(const SwitchDecision &D) const = default;
-  auto operator<=>(const SwitchDecision &D) const = default;
-};
-
 } // namespace interp
 } // namespace eoe
 

@@ -52,10 +52,14 @@ std::vector<TraceIdx> eoe::slicing::pruneSlicing(ConfidenceAnalysis &CA,
   if (State.RootCauseFound)
     return Finish();
 
+  // Answers leave the order as it is, and the cursor passes every
+  // instance it asks about, so no question comes back: a benign answer
+  // that cannot make its instance correct (the wrong output is always
+  // pinned) leaves that instance in the slice instead of asking again.
   // Known-corrupted candidates are never inferred correct, so once the
   // cursor passes them they stay in front of it: the next question is
-  // always the first candidate at or after the cursor neither known
-  // corrupted nor inferred correct. Answers leave the order as it is.
+  // always the first candidate after the last one asked that is neither
+  // known corrupted nor inferred correct.
   std::vector<bool> &Known = State.KnownCorrupted;
   Known.resize(T.size(), false);
   size_t Cursor = 0;
@@ -63,10 +67,10 @@ std::vector<TraceIdx> eoe::slicing::pruneSlicing(ConfidenceAnalysis &CA,
     while (Cursor < Order.size() &&
            (Known[Order[Cursor]] || CA.inferredCorrect(Order[Cursor])))
       ++Cursor;
-    if (Cursor == Order.size()) // Everything left is known corrupted:
-      return Finish();          // minimal slice.
+    if (Cursor == Order.size()) // Everything left is known corrupted or
+      return Finish();          // was asked about: minimal slice.
 
-    TraceIdx Next = Order[Cursor];
+    TraceIdx Next = Order[Cursor++];
     if (O.isBenign(Next)) {
       ++Benign;
       State.BenignMarks.push_back(Next);

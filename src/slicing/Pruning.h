@@ -68,7 +68,11 @@ struct PruneState {
 /// candidate is known corrupted. Returns the pruned slice, most
 /// suspicious first, and sets State.RootCauseFound. A cursor walks
 /// CA.rankOrder() once, skipping the known-corrupted candidates and the
-/// instances answers made correct.
+/// instances answers made correct, and passing each instance it asks
+/// about, so the oracle is asked about an instance at most once per
+/// session. A benign answer about a pinned instance, such as the wrong
+/// output, cannot make it correct: the instance stays in the returned
+/// slice, and the session moves on.
 ///
 /// \p CA must already hold the answers in \p State: pass a fresh
 /// analysis with a fresh PruneState, and then the same pair to every

@@ -49,12 +49,11 @@ ParseResult parseCommonOption(int Argc, char **Argv, int &I, Options &O,
   auto Take = [&](const char *Name) {
     return takeValue(Argc, Argv, I, Name, V, Err);
   };
-  auto Result = [](bool Ok) {
-    return Ok ? ParseResult::Ok : ParseResult::Error;
-  };
 
   if (Take("--max-steps"))
-    return Result(!Err && parseFlagNumber("--max-steps", V, O.Exec.MaxSteps));
+    return !Err && parseFlagNumber("--max-steps", V, O.Exec.MaxSteps)
+               ? ParseResult::Ok
+               : ParseResult::Error;
   if (Take("--checkpoints")) {
     if (Err)
       return ParseResult::Error;
@@ -75,12 +74,6 @@ ParseResult parseCommonOption(int Argc, char **Argv, int &I, Options &O,
     O.Reuse.CheckpointMemBytes = MiB << 20;
     return ParseResult::Ok;
   }
-  if (Take("--chain-depth"))
-    return Result(!Err &&
-                  parseFlagNumber("--chain-depth", V, O.Reuse.ChainDepth));
-  if (Take("--chain-budget"))
-    return Result(!Err &&
-                  parseFlagNumber("--chain-budget", V, O.Reuse.ChainBudget));
   if (Cli) {
     if (std::strcmp(Argv[I], "--stats") == 0) {
       Cli->Stats = true;
@@ -119,15 +112,7 @@ const char *commonOptionsHelp() {
       "                        one instead of replaying the prefix;\n"
       "                        off = full replay\n"
       "  --checkpoint-mem MB   snapshot memory budget in MiB; past it the\n"
-      "                        snapshots thin out (default 256)\n"
-      "chain options (locate; multi-switch perturbation chains):\n"
-      "  --chain-depth=N       maximum decisions per perturbation chain:\n"
-      "                        1 (default) issues only single-switch\n"
-      "                        runs, N>=2 lets the locator extend\n"
-      "                        inconclusive single-switch verdicts with\n"
-      "                        follow-up switches\n"
-      "  --chain-budget=N      total chained re-executions allowed per\n"
-      "                        locate call (default 32)\n";
+      "                        snapshots thin out (default 256)\n";
 }
 
 } // namespace support

@@ -16,7 +16,7 @@
 /// The split mirrors what the knobs govern:
 ///  - `ReuseOptions`: checkpointing on or off and its byte budget, which
 ///    only trade re-execution work for memory (every combination yields
-///    bit-identical reports), and the perturbation-chain depth/budget.
+///    bit-identical reports).
 ///  - `ExecOptions`: execution-shape knobs -- the step budget and the
 ///    observability sinks.
 ///
@@ -42,20 +42,8 @@ class StatsRegistry;
 class EventTracer;
 } // namespace support
 
-/// Default maximum decisions per perturbation chain. 1 means chaining is
-/// off: the locator only ever issues single-switch runs (the pre-chain
-/// behavior). Depth >= 2 lets `core::ChainSearch` extend inconclusive
-/// single-switch verdicts with follow-up switches (paper section 5's
-/// perturbation chains).
-inline constexpr unsigned DefaultChainDepth = 1;
-
-/// Default total chained re-executions allowed per locate call. The
-/// budget is consumed deterministically (serial chain enumeration).
-inline constexpr unsigned DefaultChainBudget = 32;
-
-/// Re-execution knobs. The checkpoint fields only trade re-execution
-/// work for memory: all their combinations produce bit-identical locate
-/// reports.
+/// Re-execution knobs. They only trade re-execution work for memory: all
+/// their combinations produce bit-identical locate reports.
 struct ReuseOptions {
   /// Checkpointed re-execution: the failing run snapshots the
   /// interpreter state on interp::CheckpointPlan's schedule, and switched
@@ -64,10 +52,6 @@ struct ReuseOptions {
   bool Checkpoints = true;
   /// Byte budget for the retained snapshots; past it the store thins.
   size_t CheckpointMemBytes = interp::DefaultCheckpointMemBytes;
-  /// Maximum decisions per perturbation chain (1 = chaining off).
-  unsigned ChainDepth = DefaultChainDepth;
-  /// Total chained re-executions allowed per locate call.
-  unsigned ChainBudget = DefaultChainBudget;
 
   /// Compatibility shim (see the block in core/DebugSession.h): the
   /// switched-run cache is gone, and e2ebench still reads its budget
@@ -116,10 +100,9 @@ struct CommonCliState {
 
 /// Offers Argv[I] to the shared flag parser. Handles every settable
 /// ReuseOptions/ExecOptions field (--max-steps, --checkpoints,
-/// --checkpoint-mem, --chain-depth, --chain-budget) in both
-/// "--flag=value" and "--flag value" forms, plus --stats[=json] /
-/// --trace-out when \p Cli is given. Advances \p I past a consumed
-/// value token. A numeric value that is not a whole decimal number in
+/// --checkpoint-mem) in both "--flag=value" and "--flag value" forms,
+/// plus --stats[=json] / --trace-out when \p Cli is given. Advances \p I
+/// past a consumed value token. A numeric value that is not a whole decimal number in
 /// range, or a --checkpoints value other than auto or off, prints an
 /// error naming the flag and returns Error.
 ParseResult parseCommonOption(int Argc, char **Argv, int &I, Options &O,
@@ -146,8 +129,7 @@ bool parseFlagNumber(const char *Flag, std::string_view Text, T &Out,
 }
 
 /// The help text for everything parseCommonOption accepts, grouped into
-/// "common options:", "checkpoint options ...", and "chain options ..."
-/// sections. Front ends print this after their command-specific flags
+/// "common options:" and "checkpoint options ..." sections. Front ends print this after their command-specific flags
 /// so the CLI surface and the Options structs share one source of
 /// truth.
 const char *commonOptionsHelp();

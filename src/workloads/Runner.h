@@ -87,8 +87,8 @@ public:
 
     /// The unified knob bundle (support/Options.h), forwarded wholesale
     /// into both DebugSessions the protocol creates: Opt.Reuse carries the
-    /// checkpoint and chain knobs, Opt.Exec the step budget and the
-    /// observability sinks.
+    /// checkpoint knobs, Opt.Exec the step budget and the observability
+    /// sinks.
     eoe::Options Opt;
   };
 

@@ -41,7 +41,6 @@ foreach(Key
     "\"verifications\"" "\"reexecutions\"" "\"ckpt.hits\"" "\"ckpt.misses\""
     "\"splice_time\"" "\"spliced_steps\"" "\"trace_bytes\""
     "\"ckpt.stored\"" "\"ckpt.capture_time\""
-    "\"chain.runs\"" "\"chain.extended_steps\""
     "\"prune_time\"" "\"build_time\"" "\"update_time\"" "\"prune_rounds\""
     "\"counters\"" "\"timers\""
     "\"histograms\"")

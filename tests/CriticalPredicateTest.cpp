@@ -69,20 +69,6 @@ TEST(CriticalPredicateTest, MultiEffectOmissionHasNoCriticalPredicate) {
   auto R = Search.search();
   EXPECT_FALSE(R.Found) << "no single switch fixes both outputs";
   EXPECT_GT(R.Switches, 1u) << "the whole candidate space was tried";
-
-  // Chain mode repairs exactly this: switching both guards together
-  // reproduces the expected output (docs/chains.md).
-  CriticalPredicateSearch::Config CC;
-  CC.ChainDepth = 2;
-  CriticalPredicateSearch Chained(*S.Interp, T, {}, {9, 9}, CC);
-  auto CR = Chained.search();
-  ASSERT_TRUE(CR.Found);
-  ASSERT_EQ(CR.CriticalChain.size(), 2u);
-  StmtId A = CR.CriticalChain[0].Stmt, B = CR.CriticalChain[1].Stmt;
-  EXPECT_TRUE((A == S.stmtAtLine(5) && B == S.stmtAtLine(8)) ||
-              (A == S.stmtAtLine(8) && B == S.stmtAtLine(5)));
-  EXPECT_EQ(T.step(CR.CriticalInstance).Stmt, A)
-      << "CriticalInstance is the chain's base";
 }
 
 TEST(CriticalPredicateTest, OrderingsEnumerateAllPredicates) {

@@ -40,6 +40,24 @@ private:
   const std::vector<bool> *Chain;
 };
 
+/// TestOracle that counts its questions and answers corrupted past
+/// \p Cap of them, so a session that keeps asking ends instead of
+/// hanging the test.
+class CappedOracle : public TestOracle {
+public:
+  CappedOracle(StmtId Root, const std::vector<bool> *Chain, size_t Cap)
+      : TestOracle(Root, Chain), Cap(Cap) {}
+
+  bool isBenign(TraceIdx I) override {
+    return ++Questions <= Cap && TestOracle::isBenign(I);
+  }
+
+  size_t Questions = 0;
+
+private:
+  size_t Cap;
+};
+
 /// Figure 1 (gzip) as in SlicingTest, kept in sync.
 const char *Figure1Src = "var flags = 0;\n"          // 1
                          "var save_orig_name = 0;\n" // 2
@@ -232,11 +250,59 @@ TEST(LocateFaultTest, ReportsFailureWhenRootIsUnreachable) {
                     "}";
   Session S(Src);
   ASSERT_TRUE(S.valid());
+  StmtId Root = S.stmtAtLine(2);
   DebugSession D(*S.Prog, {}, {4}, {});
   ASSERT_TRUE(D.hasFailure());
-  TestOracle O(S.stmtAtLine(2));
+  TestOracle O(Root);
   LocateReport R = D.locate(O);
   EXPECT_FALSE(R.RootCauseFound);
+
+  // Phase B of the evaluation protocol: the failure chain is the
+  // fallback, which holds no instance, so the oracle calls everything
+  // benign -- the wrong output too, which stays pinned. Each instance
+  // must be asked about at most once.
+  std::vector<bool> Chain = D.failureChain(Root);
+  ASSERT_EQ(std::count(Chain.begin(), Chain.end(), true), 0);
+  DebugSession DB(*S.Prog, {}, {4}, {});
+  ASSERT_TRUE(DB.hasFailure());
+  constexpr size_t Cap = 1000;
+  CappedOracle OB(Root, &Chain, Cap);
+  EXPECT_FALSE(DB.locate(OB).RootCauseFound);
+  EXPECT_LE(OB.Questions, DB.trace().size())
+      << "the session asked the same question again";
+}
+
+/// A fault no single switch can expose: the correct program initializes
+/// t = 1, which opens both guards on the way to x. Switching only the
+/// outer `if (g)` leaves the inner `if (t)` closed (x stays 0);
+/// switching only `if (t)` at line 4 changes g, not x directly -- and
+/// `if (t)` at line 9 never executes in the failing run, so it is not a
+/// candidate.
+TEST(LocateFaultTest, SingleSwitchCannotExposeATwoGuardOmission) {
+  const char *Src = "var t = 0;\n"   // 1  <- root cause (correct: 1)
+                    "var g = 0;\n"   // 2
+                    "fn main() {\n"  // 3
+                    "if (t) {\n"     // 4  opens g
+                    "g = 1;\n"       // 5
+                    "}\n"            // 6
+                    "var x = 0;\n"   // 7
+                    "if (g) {\n"     // 8  outer guard of x
+                    "if (t) {\n"     // 9  inner guard of x
+                    "x = 1;\n"       // 10
+                    "}\n"            // 11
+                    "}\n"            // 12
+                    "print(x);\n"    // 13 wrong: 0, expected 1
+                    "}\n";
+  Session S(Src);
+  ASSERT_TRUE(S.valid());
+  DebugSession D(*S.Prog, {}, {1}, {});
+  ASSERT_TRUE(D.hasFailure());
+  // Every single-switch verdict is NOT_ID, so the procedure runs out of
+  // verifiable dependences.
+  TestOracle O(S.stmtAtLine(1));
+  LocateReport R = D.locate(O);
+  EXPECT_FALSE(R.RootCauseFound);
+  EXPECT_EQ(R.ExpandedEdges, 0u);
 }
 
 TEST(LocateFaultTest, FanoutAblationVerifiesFewerEdges) {

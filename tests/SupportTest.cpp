@@ -132,18 +132,13 @@ TEST(CommonOptionsTest, AcceptsBothFlagForms) {
   }
   EXPECT_EQ(parseFlag({"--checkpoint-mem", "64"}, O), ParseResult::Ok);
   EXPECT_EQ(O.Reuse.CheckpointMemBytes, size_t(64) << 20);
-  EXPECT_EQ(parseFlag({"--chain-depth=2"}, O), ParseResult::Ok);
-  EXPECT_EQ(O.Reuse.ChainDepth, 2u);
-  EXPECT_EQ(parseFlag({"--chain-budget", "9"}, O), ParseResult::Ok);
-  EXPECT_EQ(O.Reuse.ChainBudget, 9u);
 }
 
 TEST(CommonOptionsTest, RejectsMalformedNumbers) {
   using support::ParseResult;
   const Options Defaults;
   for (const char *Flag :
-       {"--max-steps", "--checkpoints", "--checkpoint-mem", "--chain-depth",
-        "--chain-budget"}) {
+       {"--max-steps", "--checkpoints", "--checkpoint-mem"}) {
     for (const char *Bad : {"", "abc", "3e9", "12x", "-1", " 5",
                             "18446744073709551616"}) {
       Options O;
@@ -156,13 +151,9 @@ TEST(CommonOptionsTest, RejectsMalformedNumbers) {
       EXPECT_EQ(O.Exec.MaxSteps, Defaults.Exec.MaxSteps);
       EXPECT_EQ(O.Reuse.Checkpoints, Defaults.Reuse.Checkpoints);
       EXPECT_EQ(O.Reuse.CheckpointMemBytes, Defaults.Reuse.CheckpointMemBytes);
-      EXPECT_EQ(O.Reuse.ChainDepth, Defaults.Reuse.ChainDepth);
-      EXPECT_EQ(O.Reuse.ChainBudget, Defaults.Reuse.ChainBudget);
     }
   }
   Options O;
-  // Overflow of a 32-bit field that the same text fits in 64 bits.
-  EXPECT_EQ(parseFlag({"--chain-depth=4294967296"}, O), ParseResult::Error);
   // A flag given without its value.
   EXPECT_EQ(parseFlag({"--max-steps"}, O), ParseResult::Error);
 }

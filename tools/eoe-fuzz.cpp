@@ -10,13 +10,8 @@
 // it, and the demand-driven locator finds it. Any deviation is printed
 // with the offending seed and program for triage.
 //
-//   eoe-fuzz [--fuzz=pipeline|chain|prune|resume|align|frontend]
+//   eoe-fuzz [--fuzz=pipeline|prune|resume|align|frontend]
 //            [--seeds N] [--start S] [--verbose]
-//
-// --fuzz=chain targets the multi-switch chain search: each reproducing
-// seed runs the locator chain-off (depth 1) and chain-on (depth 2) and
-// asserts chains only ever *add* located roots -- whatever single-switch
-// locating found, the chained locator must find too.
 //
 // --fuzz=prune is the differential oracle of the incremental confidence
 // analysis: each reproducing seed runs the two-phase protocol -- a
@@ -63,7 +58,6 @@
 #include "slicing/Pruning.h"
 #include "support/Diagnostic.h"
 #include "support/Options.h"
-#include "support/Stats.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
@@ -494,94 +488,6 @@ bool runAlignSeed(uint64_t Seed, bool Verbose, AlignTally &T) {
 }
 
 //===----------------------------------------------------------------------===//
-// Chain fuzzing: depth-2 perturbation chains may only add information.
-// The chain search fires when both single-switch verdict pools come up
-// empty, so a chained locator must find every root the single-switch
-// locator finds.
-//===----------------------------------------------------------------------===//
-
-struct ChainTally {
-  size_t Generated = 0;
-  size_t Masked = 0;
-  size_t LocatedOff = 0;
-  size_t LocatedOn = 0;
-  size_t Gained = 0;
-  size_t ChainRuns = 0;
-  size_t Commits = 0;
-  size_t Failures = 0;
-};
-
-bool runChainSeed(uint64_t Seed, bool Verbose, ChainTally &T) {
-  gen::RandomProgramGenerator Gen(Seed);
-  // Alternate fault shapes: even seeds inject the chained omission (no
-  // single switch exposes it -- the chain search must carry the day),
-  // odd seeds the plain one (single switch suffices -- chains must not
-  // get in the way).
-  auto Variant =
-      Seed % 2 == 0 ? Gen.generateChainedOmission() : Gen.generateOmission();
-  ++T.Generated;
-
-  DiagnosticEngine Diags;
-  auto Fixed = lang::parseAndCheck(Variant.FixedSource, Diags);
-  auto Faulty = lang::parseAndCheck(Variant.FaultySource, Diags);
-  if (!Fixed || !Faulty) {
-    std::printf("seed %llu: GENERATED PROGRAM DOES NOT PARSE\n%s\n",
-                static_cast<unsigned long long>(Seed), Diags.str().c_str());
-    ++T.Failures;
-    return false;
-  }
-  analysis::StaticAnalysis FixedSA(*Fixed);
-  interp::Interpreter FixedInterp(*Fixed, FixedSA);
-  std::vector<int64_t> Expected =
-      FixedInterp.run(Variant.Input).outputValues();
-  {
-    core::DebugSession Probe(*Faulty, Variant.Input, Expected, {});
-    if (!Probe.hasFailure()) {
-      ++T.Masked;
-      return true;
-    }
-  }
-  StmtId Root = Faulty->statementAtLine(Variant.RootCauseLine);
-
-  auto Locate = [&](unsigned Depth, support::StatsRegistry *Stats) {
-    core::DebugSession::Config C;
-    C.Opt.Reuse.ChainDepth = Depth;
-    C.Opt.Exec.Stats = Stats;
-    core::DebugSession Session(*Faulty, Variant.Input, Expected, {}, C);
-    RootOnlyOracle Oracle(Root);
-    return Session.locate(Oracle).RootCauseFound;
-  };
-
-  bool Off = Locate(/*Depth=*/1, nullptr);
-  support::StatsRegistry Reg;
-  bool On = Locate(/*Depth=*/2, &Reg);
-  const uint64_t ChainRuns = Reg.counter("verify.chain.runs").get();
-  const uint64_t Commits = Reg.counter("locate.chain.commits").get();
-
-  T.LocatedOff += Off;
-  T.LocatedOn += On;
-  T.Gained += On && !Off;
-  T.ChainRuns += static_cast<size_t>(ChainRuns);
-  T.Commits += static_cast<size_t>(Commits);
-
-  bool Ok = !Off || On;
-  if (!Ok) {
-    std::printf("seed %llu: CHAIN CONTRACT VIOLATED (located off=%d "
-                "on=%d)\n%s\n",
-                static_cast<unsigned long long>(Seed), Off, On,
-                Variant.FaultySource.c_str());
-    ++T.Failures;
-  } else if (Verbose) {
-    std::printf("seed %llu: ok (located off=%d on=%d, %llu chain runs, "
-                "%llu commits)\n",
-                static_cast<unsigned long long>(Seed), Off, On,
-                static_cast<unsigned long long>(ChainRuns),
-                static_cast<unsigned long long>(Commits));
-  }
-  return Ok;
-}
-
-//===----------------------------------------------------------------------===//
 // Prune fuzzing: the incremental confidence analysis must be
 // indistinguishable from building it from scratch after every answer and
 // every batch of edges.
@@ -867,34 +773,14 @@ int main(int Argc, char **Argv) {
     else if (std::strncmp(Argv[I], "--fuzz=", 7) == 0)
       Mode = Argv[I] + 7;
     else {
-      std::fprintf(stderr, "usage: eoe-fuzz [--fuzz=pipeline|chain|prune|"
-                           "resume|align|frontend] [--seeds N] [--start S] "
+      std::fprintf(stderr, "usage: eoe-fuzz [--fuzz=pipeline|prune|resume|"
+                           "align|frontend] [--seeds N] [--start S] "
                            "[--verbose]\n");
       return 2;
     }
   }
 
   Timer Clock;
-  if (Mode == "chain") {
-    ChainTally T;
-    for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)
-      runChainSeed(Seed, Verbose, T);
-    // The even seeds exist to exercise the chain machinery; a run where
-    // chains never located anything beyond single switches means the
-    // mode silently stopped testing its subject.
-    if (T.Generated > T.Masked && T.Gained == 0) {
-      std::printf("chain fuzzing never gained a located root over "
-                  "single-switch -- chained subjects are not firing\n");
-      ++T.Failures;
-    }
-    std::printf("chain-fuzzed %zu programs in %s s: %zu masked, located "
-                "%zu off / %zu on (%zu gained), %zu chain runs, %zu "
-                "commits, %zu violations\n",
-                T.Generated, formatDouble(Clock.seconds(), 2).c_str(),
-                T.Masked, T.LocatedOff, T.LocatedOn, T.Gained, T.ChainRuns,
-                T.Commits, T.Failures);
-    return T.Failures == 0 ? 0 : 1;
-  }
   if (Mode == "prune") {
     PruneTally T;
     for (uint64_t Seed = Start; Seed < Start + Seeds; ++Seed)

@@ -49,10 +49,9 @@ struct CliOptions {
   std::string File;
   std::vector<int64_t> Input;
   std::vector<int64_t> Expected;
-  /// Every shared knob (budgets, checkpoint and chain options) lives in
-  /// the unified bundle, parsed by
-  /// support::parseCommonOption so the CLI cannot drift from the
-  /// structs. Opt.Exec.Stats/Tracer are wired by main() when Cli asks
+  /// Every shared knob (budgets, checkpoint options) lives in the
+  /// unified bundle, parsed by support::parseCommonOption so the CLI
+  /// cannot drift from the structs. Opt.Exec.Stats/Tracer are wired by main() when Cli asks
   /// for them.
   eoe::Options Opt;
   /// Observability requests (--stats[=json], --trace-out=FILE); the
@@ -114,9 +113,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   Opts.Command = Argv[1];
   Opts.File = Argv[2];
   for (int I = 3; I < Argc; ++I) {
-    // The shared knobs (budgets, checkpoint and chain flags,
-    // observability) are handled by the one parser every
-    // front end uses; only command-specific flags remain below.
+    // The shared knobs (budgets, checkpoint flags, observability) are
+    // handled by the one parser every front end uses; only
+    // command-specific flags remain below.
     switch (support::parseCommonOption(Argc, Argv, I, Opts.Opt, &Opts.Cli)) {
     case support::ParseResult::Ok:
       continue;
