@@ -252,7 +252,9 @@ eoe::core::failureInducingChain(const ddg::DepGraph &G, StmtId RootCause,
   std::vector<bool> Chain(T.size(), false);
   if (Hit == InvalidId) {
     // No dependence path (e.g. before locate() has added the implicit
-    // edges): fall back to the forward/backward intersection.
+    // edges): fall back to the forward/backward intersection. The wrong
+    // output is corrupted by definition, so it is in the chain even when
+    // no instance of the root cause executed.
     ddg::DepGraph::ClosureOptions All;
     std::vector<TraceIdx> Roots;
     for (TraceIdx I = 0; I < T.size(); ++I)
@@ -262,6 +264,7 @@ eoe::core::failureInducingChain(const ddg::DepGraph &G, StmtId RootCause,
     std::vector<bool> Backward = G.backwardClosure({Start}, All);
     for (TraceIdx I = 0; I < T.size(); ++I)
       Chain[I] = Forward[I] && Backward[I];
+    Chain[Start] = true;
     return Chain;
   }
   for (TraceIdx I = Hit; I != InvalidId; I = Parent[I])

@@ -92,7 +92,7 @@ LocateReport locateFault(const lang::Program &Prog, ddg::DepGraph &G,
 /// the root cause to the failure -- on \p G's current edges (run
 /// locateFault first so verified implicit edges are present): instances
 /// reachable forward from any instance of \p RootCause and backward from
-/// the wrong output.
+/// the wrong output, and always the wrong output itself.
 std::vector<bool> failureInducingChain(const ddg::DepGraph &G,
                                        StmtId RootCause,
                                        const slicing::OutputVerdicts &V);

@@ -258,11 +258,12 @@ TEST(LocateFaultTest, ReportsFailureWhenRootIsUnreachable) {
   EXPECT_FALSE(R.RootCauseFound);
 
   // Phase B of the evaluation protocol: the failure chain is the
-  // fallback, which holds no instance, so the oracle calls everything
-  // benign -- the wrong output too, which stays pinned. Each instance
-  // must be asked about at most once.
+  // fallback. No instance of the root cause executed, so it holds exactly
+  // the wrong output, which the oracle then never calls benign. Each
+  // instance must be asked about at most once.
   std::vector<bool> Chain = D.failureChain(Root);
-  ASSERT_EQ(std::count(Chain.begin(), Chain.end(), true), 0);
+  ASSERT_EQ(std::count(Chain.begin(), Chain.end(), true), 1);
+  EXPECT_TRUE(Chain[D.trace().Outputs.at(D.verdicts().WrongOutput).Step]);
   DebugSession DB(*S.Prog, {}, {4}, {});
   ASSERT_TRUE(DB.hasFailure());
   constexpr size_t Cap = 1000;
