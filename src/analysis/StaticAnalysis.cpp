@@ -7,6 +7,8 @@
 
 #include "analysis/StaticAnalysis.h"
 
+#include "analysis/Csr.h"
+
 #include <cassert>
 #include <deque>
 
@@ -42,6 +44,29 @@ StaticAnalysis::StaticAnalysis(const lang::Program &Prog) : Prog(Prog) {
         StmtNode[Nodes[N].Stmt] = N;
     indexFunction(*F);
   }
+
+  // Number each function's predicates, then store every statement's
+  // control-dependence parents as those numbers (the two-pass fill of
+  // Csr.h; global declarations have none).
+  const size_t StmtCount = Prog.statements().size();
+  FuncPreds.assign(Prog.functions().size(), 0);
+  PredSlot.assign(StmtCount, InvalidId);
+  ParentSlotStart.assign(StmtCount + 1, 0);
+  for (StmtId S = 0; S < StmtCount; ++S) {
+    if (!isValidId(StmtFunc[S]))
+      continue;
+    if (Prog.statements()[S]->isPredicate())
+      PredSlot[S] = FuncPreds[StmtFunc[S]]++;
+    ParentSlotStart[S + 1] = static_cast<uint32_t>(cdParents(S).size());
+  }
+  countsToOffsets(ParentSlotStart);
+  ParentSlots.resize(ParentSlotStart[StmtCount]);
+  for (StmtId S = 0; S < StmtCount; ++S)
+    for (const ControlDependence::Parent &P : cdParents(S)) {
+      assert(isValidId(PredSlot[P.Pred]) && "parent is not a predicate");
+      ParentSlots[ParentSlotStart[S]++] = PredSlot[P.Pred];
+    }
+  rewindCursors(ParentSlotStart);
 }
 
 void StaticAnalysis::indexFunction(const lang::Function &F) {

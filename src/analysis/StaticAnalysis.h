@@ -53,6 +53,20 @@ public:
   /// Direct static control-dependence children of (\p Pred, \p Branch).
   std::span<const StmtId> cdChildren(StmtId Pred, bool Branch) const;
 
+  /// Number of predicates of function \p F: each has a slot in
+  /// [0, predicateCount(F)), numbered in statement-id order.
+  uint32_t predicateCount(FuncId F) const { return FuncPreds[F]; }
+
+  /// The slot of predicate \p Pred among its function's predicates.
+  uint32_t predicateSlot(StmtId Pred) const { return PredSlot[Pred]; }
+
+  /// cdParents(\p Stmt)'s predicates as slots of their function (the
+  /// interpreter's per-frame last-instance table is indexed by them).
+  std::span<const uint32_t> cdParentSlots(StmtId Stmt) const {
+    return {ParentSlots.data() + ParentSlotStart[Stmt],
+            ParentSlots.data() + ParentSlotStart[Stmt + 1]};
+  }
+
   /// True if \p Stmt is inside the code guarded by predicate \p Pred
   /// taking outcome \p Branch: the transitive control-dependence region,
   /// extended interprocedurally -- statements of functions called from
@@ -102,6 +116,12 @@ private:
   std::vector<std::vector<StmtId>> VarDefs; // indexed by VarId
   std::vector<std::vector<FuncId>> StmtCallees; // indexed by StmtId
   std::vector<std::vector<StmtId>> FuncStmts;   // indexed by FuncId
+  std::vector<uint32_t> FuncPreds;              // indexed by FuncId
+  /// Indexed by StmtId; InvalidId for a statement that is no predicate.
+  std::vector<uint32_t> PredSlot;
+  /// cdParentSlots as a compressed-sparse-row table (Csr.h) over StmtIds.
+  std::vector<uint32_t> ParentSlotStart;
+  std::vector<uint32_t> ParentSlots;
   static const std::vector<StmtId> NoDefs;
 
   /// Memoized transitive region membership, keyed by (Pred, Branch).

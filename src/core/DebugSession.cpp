@@ -34,12 +34,6 @@ DebugSession::DebugSession(const lang::Program &Prog,
       ExpectedOutputs(std::move(ExpectedOutputsIn)), C(CIn),
       SA(analyzeProgram(Prog, CIn.Opt.Exec.Tracer)),
       Interp(Prog, SA, CIn.Opt.Exec.Stats), Prof(Prog.statements().size()) {
-  {
-    support::EventTracer::Span ProfileSpan(C.Opt.Exec.Tracer, "profile",
-                                           "interp");
-    Prof = profileTestSuite(Interp, Prog, TestSuite, C.Opt.Exec.MaxSteps);
-  }
-
   Interpreter::Options Opts;
   Opts.MaxSteps = C.Opt.Exec.MaxSteps;
   // The traced run captures the snapshots switched runs resume from
@@ -54,8 +48,21 @@ DebugSession::DebugSession(const lang::Program &Prog,
     Opts.Checkpoints = &*Plan;
   }
   {
-    support::EventTracer::Span InterpretSpan(C.Opt.Exec.Tracer, "interpret", "interp");
-    Trace = Interp.run(FailingInput, Opts);
+    // The profile's runs and the traced run share one context, so each
+    // run reserves its trace from the sizes of the runs before it. It is
+    // freed before the session's own tables are built.
+    ExecContext Ctx;
+    {
+      support::EventTracer::Span ProfileSpan(C.Opt.Exec.Tracer, "profile",
+                                             "interp");
+      Prof = profileTestSuite(
+          Interp, Prog, TestSuite, C.Opt.Exec.MaxSteps, &Ctx,
+          /*UnionDeps=*/C.PDBackend ==
+              PotentialDepAnalyzer::Backend::UnionGraph);
+    }
+    support::EventTracer::Span InterpretSpan(C.Opt.Exec.Tracer, "interpret",
+                                             "interp");
+    Trace = Interp.run(FailingInput, Opts, Ctx);
   }
   Verdicts = diffOutputs(Trace, ExpectedOutputs);
   if (support::StatsRegistry *Stats = C.Opt.Exec.Stats) {

@@ -9,8 +9,9 @@
 /// The top-level public API: owns every stage of the paper's pipeline for
 /// one failing program run --
 ///
-///   parse/check -> static analysis -> profile test suite (union deps +
-///   value profile) -> trace the failing run, capturing resume snapshots
+///   parse/check -> static analysis -> profile test suite (value profile,
+///   and union deps under the UnionGraph backend) -> trace the failing
+///   run, capturing resume snapshots
 ///   -> label outputs -> DS / RS / PS baselines -> demand-driven
 ///   implicit-dependence location.
 ///
@@ -69,6 +70,7 @@ public:
   struct Config {
     /// Backend for Definition 1(iv); the paper's prototype used the
     /// profile-union graph, the pure static backend is more conservative.
+    /// The test-suite profile fills the union graph only for UnionGraph.
     slicing::PotentialDepAnalyzer::Backend PDBackend =
         slicing::PotentialDepAnalyzer::Backend::Static;
     /// Compatibility shims (see above); never read.

@@ -24,9 +24,7 @@ size_t Checkpoint::bytes() const {
     N += sizeof(CheckpointFrame);
     N += CF.State.Mem.capacity() * sizeof(int64_t);
     N += CF.State.LastDef.capacity() * sizeof(TraceIdx);
-    // unordered_map node: key+value plus bucket/node overhead estimate.
-    N += CF.State.LastPredInstance.size() *
-         (sizeof(StmtId) + sizeof(TraceIdx) + 4 * sizeof(void *));
+    N += CF.State.LastPredInstance.capacity() * sizeof(TraceIdx);
     N += CF.Path.capacity() * sizeof(ResumeEntry);
     // The open record's entries (the record itself is counted with its
     // frame).

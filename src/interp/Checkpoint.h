@@ -86,7 +86,7 @@ struct ResumeEntry {
 /// One suspended activation record.
 struct CheckpointFrame {
   /// Copy of the frame (locals, last-def table, serial, call site,
-  /// last-predicate-instance map) as of the capture instant.
+  /// last-predicate-instance table) as of the capture instant.
   ExecFrame State;
   /// Path from the function body root to the active statement.
   std::vector<ResumeEntry> Path;

@@ -21,6 +21,7 @@ void ExecContext::beginRun(size_t StmtCount, size_t GlobalSlots) {
   HeldUses.clear();
   HeldDefs.clear();
   HeldStarts.clear();
+  ArgStack.clear();
 }
 
 ExecFrame ExecContext::takeFrame() {

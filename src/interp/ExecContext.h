@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,8 +49,8 @@ class StatsRegistry;
 namespace interp {
 
 /// One activation record. Lives here (not in the interpreter's .cpp) so
-/// the context can pool frames across runs; the vectors and the map keep
-/// their capacity through recycling.
+/// the context can pool frames across runs; the vectors keep their
+/// capacity through recycling.
 struct ExecFrame {
   uint64_t Serial = 0;
   const lang::Function *Func = nullptr;
@@ -62,8 +61,10 @@ struct ExecFrame {
   /// The instance of the calling statement; InvalidId for main.
   TraceIdx CallSite = InvalidId;
   /// Most recent instance of each predicate executed in this invocation,
-  /// used to resolve dynamic control-dependence parents.
-  std::unordered_map<StmtId, TraceIdx> LastPredInstance;
+  /// used to resolve dynamic control-dependence parents: one entry per
+  /// predicate of Func, indexed by StaticAnalysis::predicateSlot
+  /// (InvalidId until the predicate executes).
+  std::vector<TraceIdx> LastPredInstance;
 };
 
 /// Reusable buffers for one interpreter run. Not thread-safe; lease one
@@ -103,6 +104,11 @@ public:
   std::vector<UseRecord> HeldUses;
   std::vector<DefRecord> HeldDefs;
   std::vector<std::pair<size_t, size_t>> HeldStarts;
+
+  /// Argument values of the calls whose arguments are being evaluated,
+  /// innermost last; empty at every capture, a clean instant (see
+  /// Checkpoint.h).
+  std::vector<int64_t> ArgStack;
 
 private:
   std::vector<ExecFrame> FreeFrames;

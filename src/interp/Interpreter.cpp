@@ -13,7 +13,6 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 
 using namespace eoe;
 using namespace eoe::interp;
@@ -269,6 +268,9 @@ private:
   /// beginStep instant. Requires DirtyCalls == 0 and the Cont/Path
   /// mirror.
   Checkpoint makeSnapshot() const {
+    // Every suspended call is a statement-root call with its arguments
+    // already in its callee's frame.
+    assert(Ctx.ArgStack.empty() && "capture inside an argument list");
     Checkpoint CP;
     CP.Index = nextIndex();
     CP.InputCursor = InputCursor;
@@ -308,7 +310,7 @@ private:
     TraceIdx Idx = openStep(S->id(), InstCount[S->id()]);
     Trace.Steps.back().CdParent = resolveCdParent(S->id(), F);
     if (S->isPredicate())
-      F.LastPredInstance[S->id()] = Idx;
+      F.LastPredInstance[SA.predicateSlot(S->id())] = Idx;
     return Idx;
   }
 
@@ -397,14 +399,14 @@ private:
     return P;
   }
 
+  /// The latest instance in \p F of one of \p S's static
+  /// control-dependence parents; the call site when none has executed.
   TraceIdx resolveCdParent(StmtId S, const Frame &F) const {
     TraceIdx Best = InvalidId;
-    for (const auto &Parent : SA.cdParents(S)) {
-      auto It = F.LastPredInstance.find(Parent.Pred);
-      if (It == F.LastPredInstance.end())
-        continue;
-      if (Best == InvalidId || It->second > Best)
-        Best = It->second;
+    for (uint32_t Slot : SA.cdParentSlots(S)) {
+      const TraceIdx Last = F.LastPredInstance[Slot];
+      if (Last != InvalidId && (Best == InvalidId || Last > Best))
+        Best = Last;
     }
     return Best != InvalidId ? Best : F.CallSite;
   }
@@ -499,6 +501,7 @@ private:
     F.Func = &Func;
     F.Mem.assign(Func.frameSlots(), 0);
     F.LastDef.assign(Func.frameSlots(), InvalidId);
+    F.LastPredInstance.assign(SA.predicateCount(Func.id()), InvalidId);
     F.CallSite = CallSite;
     return F;
   }
@@ -624,12 +627,16 @@ private:
       NextCallClean = false;
     }
     const Function &Callee = *Prog.function(Call->callee());
-    std::vector<int64_t> ArgValues;
-    ArgValues.reserve(Call->args().size());
+    // The argument values wait on the context's stack until the callee's
+    // frame holds them; calls nested in the arguments push above them.
+    std::vector<int64_t> &Args = Ctx.ArgStack;
+    const size_t ArgBase = Args.size();
     for (const Expr *Arg : Call->args())
-      ArgValues.push_back(evalExpr(Arg, F, Rec));
-    if (Halted)
+      Args.push_back(evalExpr(Arg, F, Rec));
+    if (Halted) {
+      Args.resize(ArgBase);
       return 0;
+    }
 
     Frame Inner = makeFrame(Callee, Rec);
     // Parameter passing: the call-site instance defines the parameter
@@ -638,8 +645,9 @@ private:
     for (size_t I = 0; I < Callee.params().size(); ++I) {
       VarId Param = Callee.params()[I];
       const VarInfo &Info = Prog.variable(Param);
-      storeFrame(Inner, Info.Slot, Param, ArgValues[I], Rec);
+      storeFrame(Inner, Info.Slot, Param, Args[ArgBase + I], Rec);
     }
+    Args.resize(ArgBase);
 
     if (Collecting) {
       if (!Clean)

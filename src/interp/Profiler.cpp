@@ -10,32 +10,27 @@
 using namespace eoe;
 using namespace eoe::interp;
 
-bool UnionDependenceGraph::definesSomething(StmtId Def) const {
-  auto It = Deps.lower_bound({Def, 0});
-  return It != Deps.end() && It->first == Def;
-}
-
-void eoe::interp::accumulateTrace(Profile &P, const ExecutionTrace &Trace) {
-  for (TraceIdx I = 0; I < Trace.Steps.size(); ++I) {
-    const StepRecord &Step = Trace.Steps[I];
-    for (const UseRecord &Use : Trace.uses(Step)) {
-      if (!isValidId(Use.Def))
-        continue;
-      P.UnionDeps.addDataDep(Trace.Steps[Use.Def].Stmt, Use.LoadExpr);
-    }
-    for (const DefRecord &Def : Trace.defs(Step))
-      P.Values.addValue(Step.Stmt, Def.Value);
-  }
-  ++P.Runs;
-}
-
 Profile eoe::interp::profileTestSuite(
     const Interpreter &Interp, const lang::Program &Prog,
-    const std::vector<std::vector<int64_t>> &Suite, uint64_t MaxStepsPerRun) {
+    const std::vector<std::vector<int64_t>> &Suite, uint64_t MaxStepsPerRun,
+    ExecContext *Ctx, bool UnionDeps) {
   Profile P(Prog.statements().size());
+  if (UnionDeps)
+    P.UnionDeps = UnionDependenceGraph(Prog.expressions().size());
+  ExecContext Local;
   Interpreter::Options Opts;
   Opts.MaxSteps = MaxStepsPerRun;
-  for (const std::vector<int64_t> &Input : Suite)
-    accumulateTrace(P, Interp.run(Input, Opts));
+  for (const std::vector<int64_t> &Input : Suite) {
+    const ExecutionTrace T = Interp.run(Input, Opts, Ctx ? *Ctx : Local);
+    for (const StepRecord &Step : T.Steps) {
+      if (UnionDeps)
+        for (const UseRecord &Use : T.uses(Step))
+          if (isValidId(Use.Def))
+            P.UnionDeps.addDataDep(T.Steps[Use.Def].Stmt, Use.LoadExpr);
+      for (const DefRecord &Def : T.defs(Step))
+        P.Values.addValue(Step.Stmt, Def.Value);
+    }
+    ++P.Runs;
+  }
   return P;
 }

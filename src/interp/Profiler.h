@@ -13,7 +13,9 @@
 ///
 /// The union dependence graph records every (defining statement ->
 /// loading expression) data dependence exercised by any profiled run; the
-/// value profile records the distinct values each statement defined.
+/// value profile records the distinct values each statement defined. Both
+/// are flat tables indexed by the load's expression or the defining
+/// statement.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,44 +25,65 @@
 #include "interp/Interpreter.h"
 #include "interp/Trace.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
+#include <span>
 #include <vector>
 
 namespace eoe {
 namespace interp {
 
-/// The union of dynamic data dependences over all profiled runs.
+/// The union of dynamic data dependences over all profiled runs: per
+/// load, the short list of statements whose values reached it.
 class UnionDependenceGraph {
 public:
+  /// An empty graph over the loads of a program with \p ExprCount
+  /// expressions.
+  explicit UnionDependenceGraph(size_t ExprCount = 0) : DefsOf(ExprCount) {}
+
   /// Records that some run carried a value from \p Def to load \p Use.
-  void addDataDep(StmtId Def, ExprId Use) { Deps.insert({Def, Use}); }
+  void addDataDep(StmtId Def, ExprId Use) {
+    std::vector<StmtId> &Defs = DefsOf[Use];
+    if (std::find(Defs.begin(), Defs.end(), Def) == Defs.end()) {
+      Defs.push_back(Def);
+      ++Count;
+    }
+  }
 
   /// True if any profiled run exercised the dependence.
   bool contains(StmtId Def, ExprId Use) const {
-    return Deps.count({Def, Use}) != 0;
+    if (Use >= DefsOf.size())
+      return false;
+    const std::vector<StmtId> &Defs = DefsOf[Use];
+    return std::find(Defs.begin(), Defs.end(), Def) != Defs.end();
   }
 
-  /// True if any profiled run carried a value from \p Def to any load.
-  bool definesSomething(StmtId Def) const;
-
-  size_t size() const { return Deps.size(); }
+  size_t size() const { return Count; }
 
 private:
-  std::set<std::pair<StmtId, ExprId>> Deps;
+  std::vector<std::vector<StmtId>> DefsOf; // indexed by the load's ExprId
+  size_t Count = 0;
 };
 
 /// Distinct values defined per statement, with a cap so profiles stay
-/// small. Feeds the confidence analysis' range estimates (PLDI'06).
+/// small: a statement keeps the first Cap distinct values it defines.
+/// Feeds the confidence analysis' range estimates (PLDI'06).
 class ValueProfile {
 public:
   explicit ValueProfile(size_t StmtCount, size_t Cap = 4096)
       : Values(StmtCount), Cap(Cap) {}
 
   void addValue(StmtId Stmt, int64_t Value) {
-    auto &Set = Values[Stmt];
-    if (Set.size() < Cap)
-      Set.insert(Value);
+    std::vector<int64_t> &Kept = Values[Stmt];
+    if (Kept.size() >= Cap)
+      return;
+    if (Kept.empty() || Value > Kept.back()) {
+      Kept.push_back(Value);
+      return;
+    }
+    auto It = std::lower_bound(Kept.begin(), Kept.end(), Value);
+    if (*It != Value)
+      Kept.insert(It, Value);
   }
 
   /// Number of distinct values \p Stmt was observed to define; at least 1
@@ -69,10 +92,11 @@ public:
     return Values[Stmt].empty() ? 1 : Values[Stmt].size();
   }
 
-  const std::set<int64_t> &values(StmtId Stmt) const { return Values[Stmt]; }
+  /// The distinct values kept for \p Stmt, ascending.
+  std::span<const int64_t> values(StmtId Stmt) const { return Values[Stmt]; }
 
 private:
-  std::vector<std::set<int64_t>> Values;
+  std::vector<std::vector<int64_t>> Values; // per statement, sorted
   size_t Cap;
 };
 
@@ -87,14 +111,14 @@ struct Profile {
 };
 
 /// Runs \p Interp over every input vector in \p Suite and accumulates the
-/// union dependence graph and value profile.
+/// value profile, and the union dependence graph when \p UnionDeps is set
+/// (only the UnionGraph potential-dependence backend reads it). The runs
+/// execute on \p Ctx's recycled buffers when it is given.
 Profile profileTestSuite(const Interpreter &Interp,
                          const lang::Program &Prog,
                          const std::vector<std::vector<int64_t>> &Suite,
-                         uint64_t MaxStepsPerRun = 5'000'000);
-
-/// Accumulates one already-collected trace into \p P.
-void accumulateTrace(Profile &P, const ExecutionTrace &Trace);
+                         uint64_t MaxStepsPerRun = 5'000'000,
+                         ExecContext *Ctx = nullptr, bool UnionDeps = true);
 
 } // namespace interp
 } // namespace eoe

@@ -863,12 +863,36 @@ std::string analysisDifference(const Program &Prog, FrontendTally &T) {
     RefControlDependence CD(Want);
     static const std::vector<analysis::ControlDependence::Parent> NoParents;
     static const std::vector<StmtId> NoKids;
+    // The predicate slots number the function's predicates 0, 1, ...
+    std::vector<bool> SlotTaken(SA.predicateCount(F->id()), false);
+    for (StmtId S : SA.statementsOf(F->id())) {
+      const uint32_t Slot = SA.predicateSlot(S);
+      if (!Prog.statements()[S]->isPredicate()) {
+        if (isValidId(Slot))
+          return In + "statement " + std::to_string(S) +
+                 " is no predicate but has a slot";
+      } else if (Slot >= SlotTaken.size() || SlotTaken[Slot]) {
+        return In + "predicate " + std::to_string(S) +
+               " has no slot of its own";
+      } else {
+        SlotTaken[Slot] = true;
+      }
+    }
+    if (std::find(SlotTaken.begin(), SlotTaken.end(), false) !=
+        SlotTaken.end())
+      return In + "a predicate slot is unused";
     for (StmtId S : SA.statementsOf(F->id())) {
       auto P = CD.Parents.find(S);
       const auto &WantParents = P == CD.Parents.end() ? NoParents : P->second;
       if (!sameRange(SA.cdParents(S), WantParents))
         return In + "statement " + std::to_string(S) +
                "'s control-dependence parents differ";
+      std::vector<uint32_t> WantSlots;
+      for (const analysis::ControlDependence::Parent &Parent : WantParents)
+        WantSlots.push_back(SA.predicateSlot(Parent.Pred));
+      if (!sameRange(SA.cdParentSlots(S), WantSlots))
+        return In + "statement " + std::to_string(S) +
+               "'s control-dependence parent slots differ";
       T.MultiParent += WantParents.size() > 1;
       for (bool Branch : {true, false}) {
         auto K = CD.Kids.find({S, Branch});
